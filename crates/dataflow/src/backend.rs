@@ -1,8 +1,10 @@
 //! Execution backends: where a [`TrainingJob`] actually runs.
 //!
-//! The DataLoader protocol (round-robin dispatch, bounded queues, the
-//! reorder buffer, dead-worker redispatch) is substrate-independent. An
-//! [`ExecutionBackend`] chooses the substrate:
+//! The DataLoader protocol (policy dispatch, bounded queues, the
+//! reorder buffer, dead-worker redispatch) is written once, in
+//! `protocol.rs`, against a small substrate trait covering the clock,
+//! the queues, batch costs and shutdown. An [`ExecutionBackend`] chooses
+//! the substrate:
 //!
 //! * [`SimBackend`] — the deterministic discrete-event simulator with a
 //!   virtual clock ([`TrainingJob::run`]). Every run is exactly

@@ -35,6 +35,7 @@ mod loader;
 mod native;
 mod pipeline;
 mod policy;
+mod protocol;
 mod tracer;
 
 pub use audit::{AuditFeed, AuditMutation, CvKind, SyncEvent, SyncOp, UNKNOWN_TID};
@@ -42,12 +43,13 @@ pub use backend::{ExecutionBackend, SimBackend};
 pub use config::{DataLoaderConfig, GpuConfig};
 pub use dataset::{BatchSampler, Dataset, Sampler};
 pub use error::JobError;
-pub use loader::{worker_os_pid, JobReport, LoaderMutation, TrainingJob, MAIN_OS_PID};
+pub use loader::{JobReport, LoaderMutation, TrainingJob};
 pub use native::{NativeBackend, NativeOptions, NativeQueue};
 pub use pipeline::{Pipeline, Source};
 pub use policy::{
     BatchRef, DispatchContext, Lane, Placement, Refill, SchedulingPolicy, SchedulingPolicyKind,
 };
+pub use protocol::{worker_os_pid, MAIN_OS_PID};
 pub use tracer::{NullTracer, Tracer};
 
 pub use lotus_sim::FaultPlan;

@@ -1,8 +1,12 @@
-//! The training-job engine: main process, DataLoader workers, index/data
-//! queues and the GPU step — PyTorch's asynchronous data flow (§II-B of
-//! the paper) on the simulator.
+//! The simulated engine: the DataLoader protocol (§II-B of the paper) on
+//! the discrete-event simulator, with virtual time and modeled costs.
+//!
+//! [`TrainingJob::run`] spawns one process per DataLoader worker plus
+//! the main process. The main process runs the shared protocol
+//! (`protocol.rs`) on `SimMain`, which charges virtual time for tracer
+//! overhead and for the modeled framework kernels (unpickle, pin, CUDA
+//! launch); only the worker loop is specific to this engine.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use lotus_data::mix_seed;
@@ -13,71 +17,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{DataLoaderConfig, GpuConfig};
-use crate::dataset::{BatchSampler, Dataset};
+use crate::dataset::Dataset;
 use crate::error::JobError;
-use crate::policy::{BatchRef, DispatchContext, Refill, SchedulingPolicy};
+use crate::protocol::{
+    kill_times, main_loop, worker_os_pid, BatchPayload, Envelope, EpochPlan, QueueId, Received,
+    Substrate, WorkerMsg,
+};
 use crate::tracer::Tracer;
-
-/// Simulated OS pid of the main process (the paper logs real pids via
-/// `psutil`; we use stable synthetic ones).
-pub const MAIN_OS_PID: u32 = 4242;
 
 /// How often the main process gives up waiting on the data queue to check
 /// worker liveness (PyTorch's `MP_STATUS_CHECK_INTERVAL` of 5 s).
 const WORKER_STATUS_CHECK: Span = Span::from_secs(5);
-
-/// Serialized size of an error envelope: a pickled `ExceptionWrapper`
-/// (traceback string), not tensor storage.
-const EXCEPTION_WRAPPER_BYTES: u64 = 512;
-
-/// Simulated OS pid of DataLoader worker `w`.
-#[must_use]
-pub fn worker_os_pid(worker: usize) -> u32 {
-    MAIN_OS_PID + 1 + worker as u32
-}
-
-/// Message on a per-worker index queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum WorkerMsg {
-    /// Preprocess these dataset indices as batch `id`.
-    Batch { id: u64, indices: Vec<u64> },
-    /// Exit the worker loop (PyTorch's `None` sentinel).
-    Shutdown,
-}
-
-/// The successful contents of an [`Envelope`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BatchPayload {
-    bytes: u64,
-    len: usize,
-}
-
-/// A preprocessed batch — or the error its fetch raised — travelling
-/// through the shared data queue. Carrying the `Result` in-band is
-/// PyTorch's `ExceptionWrapper` protocol: a worker never crashes on a
-/// sample error, it ships the exception to the main process instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Envelope {
-    batch_id: u64,
-    payload: Result<BatchPayload, PipelineError>,
-    /// Virtual time at which preprocessing (the fetch) finished.
-    produced_at: Time,
-    /// Duration of the fetch — fed back to cost-aware scheduling
-    /// policies; never observable through the tracer.
-    fetch: Span,
-    worker: usize,
-    pinned: bool,
-}
-
-impl Envelope {
-    /// Serialized size on the queue.
-    fn bytes(&self) -> u64 {
-        match &self.payload {
-            Ok(p) => p.bytes,
-            Err(_) => EXCEPTION_WRAPPER_BYTES,
-        }
-    }
-}
 
 /// Framework-side native kernels (queue serialization, pinning, CUDA
 /// dispatch). These populate the hardware profile with the "hundreds of
@@ -89,7 +39,6 @@ struct FrameworkKernels {
     pin_memory: KernelId,
     cuda_launch: KernelId,
 }
-
 impl FrameworkKernels {
     fn register(machine: &Machine) -> FrameworkKernels {
         let pickle = CostCoeffs {
@@ -148,7 +97,7 @@ impl FrameworkKernels {
 
 /// Runs `cpu` work starting at the current instant and advances the
 /// simulated clock by however long it took.
-fn charge(ctx: &Ctx, cpu: &mut CpuThread, kernel: KernelId, work: f64) {
+fn run_kernel(ctx: &Ctx, cpu: &mut CpuThread, kernel: KernelId, work: f64) {
     let start = ctx.now();
     cpu.set_cursor(start);
     cpu.exec(kernel, work);
@@ -271,51 +220,33 @@ impl TrainingJob {
     /// worker survives to finish the epoch, and [`JobError::Sim`] if the
     /// simulated system deadlocks or a process panics.
     pub fn run(self) -> Result<JobReport, JobError> {
-        self.loader.validate().map_err(JobError::InvalidConfig)?;
+        let plan = EpochPlan::for_job(&self)?;
+        let totals = plan.report(Span::ZERO);
+        if totals.batches == 0 {
+            return Ok(totals);
+        }
         let TrainingJob {
             machine,
             dataset,
-            storage: _,
             loader,
             gpu,
             tracer,
             hw_profiler,
             seed,
-            epochs,
             faults,
             controller,
             mutation,
+            ..
         } = self;
         let fw = FrameworkKernels::register(&machine);
-
-        let epochs = epochs.max(1) as u64;
-        let batch_sampler = BatchSampler {
-            batch_size: loader.batch_size,
-            drop_last: loader.drop_last,
-        };
-        let mut batches = Vec::new();
-        for epoch in 0..epochs {
-            let order = loader.sampler.epoch_order(dataset.len(), epoch);
-            batches.extend(batch_sampler.batches(&order));
-        }
-        let num_batches = batches.len() as u64;
-        let total_samples: u64 = batches.iter().map(|b| b.len() as u64).sum();
-        if num_batches == 0 {
-            return Ok(JobReport {
-                elapsed: Span::ZERO,
-                batches: 0,
-                samples: 0,
-            });
-        }
-        let hints = batch_cost_hints(&*dataset, &loader, &batches);
 
         let mut sim = Simulation::new();
         if let Some(controller) = controller {
             sim.set_controller(controller);
         }
-        let data_q: Queue<Envelope> = sim.queue("data_queue", loader.data_queue_cap);
+        let data_q: Queue<Envelope> = sim.queue(QueueId::Data.name(), loader.data_queue_cap);
         let index_qs: Vec<Queue<WorkerMsg>> = (0..loader.num_workers)
-            .map(|w| sim.queue(format!("index_queue_{w}"), None))
+            .map(|w| sim.queue(QueueId::Index(w).name(), None))
             .collect();
 
         let job_error: Arc<Mutex<Option<JobError>>> = Arc::new(Mutex::new(None));
@@ -347,30 +278,27 @@ impl TrainingJob {
         }
 
         {
-            let machine = Arc::clone(&machine);
-            let tracer = Arc::clone(&tracer);
-            let hw_profiler = hw_profiler.clone();
-            let index_qs = index_qs.clone();
-            let data_q = data_q.clone();
-            let faults = faults.clone();
             let job_error = Arc::clone(&job_error);
             sim.spawn("main", move |ctx| {
-                main_loop(
-                    &ctx,
-                    &machine,
-                    &*tracer,
-                    hw_profiler,
-                    &index_qs,
-                    &data_q,
+                let mut cpu = CpuThread::new(Arc::clone(&machine));
+                if let Some(p) = hw_profiler {
+                    cpu.attach_profiler(p);
+                }
+                let main = SimMain {
+                    ctx: &ctx,
+                    cpu,
                     fw,
-                    &loader,
-                    &gpu,
-                    batches,
-                    hints,
-                    &faults,
-                    &job_error,
-                    mutation,
-                );
+                    kill_times: kill_times(&faults, index_qs.len()),
+                    queue_factor: faults.queue_factor("data_queue"),
+                    index_qs,
+                    data_q,
+                    gpu,
+                };
+                if let Err(e) = main_loop(main, &*tracer, None, &loader, plan, mutation) {
+                    *job_error
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
+                }
             });
         }
 
@@ -383,32 +311,9 @@ impl TrainingJob {
         }
         Ok(JobReport {
             elapsed: report.end_time.since(Time::ZERO),
-            batches: num_batches,
-            samples: total_samples,
+            ..totals
         })
     }
-}
-
-/// Per-batch mean dataset cost hints for cost-aware policies; an empty
-/// vector (every lookup misses) when the configured policy ignores cost.
-pub(crate) fn batch_cost_hints(
-    dataset: &dyn Dataset,
-    loader: &DataLoaderConfig,
-    batches: &[Vec<u64>],
-) -> Vec<Option<f64>> {
-    if !loader.policy.is_cost_aware() {
-        return Vec::new();
-    }
-    batches
-        .iter()
-        .map(|indices| {
-            let known: Vec<u64> = indices
-                .iter()
-                .filter_map(|&i| dataset.cost_hint(i))
-                .collect();
-            (!known.is_empty()).then(|| known.iter().sum::<u64>() as f64 / known.len() as f64)
-        })
-        .collect()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -462,7 +367,7 @@ fn worker_loop(
         // Sample this worker's index-queue depth right after the pop: the
         // metrics layer sees every depth transition in virtual time.
         let oh = tracer.on_gauge(
-            &format!("queue_depth.index_queue_{worker}"),
+            &QueueId::Index(worker).gauge(),
             index_q.len() as f64,
             ctx.now(),
         );
@@ -545,18 +450,8 @@ fn worker_loop(
 
         // Serialize the batch (or its exception) into the shared-memory
         // queue; a slowed queue multiplies the serialization work.
-        let envelope = Envelope {
-            batch_id: id,
-            payload: batch.map(|b| BatchPayload {
-                bytes: b.bytes,
-                len: b.len,
-            }),
-            produced_at: start + fetch_span,
-            fetch: fetch_span,
-            worker,
-            pinned: false,
-        };
-        charge(
+        let envelope = Envelope::new(id, worker, batch, start, fetch_span);
+        run_kernel(
             ctx,
             &mut cpu,
             fw.pickle_dumps,
@@ -580,457 +475,67 @@ fn worker_loop(
     }
 }
 
-/// Index-batch dispatch state: the pluggable scheduling policy, the set
-/// of batches dispatched but not yet returned, and which workers are
-/// known dead.
-///
-/// The *protocol* lives here — orphan redispatch in id order before
-/// fresh batches, a truthful in-flight inventory, a hard
-/// `prefetch_factor * num_workers` in-flight bound — while the *choice*
-/// of worker (and refill quota) is delegated to the
-/// [`SchedulingPolicy`]. The default [round-robin] policy reproduces
-/// PyTorch's strict `_worker_queue_idx_cycle`, regardless of which
-/// worker just returned data: a momentarily slow worker falls behind
-/// while its siblings run ahead — the root cause of the out-of-order
-/// arrivals in §V-C of the paper. When a worker dies, the rotation
-/// continues over the live workers only (PyTorch marks the slot
-/// unavailable in `_workers_status`).
-///
-/// [round-robin]: crate::policy::SchedulingPolicyKind::RoundRobin
-struct Dispatcher {
-    batch_iter: std::iter::Enumerate<std::vec::IntoIter<Vec<u64>>>,
-    /// Orphaned batches from dead workers, re-sent before fresh ones.
-    redispatch: VecDeque<(u64, Vec<u64>)>,
-    policy: Box<dyn SchedulingPolicy>,
-    /// Per-batch mean dataset cost hints (indexed by batch id), present
-    /// only when the policy is cost-aware.
-    hints: Vec<Option<f64>>,
-    prefetch_factor: usize,
-    dead: Vec<bool>,
-    /// Dispatched-but-not-returned batches: id → (worker, indices).
-    in_flight: HashMap<u64, (usize, Vec<u64>)>,
-}
-
-impl Dispatcher {
-    fn new(
-        batches: Vec<Vec<u64>>,
-        workers: usize,
-        loader: &DataLoaderConfig,
-        hints: Vec<Option<f64>>,
-    ) -> Dispatcher {
-        Dispatcher {
-            batch_iter: batches.into_iter().enumerate(),
-            redispatch: VecDeque::new(),
-            policy: loader.policy.build(workers, loader.prefetch_factor),
-            hints,
-            prefetch_factor: loader.prefetch_factor,
-            dead: vec![false; workers],
-            in_flight: HashMap::new(),
-        }
-    }
-
-    fn alive(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
-    }
-
-    /// Sends one index batch (a pending redispatch first, else the next
-    /// fresh batch) to the worker the scheduling policy chooses,
-    /// announcing the dispatch — and any steal or lane-assignment the
-    /// policy made — to the tracer. Returns the worker that received it,
-    /// so the caller can sample that queue's depth.
-    fn send_next(
-        &mut self,
-        ctx: &Ctx,
-        tracer: &dyn Tracer,
-        index_qs: &[Queue<WorkerMsg>],
-        data_q: &Queue<Envelope>,
-    ) -> Option<usize> {
-        let (next, redispatch) = match self.redispatch.pop_front() {
-            Some(item) => (Some(item), true),
-            None => (
-                self.batch_iter.next().map(|(id, idx)| (id as u64, idx)),
-                false,
-            ),
-        };
-        if let Some((id, indices)) = next {
-            if self.alive() == 0 {
-                // No live worker to hand it to; keep it queued so the
-                // outstanding count stays truthful.
-                self.redispatch.push_front((id, indices));
-                return None;
-            }
-            let depths: Vec<usize> = index_qs.iter().map(Queue::len).collect();
-            let placement = self.policy.place(
-                &BatchRef {
-                    id,
-                    indices: &indices,
-                    hint: self.hints.get(id as usize).copied().flatten(),
-                },
-                &DispatchContext {
-                    queue_depths: &depths,
-                    dead: &self.dead,
-                    in_flight: self.in_flight.len(),
-                    data_queue_depth: data_q.len(),
-                    prefetch_factor: self.prefetch_factor,
-                    redispatch,
-                },
-            );
-            let w = placement.worker;
-            assert!(!self.dead[w], "policy placed a batch on a dead worker");
-            index_qs[w].push(
-                ctx,
-                WorkerMsg::Batch {
-                    id,
-                    indices: indices.clone(),
-                },
-            );
-            let mut oh =
-                tracer.on_batch_dispatched(id, worker_os_pid(w), &indices, redispatch, ctx.now());
-            if let Some(from) = placement.stolen_from.filter(|&from| from != w) {
-                oh += tracer.on_batch_stolen(id, worker_os_pid(from), worker_os_pid(w), ctx.now());
-            }
-            if let Some(lane) = placement.lane {
-                oh += tracer.on_lane_assigned(id, lane.as_str(), worker_os_pid(w), ctx.now());
-            }
-            if !oh.is_zero() {
-                ctx.delay(oh);
-            }
-            self.in_flight.insert(id, (w, indices));
-            return Some(w);
-        }
-        None
-    }
-
-    /// A returned batch was taken off the data queue: update the
-    /// inventory and feed the observed cost back to the policy.
-    fn batch_returned(&mut self, env: &Envelope) {
-        if let Some((_, indices)) = self.in_flight.remove(&env.batch_id) {
-            self.policy
-                .on_batch_returned(env.worker, &indices, env.fetch.as_nanos());
-        }
-    }
-
-    /// Asks the policy for the refill quota after a returned batch,
-    /// clamped to the protocol's hard in-flight bound.
-    fn refill_quota(&mut self, index_qs: &[Queue<WorkerMsg>], data_q: &Queue<Envelope>) -> Refill {
-        let depths: Vec<usize> = index_qs.iter().map(Queue::len).collect();
-        let mut refill = self.policy.refill(&DispatchContext {
-            queue_depths: &depths,
-            dead: &self.dead,
-            in_flight: self.in_flight.len(),
-            data_queue_depth: data_q.len(),
-            prefetch_factor: self.prefetch_factor,
-            redispatch: false,
-        });
-        let bound = self.prefetch_factor * self.dead.len();
-        refill.count = refill.count.min(bound.saturating_sub(self.in_flight.len()));
-        refill
-    }
-
-    /// Marks `worker` dead and queues its in-flight batches (in id order)
-    /// for redispatch. Returns the orphaned batch ids.
-    fn mark_dead(&mut self, worker: usize) -> Vec<u64> {
-        self.dead[worker] = true;
-        self.policy.on_worker_died(worker);
-        let mut orphans: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(_, (w, _))| *w == worker)
-            .map(|(&id, _)| id)
-            .collect();
-        orphans.sort_unstable();
-        for &id in &orphans {
-            // The ids were collected from `in_flight` just above, with no
-            // intervening removal.
-            #[allow(clippy::expect_used)]
-            let (_, indices) = self.in_flight.remove(&id).expect("orphan is in flight");
-            self.redispatch.push_back((id, indices));
-        }
-        orphans
-    }
-}
-
-/// The [`LoaderMutation::RedispatchLive`] bug body: re-queues `batch_id`
-/// (or, if it is no longer outstanding, the newest outstanding batch) and
-/// sends it to the next live worker without any observed death — exactly
-/// the premature-redispatch violation `lotus check` exists to catch.
-fn redispatch_live(
-    ctx: &Ctx,
-    tracer: &dyn Tracer,
-    index_qs: &[Queue<WorkerMsg>],
-    data_q: &Queue<Envelope>,
-    dispatcher: &mut Dispatcher,
-    batch_id: u64,
-) {
-    let target = if dispatcher.in_flight.contains_key(&batch_id) {
-        Some(batch_id)
-    } else {
-        dispatcher.in_flight.keys().max().copied()
-    };
-    let Some(id) = target else {
-        return;
-    };
-    let (owner, indices) = dispatcher.in_flight[&id].clone();
-    dispatcher.redispatch.push_front((id, indices));
-    let sent = dispatcher.send_next(ctx, tracer, index_qs, data_q);
-    emit_dispatch_gauges(ctx, tracer, index_qs, sent, dispatcher.in_flight.len());
-    if let Some((to, _)) = dispatcher.in_flight.get(&id) {
-        let oh =
-            tracer.on_batch_redispatched(id, worker_os_pid(owner), worker_os_pid(*to), ctx.now());
-        if !oh.is_zero() {
-            ctx.delay(oh);
-        }
-    }
-}
-
-/// Emits one gauge sample and charges whatever overhead the sinks report.
-fn emit_gauge(ctx: &Ctx, tracer: &dyn Tracer, name: &str, value: f64) {
-    let oh = tracer.on_gauge(name, value, ctx.now());
-    if !oh.is_zero() {
-        ctx.delay(oh);
-    }
-}
-
-/// After a dispatch attempt: sample the receiving worker's index-queue
-/// depth and the dispatched-but-unreturned inventory. Nothing changed
-/// (and nothing is emitted) when no batch was sent.
-fn emit_dispatch_gauges(
-    ctx: &Ctx,
-    tracer: &dyn Tracer,
-    index_qs: &[Queue<WorkerMsg>],
-    sent_to: Option<usize>,
-    in_flight: usize,
-) {
-    if let Some(w) = sent_to {
-        emit_gauge(
-            ctx,
-            tracer,
-            &format!("queue_depth.index_queue_{w}"),
-            index_qs[w].len() as f64,
-        );
-        emit_gauge(ctx, tracer, "in_flight_batches", in_flight as f64);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn main_loop(
-    ctx: &Ctx,
-    machine: &Arc<Machine>,
-    tracer: &dyn Tracer,
-    hw_profiler: Option<Arc<HwProfiler>>,
-    index_qs: &[Queue<WorkerMsg>],
-    data_q: &Queue<Envelope>,
+/// The simulated engine's side of the main process: virtual time,
+/// simulated queues, and modeled framework kernels for every batch cost.
+struct SimMain<'a> {
+    ctx: &'a Ctx,
+    cpu: CpuThread,
     fw: FrameworkKernels,
-    loader: &DataLoaderConfig,
-    gpu: &GpuConfig,
-    batches: Vec<Vec<u64>>,
-    hints: Vec<Option<f64>>,
-    faults: &FaultPlan,
-    job_error: &Mutex<Option<JobError>>,
-    mutation: LoaderMutation,
-) {
-    let mut cpu = CpuThread::new(Arc::clone(machine));
-    if let Some(p) = hw_profiler {
-        cpu.attach_profiler(p);
-    }
-    let num_batches = batches.len() as u64;
-    let workers = index_qs.len();
-    let mut dispatcher = Dispatcher::new(batches, workers, loader, hints);
-    let queue_factor = faults.queue_factor("data_queue");
-    let kill_times: Vec<Option<Time>> = (0..workers)
-        .map(|w| faults.kill_time(&format!("dataloader{w}")))
-        .collect();
-    let fail = |e: JobError| {
-        *job_error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-    };
+    kill_times: Vec<Option<Time>>,
+    /// Serialization slowdown of the data queue under the fault plan.
+    queue_factor: f64,
+    index_qs: Vec<Queue<WorkerMsg>>,
+    data_q: Queue<Envelope>,
+    gpu: GpuConfig,
+}
 
-    // Initial prefetch: `prefetch_factor` index batches per worker.
-    for _ in 0..loader.prefetch_factor * workers {
-        let sent = dispatcher.send_next(ctx, tracer, index_qs, data_q);
-        emit_dispatch_gauges(ctx, tracer, index_qs, sent, dispatcher.in_flight.len());
+impl Substrate for SimMain<'_> {
+    fn now(&self) -> Time {
+        self.ctx.now()
     }
 
-    let mut cache: HashMap<u64, Envelope> = HashMap::new();
-    for rcvd in 0..num_batches {
-        if rcvd == 1 {
-            if let LoaderMutation::RedispatchLive { batch_id } = mutation {
-                // Seeded bug: re-send an outstanding batch whose owner
-                // was never observed dead.
-                redispatch_live(ctx, tracer, index_qs, data_q, &mut dispatcher, batch_id);
-            }
+    fn charge(&self, overhead: Span) {
+        if !overhead.is_zero() {
+            self.ctx.delay(overhead);
         }
-        let wait_start = ctx.now();
-        let env = if let Some(env) = cache.remove(&rcvd) {
-            // Already pinned and cached: the paper marks these waits with
-            // a 1 µs duration to denote "no waiting".
-            let oh = tracer.on_batch_wait(
-                MAIN_OS_PID,
-                rcvd,
-                wait_start,
-                Span::from_micros(1),
-                true,
-                wait_start.since(env.produced_at),
-            );
-            if !oh.is_zero() {
-                ctx.delay(oh);
-            }
-            emit_gauge(ctx, tracer, "pinned_cache_batches", cache.len() as f64);
-            env
-        } else {
-            loop {
-                // Poll with a timeout so a dead worker cannot hang the
-                // epoch (PyTorch's `_try_get_data` /
-                // `MP_STATUS_CHECK_INTERVAL` loop).
-                let Some(mut env) = data_q.pop_timeout(ctx, WORKER_STATUS_CHECK) else {
-                    let newly_dead: Vec<usize> = (0..workers)
-                        .filter(|&w| {
-                            !dispatcher.dead[w] && kill_times[w].is_some_and(|at| ctx.now() >= at)
-                        })
-                        .collect();
-                    for w in newly_dead {
-                        let orphans = dispatcher.mark_dead(w);
-                        let oh = tracer.on_worker_died(worker_os_pid(w), ctx.now());
-                        if !oh.is_zero() {
-                            ctx.delay(oh);
-                        }
-                        if dispatcher.alive() == 0 {
-                            fail(JobError::AllWorkersDied {
-                                workers,
-                                outstanding: dispatcher.in_flight.len()
-                                    + dispatcher.redispatch.len(),
-                            });
-                            return;
-                        }
-                        // Re-send the dead worker's in-flight batches to
-                        // the survivors, preserving id order.
-                        for id in orphans {
-                            let sent = dispatcher.send_next(ctx, tracer, index_qs, data_q);
-                            emit_dispatch_gauges(
-                                ctx,
-                                tracer,
-                                index_qs,
-                                sent,
-                                dispatcher.in_flight.len(),
-                            );
-                            if let Some((to, _)) = dispatcher.in_flight.get(&id) {
-                                let oh = tracer.on_batch_redispatched(
-                                    id,
-                                    worker_os_pid(w),
-                                    worker_os_pid(*to),
-                                    ctx.now(),
-                                );
-                                if !oh.is_zero() {
-                                    ctx.delay(oh);
-                                }
-                            }
-                        }
-                    }
-                    continue;
-                };
-                // Deserialize from the queue: tensor storage travels via
-                // shared memory, so the main process unpickles metadata
-                // only (PyTorch's zero-copy tensor sharing).
-                charge(
-                    ctx,
-                    &mut cpu,
-                    fw.pickle_loads,
-                    env.bytes().min(65_536) as f64 * queue_factor,
-                );
-                emit_gauge(ctx, tracer, "queue_depth.data_queue", data_q.len() as f64);
-                dispatcher.batch_returned(&env);
-                emit_gauge(
-                    ctx,
-                    tracer,
-                    "in_flight_batches",
-                    dispatcher.in_flight.len() as f64,
-                );
-                if env.batch_id == rcvd {
-                    let oh = tracer.on_batch_wait(
-                        MAIN_OS_PID,
-                        rcvd,
-                        wait_start,
-                        ctx.now().since(wait_start),
-                        false,
-                        ctx.now().since(env.produced_at),
-                    );
-                    if !oh.is_zero() {
-                        ctx.delay(oh);
-                    }
-                    break env;
-                }
-                // Out-of-order arrival: pin to CPU memory and stash.
-                if loader.pin_memory {
-                    if let Ok(p) = &env.payload {
-                        charge(ctx, &mut cpu, fw.pin_memory, p.bytes as f64);
-                    }
-                }
-                env.pinned = true;
-                cache.insert(env.batch_id, env);
-                emit_gauge(ctx, tracer, "pinned_cache_batches", cache.len() as f64);
-            }
+    }
+
+    fn depth(&self, queue: QueueId) -> usize {
+        match queue {
+            QueueId::Index(w) => self.index_qs[w].len(),
+            QueueId::Data => self.data_q.len(),
+        }
+    }
+
+    fn send(&self, worker: usize, msg: WorkerMsg) {
+        self.index_qs[worker].push(self.ctx, msg);
+    }
+
+    /// A killed worker dies silently; the main process finds it dead at
+    /// the first status check past its kill time, exactly like
+    /// PyTorch's `w.is_alive()`.
+    fn recv(&mut self, dead: &[bool]) -> Received {
+        let Some(env) = self.data_q.pop_timeout(self.ctx, WORKER_STATUS_CHECK) else {
+            let now = self.ctx.now();
+            let newly_dead =
+                |&w: &usize| !dead[w] && self.kill_times[w].is_some_and(|at| now >= at);
+            return Received::TimedOut((0..dead.len()).filter(newly_dead).collect());
         };
-
-        // Refill per *returned* batch — PyTorch's `_process_data` calls
-        // `_try_put_index` before it re-raises. The policy decides the
-        // quota (the protocol default is exactly one); the dispatcher
-        // clamps it so the in-flight inventory never exceeds
-        // `prefetch_factor * num_workers`, even while out-of-order
-        // envelopes accumulate in the pinned cache.
-        let refill = dispatcher.refill_quota(index_qs, data_q);
-        if let Some(target) = refill.resized_to {
-            let oh = tracer.on_prefetch_resized(target, ctx.now());
-            if !oh.is_zero() {
-                ctx.delay(oh);
-            }
-        }
-        for _ in 0..refill.count {
-            let sent = dispatcher.send_next(ctx, tracer, index_qs, data_q);
-            emit_dispatch_gauges(ctx, tracer, index_qs, sent, dispatcher.in_flight.len());
-        }
-
-        let payload = match env.payload {
-            Ok(p) => p,
-            Err(error) => {
-                // `_process_data` re-raises the shipped exception in the
-                // main process; the job fails with a typed error instead
-                // of a crash.
-                fail(JobError::Sample {
-                    batch_id: env.batch_id,
-                    worker: env.worker,
-                    error,
-                });
-                for (w, q) in index_qs.iter().enumerate() {
-                    if !dispatcher.dead[w] {
-                        q.push(ctx, WorkerMsg::Shutdown);
-                    }
-                }
-                return;
-            }
-        };
-
-        let consume_start = ctx.now();
-        if loader.pin_memory && !env.pinned {
-            charge(ctx, &mut cpu, fw.pin_memory, payload.bytes as f64);
-        }
-        ctx.delay(gpu.h2d_span(payload.bytes));
-        charge(ctx, &mut cpu, fw.cuda_launch, 0.0);
-        ctx.delay(gpu.step_span(payload.len));
-        let oh = tracer.on_batch_consumed(
-            MAIN_OS_PID,
-            rcvd,
-            consume_start,
-            ctx.now().since(consume_start),
-            payload.len,
-        );
-        if !oh.is_zero() {
-            ctx.delay(oh);
-        }
+        // Tensor storage travels via shared memory, so the main process
+        // unpickles metadata only (PyTorch's zero-copy tensor sharing).
+        let work = env.bytes().min(65_536) as f64 * self.queue_factor;
+        run_kernel(self.ctx, &mut self.cpu, self.fw.pickle_loads, work);
+        Received::Envelope(env)
     }
 
-    for q in index_qs {
-        q.push(ctx, WorkerMsg::Shutdown);
+    fn pin(&mut self, bytes: u64) {
+        run_kernel(self.ctx, &mut self.cpu, self.fw.pin_memory, bytes as f64);
+    }
+
+    fn consume(&mut self, payload: &BatchPayload) {
+        self.ctx.delay(self.gpu.h2d_span(payload.bytes));
+        run_kernel(self.ctx, &mut self.cpu, self.fw.cuda_launch, 0.0);
+        self.ctx.delay(self.gpu.step_span(payload.len));
     }
 }
 

@@ -1,21 +1,21 @@
 //! The native execution backend: the DataLoader protocol on real OS
 //! threads with real blocking channels and a monotonic wall clock.
 //!
-//! [`NativeBackend`] runs the *same* protocol as the simulated engine in
-//! `loader.rs` — strict round-robin index dispatch, per-worker index
-//! queues, one shared (optionally bounded) data queue, in-order
-//! consumption with a pinned out-of-order cache, liveness polling with
-//! dead-worker redispatch, and in-band `ExceptionWrapper`-style errors —
-//! but every queue is a [`NativeQueue`] (mutex + condvar channel), every
-//! worker is a `std::thread`, and every timestamp handed to the
-//! [`Tracer`] comes from a shared [`WallClock`]. Kernels run on real
-//! pixels, so the resulting LotusTrace measures the actual Rust
+//! [`NativeBackend`]'s main thread runs the one protocol in
+//! `protocol.rs` — the same dispatcher and main loop as the simulated
+//! engine — on `NativeMain`, a substrate whose queues are
+//! [`NativeQueue`]s (mutex + condvar channels) and whose every
+//! timestamp comes from a shared [`WallClock`]. The worker loop here is
+//! the native half: each worker is a `std::thread` whose kernels run on
+//! real pixels, so the resulting LotusTrace measures the actual Rust
 //! preprocessing code rather than the cost model.
 //!
 //! Wall-clock timestamps are nondeterministic, so the backend preserves
 //! the *structural* trace invariants the linter checks instead of exact
 //! times:
 //!
+//! * every batch's dispatch is traced before the batch is pushed to its
+//!   worker's index queue, so no fetch record precedes its dispatch;
 //! * exactly one `[T1]` fetch record per delivered batch — a worker
 //!   records its fetch only after the envelope is committed to the data
 //!   queue, and a dying worker's push is atomically gated on its own
@@ -31,7 +31,7 @@
 //! the instrumentation's cost is real wall time, already included in the
 //! measured spans.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -43,11 +43,14 @@ use lotus_uarch::CpuThread;
 
 use crate::audit::{AuditFeed, AuditMutation, CvKind, SyncOp};
 use crate::backend::ExecutionBackend;
-use crate::config::{DataLoaderConfig, GpuConfig};
-use crate::dataset::{BatchSampler, Dataset};
+use crate::config::GpuConfig;
+use crate::dataset::Dataset;
 use crate::error::JobError;
-use crate::loader::{batch_cost_hints, worker_os_pid, JobReport, TrainingJob, MAIN_OS_PID};
-use crate::policy::{BatchRef, DispatchContext, Refill, SchedulingPolicy};
+use crate::loader::{JobReport, LoaderMutation, TrainingJob};
+use crate::protocol::{
+    audit_rec, kill_times, main_loop, worker_os_pid, BatchPayload, Envelope, EpochPlan, QueueId,
+    Received, Substrate, WorkerMsg, MAIN_OS_PID,
+};
 use crate::tracer::Tracer;
 
 /// How long a worker blocked on a full data queue sleeps between
@@ -56,15 +59,6 @@ const PUSH_RETRY: Duration = Duration::from_millis(10);
 
 /// Audit object name of the worker-liveness lock.
 const LIVENESS_OBJ: &str = "liveness";
-
-/// Audit object name of the dispatcher (owns redispatch decisions).
-const DISPATCHER_OBJ: &str = "dispatcher";
-
-fn audit_rec(audit: Option<&AuditFeed>, obj: &str, op: SyncOp) {
-    if let Some(feed) = audit {
-        feed.record(obj, op);
-    }
-}
 
 /// Knobs of the native backend.
 #[derive(Debug, Clone, Copy)]
@@ -587,31 +581,6 @@ impl<T> NativeQueue<T> {
     }
 }
 
-/// Message on a per-worker index queue (PyTorch's index batch / `None`
-/// shutdown sentinel).
-enum NativeMsg {
-    Batch { id: u64, indices: Vec<u64> },
-    Shutdown,
-}
-
-struct NativePayload {
-    bytes: u64,
-    len: usize,
-}
-
-/// A preprocessed batch (or its in-band error) on the shared data queue.
-struct NativeEnvelope {
-    batch_id: u64,
-    payload: Result<NativePayload, PipelineError>,
-    /// Wall time at which the fetch finished (== the `[T1]` record end).
-    produced_at: Time,
-    /// Wall duration of the whole fetch — fed back to cost-aware
-    /// scheduling policies on return.
-    fetch: Span,
-    worker: usize,
-    pinned: bool,
-}
-
 /// Forwards transform completions to the tracer with wall-clock spans.
 ///
 /// The observer callbacks fire synchronously after each transform, so
@@ -639,191 +608,17 @@ impl TransformObserver for WallOpBridge<'_> {
     }
 }
 
-/// Dispatch state — the native twin of the simulated engine's
-/// `Dispatcher`, sharing its semantics: a pluggable
-/// [`SchedulingPolicy`] picks each batch's live worker (round-robin —
-/// PyTorch's `_worker_queue_idx_cycle` — by default), orphans are
-/// redispatched in batch-id order, and refill counts come from the
-/// policy's quota clamped to the protocol's in-flight bound.
-struct NativeDispatcher {
-    batch_iter: std::iter::Enumerate<std::vec::IntoIter<Vec<u64>>>,
-    redispatch: VecDeque<(u64, Vec<u64>)>,
-    policy: Box<dyn SchedulingPolicy>,
-    hints: Vec<Option<f64>>,
-    prefetch_factor: usize,
-    dead: Vec<bool>,
-    in_flight: HashMap<u64, (usize, Vec<u64>)>,
-}
-
-impl NativeDispatcher {
-    fn new(
-        batches: Vec<Vec<u64>>,
-        workers: usize,
-        loader: &DataLoaderConfig,
-        hints: Vec<Option<f64>>,
-    ) -> NativeDispatcher {
-        NativeDispatcher {
-            batch_iter: batches.into_iter().enumerate(),
-            redispatch: VecDeque::new(),
-            policy: loader.policy.build(workers, loader.prefetch_factor),
-            hints,
-            prefetch_factor: loader.prefetch_factor,
-            dead: vec![false; workers],
-            in_flight: HashMap::new(),
-        }
-    }
-
-    fn alive(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
-    }
-
-    fn send_next(
-        &mut self,
-        tracer: &dyn Tracer,
-        clock: &WallClock,
-        index_qs: &[NativeQueue<NativeMsg>],
-        data_q: &NativeQueue<NativeEnvelope>,
-    ) -> Option<usize> {
-        let (next, redispatch) = match self.redispatch.pop_front() {
-            Some(item) => (Some(item), true),
-            None => (
-                self.batch_iter.next().map(|(id, idx)| (id as u64, idx)),
-                false,
-            ),
-        };
-        if let Some((id, indices)) = next {
-            if self.alive() == 0 {
-                self.redispatch.push_front((id, indices));
-                return None;
-            }
-            let depths: Vec<usize> = index_qs.iter().map(NativeQueue::len).collect();
-            let placement = self.policy.place(
-                &BatchRef {
-                    id,
-                    indices: &indices,
-                    hint: self.hints.get(id as usize).copied().flatten(),
-                },
-                &DispatchContext {
-                    queue_depths: &depths,
-                    dead: &self.dead,
-                    in_flight: self.in_flight.len(),
-                    data_queue_depth: data_q.len(),
-                    prefetch_factor: self.prefetch_factor,
-                    redispatch,
-                },
-            );
-            let w = placement.worker;
-            assert!(
-                !self.dead[w],
-                "scheduling policy placed batch {id} on dead worker {w}"
-            );
-            index_qs[w].push(NativeMsg::Batch {
-                id,
-                indices: indices.clone(),
-            });
-            let _overhead =
-                tracer.on_batch_dispatched(id, worker_os_pid(w), &indices, redispatch, clock.now());
-            if let Some(from) = placement.stolen_from.filter(|&from| from != w) {
-                let _overhead =
-                    tracer.on_batch_stolen(id, worker_os_pid(from), worker_os_pid(w), clock.now());
-            }
-            if let Some(lane) = placement.lane {
-                let _overhead =
-                    tracer.on_lane_assigned(id, lane.as_str(), worker_os_pid(w), clock.now());
-            }
-            self.in_flight.insert(id, (w, indices));
-            return Some(w);
-        }
-        None
-    }
-
-    /// Feeds a returned batch's observed fetch time back to the policy.
-    fn batch_returned(&mut self, env: &NativeEnvelope) {
-        if let Some((worker, indices)) = self.in_flight.remove(&env.batch_id) {
-            self.policy
-                .on_batch_returned(worker, &indices, env.fetch.as_nanos());
-        }
-    }
-
-    /// Asks the policy how many batches to dispatch after a return,
-    /// clamping to the protocol's hard in-flight bound.
-    fn refill_quota(
-        &mut self,
-        index_qs: &[NativeQueue<NativeMsg>],
-        data_q: &NativeQueue<NativeEnvelope>,
-    ) -> Refill {
-        let depths: Vec<usize> = index_qs.iter().map(NativeQueue::len).collect();
-        let mut refill = self.policy.refill(&DispatchContext {
-            queue_depths: &depths,
-            dead: &self.dead,
-            in_flight: self.in_flight.len(),
-            data_queue_depth: data_q.len(),
-            prefetch_factor: self.prefetch_factor,
-            redispatch: false,
-        });
-        let bound = (self.prefetch_factor * self.dead.len()).saturating_sub(self.in_flight.len());
-        refill.count = refill.count.min(bound);
-        refill
-    }
-
-    fn mark_dead(&mut self, worker: usize) -> Vec<u64> {
-        self.dead[worker] = true;
-        self.policy.on_worker_died(worker);
-        let mut orphans: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(_, (w, _))| *w == worker)
-            .map(|(&id, _)| id)
-            .collect();
-        orphans.sort_unstable();
-        for &id in &orphans {
-            // The ids were collected from `in_flight` just above, with no
-            // intervening removal.
-            #[allow(clippy::expect_used)]
-            let (_, indices) = self.in_flight.remove(&id).expect("orphan is in flight");
-            self.redispatch.push_back((id, indices));
-        }
-        orphans
-    }
-}
-
 fn duration_of(span: Span) -> Duration {
     Duration::from_nanos(span.as_nanos())
 }
 
-fn emit_gauge(tracer: &dyn Tracer, clock: &WallClock, name: &str, value: f64) {
-    let _overhead = tracer.on_gauge(name, value, clock.now());
-}
-
-fn emit_dispatch_gauges(
-    tracer: &dyn Tracer,
-    clock: &WallClock,
-    audit: Option<&AuditFeed>,
-    index_qs: &[NativeQueue<NativeMsg>],
-    sent_to: Option<usize>,
-    in_flight: usize,
-) {
-    if let Some(w) = sent_to {
-        let gauge = format!("queue_depth.index_queue_{w}");
-        let depth = index_qs[w].audited_len(&gauge);
-        emit_gauge(tracer, clock, &gauge, depth as f64);
-        audit_rec(
-            audit,
-            "in_flight_batches",
-            SyncOp::Gauge {
-                value: in_flight as f64,
-            },
-        );
-        emit_gauge(tracer, clock, "in_flight_batches", in_flight as f64);
-    }
-}
-
-/// Everything a worker thread borrows from the run.
+/// Everything a worker thread — and the main thread's substrate —
+/// borrows from the run.
 struct WorkerShared<'a> {
     clock: &'a WallClock,
     tracer: &'a dyn Tracer,
     dataset: &'a dyn Dataset,
-    data_q: &'a NativeQueue<NativeEnvelope>,
+    data_q: &'a NativeQueue<Envelope>,
     /// Per-worker death flags, shared with the main thread. A worker's
     /// envelope push is atomic with a check of its own flag, so once the
     /// main thread marks a worker dead (it only does so while holding
@@ -846,7 +641,7 @@ fn native_worker_loop(
     machine: &Arc<lotus_uarch::Machine>,
     hw_profiler: Option<Arc<lotus_uarch::HwProfiler>>,
     feed: Option<Arc<lotus_uarch::KernelSpanFeed>>,
-    index_q: &NativeQueue<NativeMsg>,
+    index_q: &NativeQueue<WorkerMsg>,
     seed: u64,
     faults: &FaultPlan,
 ) {
@@ -897,12 +692,12 @@ fn native_worker_loop(
             }
             None => index_q.pop(),
         };
-        let NativeMsg::Batch { id, indices } = msg else {
+        let WorkerMsg::Batch { id, indices } = msg else {
             break;
         };
-        let index_gauge = format!("queue_depth.index_queue_{worker}");
+        let index_gauge = QueueId::Index(worker).gauge();
         let index_depth = index_q.audited_len(&index_gauge);
-        emit_gauge(tracer, clock, &index_gauge, index_depth as f64);
+        let _overhead = tracer.on_gauge(&index_gauge, index_depth as f64, clock.now());
         let start = clock.now();
         let mut bridge = WallOpBridge {
             tracer,
@@ -983,18 +778,8 @@ fn native_worker_loop(
                 Err(PipelineError::WorkerPanic { reason })
             }
         };
-        let fetch_end = clock.now();
-        let mut envelope = NativeEnvelope {
-            batch_id: id,
-            payload: batch.map(|b| NativePayload {
-                bytes: b.bytes,
-                len: b.len,
-            }),
-            produced_at: fetch_end,
-            fetch: fetch_end.since(start),
-            worker,
-            pinned: false,
-        };
+        let fetch = clock.now().since(start);
+        let mut envelope = Envelope::new(id, worker, batch, start, fetch);
 
         // Commit the envelope. The push is atomic with this worker's
         // liveness check: a worker the main thread has marked dead (or
@@ -1054,10 +839,10 @@ fn native_worker_loop(
             };
             match outcome {
                 Ok(()) => {
-                    let _overhead =
-                        tracer.on_batch_preprocessed(os_pid, id, start, fetch_end.since(start));
+                    let _overhead = tracer.on_batch_preprocessed(os_pid, id, start, fetch);
                     let depth = data_q.audited_len("queue_depth.data_queue");
-                    emit_gauge(tracer, clock, "queue_depth.data_queue", depth as f64);
+                    let _overhead =
+                        tracer.on_gauge("queue_depth.data_queue", depth as f64, clock.now());
                     break;
                 }
                 Err(back) => {
@@ -1071,251 +856,92 @@ fn native_worker_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn native_main_loop(
-    shared: &WorkerShared<'_>,
-    options: &NativeOptions,
-    index_qs: &[NativeQueue<NativeMsg>],
-    loader: &DataLoaderConfig,
-    gpu: &GpuConfig,
-    batches: Vec<Vec<u64>>,
-    hints: Vec<Option<f64>>,
-    faults: &FaultPlan,
-) -> Result<(), JobError> {
-    let WorkerShared {
-        clock,
-        tracer,
-        data_q,
-        liveness,
-        shutdown,
-        audit,
-        ..
-    } = *shared;
-    let num_batches = batches.len() as u64;
-    let workers = index_qs.len();
-    let mut dispatcher = NativeDispatcher::new(batches, workers, loader, hints);
-    let kill_times: Vec<Option<Time>> = (0..workers)
-        .map(|w| faults.kill_time(&format!("dataloader{w}")))
-        .collect();
+/// The native engine's side of the main process: the shared wall clock,
+/// real queues, and the liveness lock every worker's commit is gated on.
+struct NativeMain<'a> {
+    shared: &'a WorkerShared<'a>,
+    index_qs: &'a [NativeQueue<WorkerMsg>],
+    kill_times: Vec<Option<Time>>,
+    options: NativeOptions,
+    gpu: GpuConfig,
+}
 
-    // Initial prefetch: `prefetch_factor` index batches per worker.
-    for _ in 0..loader.prefetch_factor * workers {
-        let sent = dispatcher.send_next(tracer, clock, index_qs, data_q);
-        emit_dispatch_gauges(
-            tracer,
-            clock,
-            audit,
-            index_qs,
-            sent,
-            dispatcher.in_flight.len(),
-        );
+impl Substrate for NativeMain<'_> {
+    fn now(&self) -> Time {
+        self.shared.clock.now()
     }
 
-    let mut cache: HashMap<u64, NativeEnvelope> = HashMap::new();
-    for rcvd in 0..num_batches {
-        let wait_start = clock.now();
-        let env = 'recv: {
-            if let Some(env) = cache.remove(&rcvd) {
-                // Served from the reorder buffer: the paper's 1 µs
-                // "no waiting" marker, with the queue delay measured to
-                // the moment the wait began.
-                let _overhead = tracer.on_batch_wait(
-                    MAIN_OS_PID,
-                    rcvd,
-                    wait_start,
-                    Span::from_micros(1),
-                    true,
-                    wait_start.saturating_since(env.produced_at),
-                );
-                audit_rec(
-                    audit,
-                    "pinned_cache_batches",
-                    SyncOp::Gauge {
-                        value: cache.len() as f64,
-                    },
-                );
-                emit_gauge(tracer, clock, "pinned_cache_batches", cache.len() as f64);
-                break 'recv env;
-            }
-            loop {
-                let popped = match data_q.pop_timeout(duration_of(options.status_check)) {
-                    Some(env) => Some(env),
-                    None => {
-                        // Liveness check. Marking happens under the
-                        // liveness lock with the data queue observed
-                        // empty, so no marked worker can have an
-                        // envelope in flight.
-                        let mut newly_dead = Vec::new();
-                        let recheck = {
-                            let mut dead = liveness.lock().unwrap_or_else(PoisonError::into_inner);
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-                            let recheck = match data_q.try_pop() {
-                                Some(env) => Some(env),
-                                None => {
-                                    let now = clock.now();
-                                    for w in 0..workers {
-                                        if !dead[w] && kill_times[w].is_some_and(|at| now >= at) {
-                                            dead[w] = true;
-                                            audit_rec(
-                                                audit,
-                                                LIVENESS_OBJ,
-                                                SyncOp::MarkDead { worker: w },
-                                            );
-                                            newly_dead.push(w);
-                                        }
-                                    }
-                                    None
-                                }
-                            };
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-                            recheck
-                        };
-                        if recheck.is_none() {
-                            for w in newly_dead {
-                                let orphans = dispatcher.mark_dead(w);
-                                let _overhead =
-                                    tracer.on_worker_died(worker_os_pid(w), clock.now());
-                                if dispatcher.alive() == 0 {
-                                    shutdown.store(true, Ordering::Release);
-                                    return Err(JobError::AllWorkersDied {
-                                        workers,
-                                        outstanding: dispatcher.in_flight.len()
-                                            + dispatcher.redispatch.len(),
-                                    });
-                                }
-                                for id in orphans {
-                                    audit_rec(
-                                        audit,
-                                        DISPATCHER_OBJ,
-                                        SyncOp::Redispatch { batch: id, from: w },
-                                    );
-                                    let sent =
-                                        dispatcher.send_next(tracer, clock, index_qs, data_q);
-                                    emit_dispatch_gauges(
-                                        tracer,
-                                        clock,
-                                        audit,
-                                        index_qs,
-                                        sent,
-                                        dispatcher.in_flight.len(),
-                                    );
-                                    if let Some((to, _)) = dispatcher.in_flight.get(&id) {
-                                        let _overhead = tracer.on_batch_redispatched(
-                                            id,
-                                            worker_os_pid(w),
-                                            worker_os_pid(*to),
-                                            clock.now(),
-                                        );
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                        recheck
-                    }
-                };
-                let Some(mut env) = popped else { continue };
-                let depth = data_q.audited_len("queue_depth.data_queue");
-                emit_gauge(tracer, clock, "queue_depth.data_queue", depth as f64);
-                dispatcher.batch_returned(&env);
-                audit_rec(
-                    audit,
-                    "in_flight_batches",
-                    SyncOp::Gauge {
-                        value: dispatcher.in_flight.len() as f64,
-                    },
-                );
-                emit_gauge(
-                    tracer,
-                    clock,
-                    "in_flight_batches",
-                    dispatcher.in_flight.len() as f64,
-                );
-                if env.batch_id == rcvd {
-                    // One clock read serves as both the wait's end and
-                    // the delivery point, making the linter's
-                    // queue-delay identity exact.
-                    let delivered_at = clock.now();
-                    let _overhead = tracer.on_batch_wait(
-                        MAIN_OS_PID,
-                        rcvd,
-                        wait_start,
-                        delivered_at.since(wait_start),
-                        false,
-                        delivered_at.saturating_since(env.produced_at),
-                    );
-                    break 'recv env;
-                }
-                // Out-of-order arrival: pin (a no-op natively) and stash.
-                env.pinned = true;
-                cache.insert(env.batch_id, env);
-                audit_rec(
-                    audit,
-                    "pinned_cache_batches",
-                    SyncOp::Gauge {
-                        value: cache.len() as f64,
-                    },
-                );
-                emit_gauge(tracer, clock, "pinned_cache_batches", cache.len() as f64);
-            }
-        };
+    /// Instrumentation overhead is real wall time here, already inside
+    /// the measured spans.
+    fn charge(&self, _overhead: Span) {}
 
-        // Refill after each returned batch. The policy decides the count
-        // (round-robin: exactly one, as PyTorch's `_process_data` does);
-        // the dispatcher clamps it to the protocol's in-flight bound.
-        let refill = dispatcher.refill_quota(index_qs, data_q);
-        if let Some(target) = refill.resized_to {
-            let _overhead = tracer.on_prefetch_resized(target, clock.now());
+    fn depth(&self, queue: QueueId) -> usize {
+        match queue {
+            QueueId::Index(w) => self.index_qs[w].len(),
+            QueueId::Data => self.shared.data_q.len(),
         }
-        for _ in 0..refill.count {
-            let sent = dispatcher.send_next(tracer, clock, index_qs, data_q);
-            emit_dispatch_gauges(
-                tracer,
-                clock,
-                audit,
-                index_qs,
-                sent,
-                dispatcher.in_flight.len(),
-            );
-        }
+    }
 
-        let payload = match env.payload {
-            Ok(p) => p,
-            Err(error) => {
-                shutdown.store(true, Ordering::Release);
-                for (w, q) in index_qs.iter().enumerate() {
-                    if !dispatcher.dead[w] {
-                        q.push(NativeMsg::Shutdown);
+    /// Sampled inside the queue's critical section, so the auditor sees
+    /// every series totally ordered.
+    fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
+        match queue {
+            QueueId::Index(w) => self.index_qs[w].audited_len(gauge),
+            QueueId::Data => self.shared.data_q.audited_len(gauge),
+        }
+    }
+
+    fn send(&self, worker: usize, msg: WorkerMsg) {
+        self.index_qs[worker].push(msg);
+    }
+
+    /// Deaths are marked under the liveness lock with the data queue
+    /// observed empty, so no marked worker can have an envelope in
+    /// flight: its commit is gated on the same lock.
+    fn recv(&mut self, _dead: &[bool]) -> Received {
+        let shared = self.shared;
+        if let Some(env) = shared
+            .data_q
+            .pop_timeout(duration_of(self.options.status_check))
+        {
+            return Received::Envelope(env);
+        }
+        let audit = shared.audit;
+        let mut dead = shared
+            .liveness
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+        let received = match shared.data_q.try_pop() {
+            Some(env) => Received::Envelope(env),
+            None => {
+                let now = shared.clock.now();
+                let mut newly_dead = Vec::new();
+                for (w, kill_time) in self.kill_times.iter().enumerate() {
+                    if !dead[w] && kill_time.is_some_and(|at| now >= at) {
+                        dead[w] = true;
+                        audit_rec(audit, LIVENESS_OBJ, SyncOp::MarkDead { worker: w });
+                        newly_dead.push(w);
                     }
                 }
-                return Err(JobError::Sample {
-                    batch_id: env.batch_id,
-                    worker: env.worker,
-                    error,
-                });
+                Received::TimedOut(newly_dead)
             }
         };
+        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+        received
+    }
 
-        let consume_start = clock.now();
-        if options.emulate_gpu {
+    fn consume(&mut self, payload: &BatchPayload) {
+        if self.options.emulate_gpu {
             std::thread::sleep(duration_of(
-                gpu.h2d_span(payload.bytes) + gpu.step_span(payload.len),
+                self.gpu.h2d_span(payload.bytes) + self.gpu.step_span(payload.len),
             ));
         }
-        let _overhead = tracer.on_batch_consumed(
-            MAIN_OS_PID,
-            rcvd,
-            consume_start,
-            clock.now().since(consume_start),
-            payload.len,
-        );
     }
 
-    shutdown.store(true, Ordering::Release);
-    for q in index_qs {
-        q.push(NativeMsg::Shutdown);
+    fn shutdown(&self) {
+        self.shared.shutdown.store(true, Ordering::Release);
     }
-    Ok(())
 }
 
 impl ExecutionBackend for NativeBackend {
@@ -1324,49 +950,29 @@ impl ExecutionBackend for NativeBackend {
     }
 
     fn run(&self, job: TrainingJob) -> Result<JobReport, JobError> {
-        job.loader.validate().map_err(JobError::InvalidConfig)?;
+        let plan = EpochPlan::for_job(&job)?;
+        let totals = plan.report(Span::ZERO);
+        if totals.batches == 0 {
+            return Ok(totals);
+        }
         let TrainingJob {
             machine,
             dataset,
-            storage: _,
             loader,
             gpu,
             tracer,
             hw_profiler,
             seed,
-            epochs,
             faults,
-            controller: _,
-            mutation: _,
+            ..
         } = job;
 
-        let epochs = epochs.max(1) as u64;
-        let batch_sampler = BatchSampler {
-            batch_size: loader.batch_size,
-            drop_last: loader.drop_last,
-        };
-        let mut batches = Vec::new();
-        for epoch in 0..epochs {
-            let order = loader.sampler.epoch_order(dataset.len(), epoch);
-            batches.extend(batch_sampler.batches(&order));
-        }
-        let num_batches = batches.len() as u64;
-        let total_samples: u64 = batches.iter().map(|b| b.len() as u64).sum();
-        if num_batches == 0 {
-            return Ok(JobReport {
-                elapsed: Span::ZERO,
-                batches: 0,
-                samples: 0,
-            });
-        }
-
-        let hints = batch_cost_hints(&*dataset, &loader, &batches);
         let workers = loader.num_workers;
         let clock = WallClock::new();
-        let mut data_q: NativeQueue<NativeEnvelope> =
-            NativeQueue::new("data_queue", loader.data_queue_cap);
-        let mut index_qs: Vec<NativeQueue<NativeMsg>> = (0..workers)
-            .map(|w| NativeQueue::new(format!("index_queue_{w}"), None))
+        let mut data_q: NativeQueue<Envelope> =
+            NativeQueue::new(QueueId::Data.name(), loader.data_queue_cap);
+        let mut index_qs: Vec<NativeQueue<WorkerMsg>> = (0..workers)
+            .map(|w| NativeQueue::new(QueueId::Index(w).name(), None))
             .collect();
         if let Some(feed) = &self.audit {
             feed.register_thread(MAIN_OS_PID);
@@ -1374,18 +980,11 @@ impl ExecutionBackend for NativeBackend {
             // (SkipNotify suppresses its consumer wake-up).
             data_q.set_audit(
                 Arc::clone(feed),
-                |env: &NativeEnvelope| Some(env.batch_id),
+                |env: &Envelope| Some(env.batch_id),
                 self.audit_mutation,
             );
             for q in &mut index_qs {
-                q.set_audit(
-                    Arc::clone(feed),
-                    |msg: &NativeMsg| match msg {
-                        NativeMsg::Batch { id, .. } => Some(*id),
-                        NativeMsg::Shutdown => None,
-                    },
-                    AuditMutation::None,
-                );
+                q.set_audit(Arc::clone(feed), WorkerMsg::batch_id, AuditMutation::None);
             }
         }
         let liveness = Mutex::new(vec![false; workers]);
@@ -1441,15 +1040,20 @@ impl ExecutionBackend for NativeBackend {
                     })
                     .expect("failed to spawn DataLoader worker thread");
             }
-            native_main_loop(
-                &shared,
-                &self.options,
-                &index_qs,
+            let main = NativeMain {
+                shared: &shared,
+                index_qs: &index_qs,
+                kill_times: kill_times(&faults, workers),
+                options: self.options,
+                gpu,
+            };
+            main_loop(
+                main,
+                &*tracer,
+                self.audit.as_deref(),
                 &loader,
-                &gpu,
-                batches,
-                hints,
-                &faults,
+                plan,
+                LoaderMutation::None,
             )
         });
         outcome?;
@@ -1457,8 +1061,7 @@ impl ExecutionBackend for NativeBackend {
         // past the reported elapsed time.
         Ok(JobReport {
             elapsed: clock.elapsed(),
-            batches: num_batches,
-            samples: total_samples,
+            ..totals
         })
     }
 }
@@ -1466,6 +1069,7 @@ impl ExecutionBackend for NativeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DataLoaderConfig;
     use crate::dataset::Sampler;
     use crate::tracer::NullTracer;
     use lotus_data::DType;

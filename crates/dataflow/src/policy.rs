@@ -6,11 +6,11 @@
 //! sample keeps receiving its round-robin share while its siblings drain
 //! and idle. MinatoLoader recovers the lost throughput by segregating
 //! slow samples; tf.data argues dispatch should be a *policy*, not a
-//! loop. This module factors the decision points of both engines
-//! (`loader.rs` and `native.rs`) behind a [`SchedulingPolicy`] trait so
-//! alternatives compose with the rest of the protocol — orphan
-//! redispatch, in-order consumption, refill-per-returned-batch — without
-//! touching it.
+//! loop. This module factors the decision points of the one dispatcher
+//! (`protocol.rs`, which the sim and native engines share) behind a
+//! [`SchedulingPolicy`] trait so alternatives compose with the rest of
+//! the protocol — orphan redispatch, in-order consumption,
+//! refill-per-returned-batch — without touching it.
 //!
 //! A policy decides exactly three things:
 //!

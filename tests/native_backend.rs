@@ -8,13 +8,19 @@
 //! vary run to run and machine to machine, the protocol shape does not.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use lotus::core::check::{lint_records, ReportFacts};
+use lotus::core::check::{
+    lint_records, verify, ProtocolSpec, RecordingObserver, ReportFacts, RunEnding,
+};
 use lotus::core::metrics::names;
 use lotus::core::trace::SpanKind;
-use lotus::dataflow::FaultPlan;
+use lotus::dataflow::{
+    ExecutionBackend, FaultPlan, NativeBackend, NativeOptions, SchedulingPolicyKind,
+};
 use lotus::running::{run_experiment, verdict_family, RunOptions, RunOutcome};
 use lotus::sim::{Span, Time};
+use lotus::uarch::{Machine, MachineConfig};
 use lotus::workloads::{ExperimentConfig, PipelineKind};
 
 fn small_ic(items: u64, workers: usize) -> ExperimentConfig {
@@ -209,5 +215,68 @@ fn native_trace_log_round_trips_and_lints_via_the_text_format() {
     assert!(
         findings.is_empty(),
         "round-tripped log must lint clean: {findings:#?}"
+    );
+}
+
+#[test]
+fn native_runs_uphold_the_invariant_catalog() {
+    // The `lotus check` catalog judges native event streams as it judges
+    // simulated ones. Real threads race where the simulator cannot: a
+    // worker that fetched a batch before its dispatch was traced would
+    // show up as an extra fetch (and a starved batch behind it). Cost-only
+    // IC at batch 2 keeps fetches short enough for such races to surface.
+    let machine = Machine::new(MachineConfig::cloudlab_c4130());
+    let backend = NativeBackend::new(NativeOptions {
+        status_check: Span::from_millis(2),
+        emulate_gpu: false,
+    });
+    let kill_one = FaultPlan::new(7).kill_process("dataloader1", Time::ZERO + Span::from_millis(1));
+    let cases = [
+        (2, FaultPlan::default(), "2 workers"),
+        (3, FaultPlan::default(), "3 workers"),
+        (3, kill_one, "3 workers, dataloader1 killed at 1 ms"),
+    ];
+    let mut failures = Vec::new();
+    for round in 0..10 {
+        for policy in SchedulingPolicyKind::ALL {
+            for (workers, faults, label) in &cases {
+                let mut config = ExperimentConfig::paper_default(PipelineKind::ImageClassification);
+                config.batch_size = 2;
+                config.num_workers = *workers;
+                let config = config.scaled_to(64).with_policy(policy);
+                let loader = config.loader_defaults();
+                let observer = Arc::new(RecordingObserver::new());
+                let job = config.build_with(
+                    &machine,
+                    Arc::clone(&observer) as _,
+                    None,
+                    loader,
+                    faults.clone(),
+                );
+                let report = backend
+                    .run(job)
+                    .unwrap_or_else(|e| panic!("{policy}, {label}: native run failed: {e}"));
+                let spec = ProtocolSpec {
+                    num_workers: loader.num_workers,
+                    prefetch_factor: loader.prefetch_factor,
+                    data_queue_cap: loader.data_queue_cap,
+                    expected_batches: 32,
+                    expected_samples: 64,
+                };
+                let ending = RunEnding::Completed {
+                    batches: report.batches,
+                    samples: report.samples,
+                };
+                for violation in verify(&spec, &observer.events(), &ending) {
+                    failures.push(format!("round {round}, {policy}, {label}: {violation}"));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} invariant violation(s) on the native backend:\n{}",
+        failures.len(),
+        failures.join("\n")
     );
 }
