@@ -6,11 +6,10 @@
 //! simulated-protocol model checker cannot see. When an
 //! [`AuditFeed`](lotus_dataflow::AuditFeed) is attached, every lock
 //! transition, condvar wait/notify, committed send/receive, death
-//! marking and redispatch is recorded as a
-//! [`SyncEvent`](lotus_dataflow::SyncEvent); [`analyze`] rebuilds the
-//! run's happens-before partial order from those events with vector
-//! clocks ([`vc`]) and judges it against the native protocol's
-//! synchronization contract:
+//! marking and redispatch is recorded as a [`SyncEvent`]; [`analyze`]
+//! rebuilds the run's happens-before partial order from those events
+//! with vector clocks ([`vc`]) and judges it against the native
+//! protocol's synchronization contract:
 //!
 //! * **lock discipline** — acquires/releases pair up per thread, and
 //!   commits happen inside their object's critical section;

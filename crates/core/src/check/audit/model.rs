@@ -2,15 +2,14 @@
 //!
 //! The live auditor ([`super::analyze`]) judges the one interleaving a
 //! real run happened to take. This module ports the `NativeQueue` +
-//! gated-push state machine into the [`explore`](super::super::explore)
-//! DFS so *every* small interleaving is judged in `cargo test`: a model
-//! of the native backend's synchronization skeleton — worker threads
-//! pushing batches through a bounded mutex+condvar queue under the
-//! liveness guard, the main thread draining it with a
-//! liveness-then-queue recheck — executes atomic critical sections as
-//! single scheduler steps, emits the same
-//! [`SyncEvent`](lotus_dataflow::SyncEvent) vocabulary the real backend
-//! records, and feeds each terminated interleaving to the analyzer.
+//! gated-push state machine into the [`explore`] DFS so *every* small
+//! interleaving is judged in `cargo test`: a model of the native
+//! backend's synchronization skeleton — worker threads pushing batches
+//! through a bounded mutex+condvar queue under the liveness guard, the
+//! main thread draining it with a liveness-then-queue recheck — executes
+//! atomic critical sections as single scheduler steps, emits the same
+//! [`SyncEvent`] vocabulary the real backend records, and feeds each
+//! terminated interleaving to the analyzer.
 //! Deadlocks (every actor parked on a condvar nobody will signal) are
 //! detected directly from the model state.
 //!

@@ -2,8 +2,8 @@
 //!
 //! The auditor assigns each recording thread one component; an event's
 //! clock is the recording thread's clock at that moment. Event `a`
-//! happens-before event `b` exactly when `a`'s clock is [`leq`]
-//! (VectorClock::leq) `b`'s — the partial order is rebuilt from the
+//! happens-before event `b` exactly when `a`'s clock is
+//! [`leq`](VectorClock::leq) `b`'s — the partial order is rebuilt from the
 //! mutex release→acquire chains of the event stream (see the parent
 //! module).
 

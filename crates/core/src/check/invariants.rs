@@ -1,5 +1,5 @@
 //! The safety-invariant catalog: a state machine replaying an observed
-//! [`LoaderEvent`] sequence against the DataLoader protocol's safety
+//! [`TraceEvent`] sequence against the DataLoader protocol's safety
 //! contract.
 //!
 //! The catalog (documented in `DESIGN.md`) checks, per run:
@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use super::observer::LoaderEvent;
+use lotus_dataflow::TraceEvent;
 
 /// Static facts about the configuration under check, against which the
 /// invariants are judged.
@@ -351,7 +351,11 @@ enum BatchState {
 /// Replays `events` against the invariant catalog and returns every
 /// violation found, in discovery order. An empty vector means the run
 /// upheld the protocol contract.
-pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -> Vec<Violation> {
+pub fn verify(
+    spec: &ProtocolSpec,
+    events: &[TraceEvent<'_>],
+    ending: &RunEnding,
+) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut state: HashMap<u64, BatchState> = HashMap::new();
     let mut dead: BTreeSet<u32> = BTreeSet::new();
@@ -367,9 +371,9 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
 
     for event in events {
         match event {
-            LoaderEvent::Dispatched {
+            TraceEvent::Dispatched {
                 batch_id,
-                worker_pid,
+                to_pid: worker_pid,
                 indices,
                 redispatch,
                 ..
@@ -408,7 +412,7 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                 }
                 pending.entry(*worker_pid).or_default().push_back(*batch_id);
                 if !redispatch {
-                    for &idx in indices {
+                    for &idx in indices.iter() {
                         if let Some(prev) = index_owner.insert(idx, *batch_id) {
                             if prev != *batch_id {
                                 violations.push(Violation::IndexReused {
@@ -421,9 +425,9 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                     }
                 }
             }
-            LoaderEvent::Preprocessed {
+            TraceEvent::BatchPreprocessed {
                 batch_id,
-                worker_pid,
+                pid: worker_pid,
                 ..
             } => {
                 let f = fetches.entry(*batch_id).or_insert(0);
@@ -452,7 +456,7 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                     }
                 }
             }
-            LoaderEvent::Delivered { batch_id, .. } => {
+            TraceEvent::BatchWait { batch_id, .. } => {
                 match state.get(batch_id) {
                     Some(BatchState::InFlight(_)) => {
                         state.insert(*batch_id, BatchState::Returned);
@@ -470,7 +474,7 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                 }
                 delivered.insert(*batch_id);
             }
-            LoaderEvent::Consumed { batch_id, .. } => {
+            TraceEvent::BatchConsumed { batch_id, .. } => {
                 let c = consumed.entry(*batch_id).or_insert(0);
                 *c += 1;
                 if *c == 2 {
@@ -479,13 +483,13 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                     });
                 }
             }
-            LoaderEvent::WorkerDied { worker_pid, .. } => {
-                dead.insert(*worker_pid);
+            TraceEvent::WorkerDied { pid, .. } => {
+                dead.insert(*pid);
                 // Its undone work becomes orphans; FIFO expectations on
                 // the dead queue are void.
-                pending.remove(worker_pid);
+                pending.remove(pid);
             }
-            LoaderEvent::Redispatched {
+            TraceEvent::BatchRedispatched {
                 batch_id, from_pid, ..
             } => {
                 if !dead.contains(from_pid) {
@@ -495,10 +499,10 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                     });
                 }
             }
-            LoaderEvent::Gauge { name, value, .. } => {
+            TraceEvent::Gauge { name, value, .. } => {
                 if *value < 0.0 {
                     violations.push(Violation::NegativeGauge {
-                        name: name.clone(),
+                        name: name.to_string(),
                         value: *value,
                     });
                 }
@@ -520,7 +524,7 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                     });
                 }
             }
-            LoaderEvent::Stolen {
+            TraceEvent::BatchStolen {
                 batch_id,
                 from_pid,
                 to_pid,
@@ -539,7 +543,7 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                     });
                 }
             }
-            LoaderEvent::PrefetchResized { target, .. } => {
+            TraceEvent::PrefetchResized { target, .. } => {
                 if *target == 0 || *target > spec.prefetch_factor {
                     violations.push(Violation::PrefetchOutOfRange {
                         target: *target,
@@ -547,7 +551,10 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
                     });
                 }
             }
-            LoaderEvent::LaneAssigned { .. } | LoaderEvent::FaultInjected { .. } => {}
+            TraceEvent::Op { .. }
+            | TraceEvent::StorageRead { .. }
+            | TraceEvent::LaneAssigned { .. }
+            | TraceEvent::FaultInjected { .. } => {}
         }
     }
 
@@ -605,7 +612,8 @@ pub fn verify(spec: &ProtocolSpec, events: &[LoaderEvent], ending: &RunEnding) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lotus_sim::Time;
+    use lotus_sim::{Span, Time};
+    use std::borrow::Cow;
 
     fn spec() -> ProtocolSpec {
         ProtocolSpec {
@@ -617,49 +625,72 @@ mod tests {
         }
     }
 
-    fn dispatch(batch_id: u64, worker_pid: u32, indices: &[u64], redispatch: bool) -> LoaderEvent {
-        LoaderEvent::Dispatched {
+    fn dispatch(
+        batch_id: u64,
+        to_pid: u32,
+        indices: &[u64],
+        redispatch: bool,
+    ) -> TraceEvent<'static> {
+        TraceEvent::Dispatched {
             batch_id,
-            worker_pid,
-            indices: indices.to_vec(),
+            to_pid,
+            indices: Cow::Owned(indices.to_vec()),
             redispatch,
             at: Time::ZERO,
         }
     }
 
-    fn full_clean_run() -> Vec<LoaderEvent> {
+    fn preprocessed(batch_id: u64, pid: u32) -> TraceEvent<'static> {
+        TraceEvent::BatchPreprocessed {
+            pid,
+            batch_id,
+            start: Time::ZERO,
+            dur: Span::ZERO,
+        }
+    }
+
+    fn died(pid: u32) -> TraceEvent<'static> {
+        TraceEvent::WorkerDied {
+            pid,
+            at: Time::ZERO,
+        }
+    }
+
+    fn full_clean_run() -> Vec<TraceEvent<'static>> {
         vec![
             dispatch(0, 4243, &[0, 1], false),
             dispatch(1, 4244, &[2, 3], false),
-            LoaderEvent::Preprocessed {
+            preprocessed(0, 4243),
+            TraceEvent::BatchWait {
+                pid: 4242,
                 batch_id: 0,
-                worker_pid: 4243,
-                end: Time::ZERO,
-            },
-            LoaderEvent::Delivered {
-                batch_id: 0,
+                start: Time::ZERO,
+                dur: Span::ZERO,
                 out_of_order: false,
-                at: Time::ZERO,
+                queue_delay: Span::ZERO,
             },
-            LoaderEvent::Consumed {
+            TraceEvent::BatchConsumed {
+                pid: 4242,
                 batch_id: 0,
-                len: 2,
-                at: Time::ZERO,
+                start: Time::ZERO,
+                dur: Span::ZERO,
+                batch_len: 2,
             },
-            LoaderEvent::Preprocessed {
+            preprocessed(1, 4244),
+            TraceEvent::BatchWait {
+                pid: 4242,
                 batch_id: 1,
-                worker_pid: 4244,
-                end: Time::ZERO,
-            },
-            LoaderEvent::Delivered {
-                batch_id: 1,
+                start: Time::ZERO,
+                dur: Span::ZERO,
                 out_of_order: false,
-                at: Time::ZERO,
+                queue_delay: Span::ZERO,
             },
-            LoaderEvent::Consumed {
+            TraceEvent::BatchConsumed {
+                pid: 4242,
                 batch_id: 1,
-                len: 2,
-                at: Time::ZERO,
+                start: Time::ZERO,
+                dur: Span::ZERO,
+                batch_len: 2,
             },
         ]
     }
@@ -681,7 +712,7 @@ mod tests {
     fn redispatch_without_death_is_flagged() {
         let events = vec![
             dispatch(0, 4243, &[0, 1], false),
-            LoaderEvent::Redispatched {
+            TraceEvent::BatchRedispatched {
                 batch_id: 0,
                 from_pid: 4243,
                 to_pid: 4244,
@@ -715,12 +746,9 @@ mod tests {
     fn redispatch_after_observed_death_is_legitimate() {
         let events = vec![
             dispatch(0, 4243, &[0, 1], false),
-            LoaderEvent::WorkerDied {
-                worker_pid: 4243,
-                at: Time::ZERO,
-            },
+            died(4243),
             dispatch(0, 4244, &[0, 1], true),
-            LoaderEvent::Redispatched {
+            TraceEvent::BatchRedispatched {
                 batch_id: 0,
                 from_pid: 4243,
                 to_pid: 4244,
@@ -750,7 +778,7 @@ mod tests {
         let events = vec![
             dispatch(0, 4243, &[0, 1], false),
             dispatch(1, 4244, &[1, 2], false),
-            LoaderEvent::Gauge {
+            TraceEvent::Gauge {
                 name: "queue_depth.data_queue".into(),
                 value: 5.0,
                 at: Time::ZERO,
@@ -768,17 +796,14 @@ mod tests {
     #[test]
     fn steal_to_dead_worker_and_self_steal_are_flagged() {
         let events = vec![
-            LoaderEvent::WorkerDied {
-                worker_pid: 4244,
-                at: Time::ZERO,
-            },
-            LoaderEvent::Stolen {
+            died(4244),
+            TraceEvent::BatchStolen {
                 batch_id: 0,
                 from_pid: 4243,
                 to_pid: 4244,
                 at: Time::ZERO,
             },
-            LoaderEvent::Stolen {
+            TraceEvent::BatchStolen {
                 batch_id: 1,
                 from_pid: 4243,
                 to_pid: 4243,
@@ -799,15 +824,15 @@ mod tests {
     #[test]
     fn prefetch_resize_outside_bounds_is_flagged() {
         let events = vec![
-            LoaderEvent::PrefetchResized {
+            TraceEvent::PrefetchResized {
                 target: 1,
                 at: Time::ZERO,
             },
-            LoaderEvent::PrefetchResized {
+            TraceEvent::PrefetchResized {
                 target: 0,
                 at: Time::ZERO,
             },
-            LoaderEvent::PrefetchResized {
+            TraceEvent::PrefetchResized {
                 target: 3,
                 at: Time::ZERO,
             },
@@ -833,11 +858,7 @@ mod tests {
         let events = vec![
             dispatch(0, 4243, &[0, 1], false),
             dispatch(1, 4243, &[2, 3], false),
-            LoaderEvent::Preprocessed {
-                batch_id: 1,
-                worker_pid: 4243,
-                end: Time::ZERO,
-            },
+            preprocessed(1, 4243),
         ];
         let v = verify(&spec(), &events, &RunEnding::SampleError);
         assert!(v.contains(&Violation::BatchStarved {
@@ -854,21 +875,10 @@ mod tests {
         let events = vec![
             dispatch(0, 4243, &[0, 1], false),
             dispatch(1, 4244, &[2, 3], false),
-            LoaderEvent::WorkerDied {
-                worker_pid: 4243,
-                at: Time::ZERO,
-            },
+            died(4243),
             dispatch(0, 4244, &[0, 1], true),
-            LoaderEvent::Preprocessed {
-                batch_id: 1,
-                worker_pid: 4244,
-                end: Time::ZERO,
-            },
-            LoaderEvent::Preprocessed {
-                batch_id: 0,
-                worker_pid: 4244,
-                end: Time::ZERO,
-            },
+            preprocessed(1, 4244),
+            preprocessed(0, 4244),
         ];
         let v = verify(&spec(), &events, &RunEnding::SampleError);
         assert!(v.is_empty(), "unexpected violations: {v:?}");
@@ -877,7 +887,7 @@ mod tests {
     #[test]
     fn completed_run_with_unconsumed_batch_is_lost() {
         let mut events = full_clean_run();
-        events.retain(|e| !matches!(e, LoaderEvent::Consumed { batch_id: 1, .. }));
+        events.retain(|e| !matches!(e, TraceEvent::BatchConsumed { batch_id: 1, .. }));
         let v = verify(
             &spec(),
             &events,

@@ -38,4 +38,4 @@ pub use lint::{
     lint_gauges, lint_records, load_trace, CheckError, GaugeLimits, LintFinding, LintRule,
     ReportFacts,
 };
-pub use observer::{LoaderEvent, RecordingObserver};
+pub use observer::RecordingObserver;

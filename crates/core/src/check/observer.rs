@@ -1,148 +1,19 @@
-//! The recording observer: a zero-overhead [`Tracer`] that captures every
-//! protocol event the DataLoader emits, in emission order, for the
+//! The recording observer: a zero-overhead [`TraceSink`] that captures
+//! every protocol event the DataLoader emits, in emission order, for the
 //! invariant catalog ([`super::invariants`]) to judge.
 
 use std::sync::Mutex;
 
-use lotus_dataflow::Tracer;
-use lotus_sim::{Span, Time};
+use lotus_dataflow::{TraceEvent, TraceSink};
+use lotus_sim::Span;
 
-/// One observed protocol event. The variants mirror the [`Tracer`] hooks
-/// one-to-one; together they are the complete observable behaviour of a
-/// loader run as far as the safety invariants are concerned.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LoaderEvent {
-    /// Main handed an index batch to a worker's index queue.
-    Dispatched {
-        /// Batch identifier.
-        batch_id: u64,
-        /// OS pid of the receiving worker.
-        worker_pid: u32,
-        /// Sample indices in the batch.
-        indices: Vec<u64>,
-        /// True when this was a dead worker's orphan being re-sent.
-        redispatch: bool,
-        /// Virtual time of the push.
-        at: Time,
-    },
-    /// A worker finished fetching (preprocessing) a batch \[T1\].
-    Preprocessed {
-        /// Batch identifier.
-        batch_id: u64,
-        /// OS pid of the fetching worker.
-        worker_pid: u32,
-        /// Virtual time the fetch completed (push to the data queue).
-        end: Time,
-    },
-    /// Main received a batch from the data queue or pinned cache \[T2\].
-    Delivered {
-        /// Batch identifier.
-        batch_id: u64,
-        /// True when served from the out-of-order pinned cache.
-        out_of_order: bool,
-        /// Virtual time the wait ended.
-        at: Time,
-    },
-    /// Main consumed a batch (H2D + GPU step issued).
-    Consumed {
-        /// Batch identifier.
-        batch_id: u64,
-        /// Samples in the batch.
-        len: usize,
-        /// Virtual time consumption started.
-        at: Time,
-    },
-    /// A fault plan injected a sample error on a worker.
-    FaultInjected {
-        /// Batch being fetched when the fault fired.
-        batch_id: u64,
-        /// Failing operator name.
-        op: String,
-    },
-    /// Main observed a worker death (liveness probe failed).
-    WorkerDied {
-        /// OS pid of the dead worker.
-        worker_pid: u32,
-        /// Virtual time of the observation.
-        at: Time,
-    },
-    /// Main re-sent a dead worker's in-flight batch to a survivor.
-    Redispatched {
-        /// Batch identifier.
-        batch_id: u64,
-        /// OS pid of the dead original owner.
-        from_pid: u32,
-        /// OS pid of the surviving recipient.
-        to_pid: u32,
-        /// Virtual time of the re-send.
-        at: Time,
-    },
-    /// A scheduling policy overrode the round-robin target and handed a
-    /// batch to a different worker's queue (work stealing).
-    Stolen {
-        /// Batch identifier.
-        batch_id: u64,
-        /// OS pid of the worker the batch was taken from.
-        from_pid: u32,
-        /// OS pid of the worker that received it instead.
-        to_pid: u32,
-        /// Virtual time of the steal.
-        at: Time,
-    },
-    /// A lane-aware policy classified a batch into a fast/slow lane.
-    LaneAssigned {
-        /// Batch identifier.
-        batch_id: u64,
-        /// Lane name (`"fast"` or `"slow"`).
-        lane: String,
-        /// OS pid of the worker that received it.
-        to_pid: u32,
-        /// Virtual time of the assignment.
-        at: Time,
-    },
-    /// An adaptive policy resized the per-worker prefetch window.
-    PrefetchResized {
-        /// New per-worker prefetch target.
-        target: usize,
-        /// Virtual time of the resize.
-        at: Time,
-    },
-    /// A named scalar was sampled (queue depths, in-flight inventory…).
-    Gauge {
-        /// Gauge name, e.g. `queue_depth.data_queue`.
-        name: String,
-        /// Sampled value.
-        value: f64,
-        /// Virtual time of the sample.
-        at: Time,
-    },
-}
-
-impl LoaderEvent {
-    /// The batch this event concerns, when it concerns one.
-    pub fn batch_id(&self) -> Option<u64> {
-        match self {
-            LoaderEvent::Dispatched { batch_id, .. }
-            | LoaderEvent::Preprocessed { batch_id, .. }
-            | LoaderEvent::Delivered { batch_id, .. }
-            | LoaderEvent::Consumed { batch_id, .. }
-            | LoaderEvent::FaultInjected { batch_id, .. }
-            | LoaderEvent::Redispatched { batch_id, .. }
-            | LoaderEvent::Stolen { batch_id, .. }
-            | LoaderEvent::LaneAssigned { batch_id, .. } => Some(*batch_id),
-            LoaderEvent::WorkerDied { .. }
-            | LoaderEvent::Gauge { .. }
-            | LoaderEvent::PrefetchResized { .. } => None,
-        }
-    }
-}
-
-/// A [`Tracer`] that appends every hook invocation to an in-memory event
-/// log and charges zero overhead, so observation never perturbs the
-/// schedule under test.
+/// A [`TraceSink`] that keeps an owned copy of every protocol event and
+/// charges zero overhead, so observation never perturbs the schedule
+/// under test. Per-item events (ops and storage reads) say nothing about
+/// the protocol and are skipped.
 #[derive(Debug, Default)]
 pub struct RecordingObserver {
-    events: Mutex<Vec<LoaderEvent>>,
+    events: Mutex<Vec<TraceEvent<'static>>>,
 }
 
 impl RecordingObserver {
@@ -152,133 +23,28 @@ impl RecordingObserver {
     }
 
     /// The captured events, in emission order.
-    pub fn events(&self) -> Vec<LoaderEvent> {
+    pub fn events(&self) -> Vec<TraceEvent<'static>> {
         self.events.lock().expect("observer poisoned").clone()
-    }
-
-    fn push(&self, event: LoaderEvent) {
-        self.events.lock().expect("observer poisoned").push(event);
     }
 }
 
-impl Tracer for RecordingObserver {
-    fn on_batch_preprocessed(&self, pid: u32, batch_id: u64, start: Time, dur: Span) -> Span {
-        self.push(LoaderEvent::Preprocessed {
-            batch_id,
-            worker_pid: pid,
-            end: start + dur,
-        });
+impl TraceSink for RecordingObserver {
+    fn name(&self) -> &str {
+        "recording-observer"
+    }
+
+    fn on_event(&self, event: &TraceEvent<'_>) -> Span {
+        if !matches!(
+            event,
+            TraceEvent::Op { .. } | TraceEvent::StorageRead { .. }
+        ) {
+            let owned = event.clone().into_owned();
+            self.events.lock().expect("observer poisoned").push(owned);
+        }
         Span::ZERO
     }
 
-    fn on_batch_dispatched(
-        &self,
-        batch_id: u64,
-        to_pid: u32,
-        indices: &[u64],
-        redispatch: bool,
-        at: Time,
-    ) -> Span {
-        self.push(LoaderEvent::Dispatched {
-            batch_id,
-            worker_pid: to_pid,
-            indices: indices.to_vec(),
-            redispatch,
-            at,
-        });
-        Span::ZERO
-    }
-
-    fn on_batch_wait(
-        &self,
-        _pid: u32,
-        batch_id: u64,
-        start: Time,
-        dur: Span,
-        out_of_order: bool,
-        _queue_delay: Span,
-    ) -> Span {
-        self.push(LoaderEvent::Delivered {
-            batch_id,
-            out_of_order,
-            at: start + dur,
-        });
-        Span::ZERO
-    }
-
-    fn on_batch_consumed(
-        &self,
-        _pid: u32,
-        batch_id: u64,
-        start: Time,
-        _dur: Span,
-        len: usize,
-    ) -> Span {
-        self.push(LoaderEvent::Consumed {
-            batch_id,
-            len,
-            at: start,
-        });
-        Span::ZERO
-    }
-
-    fn on_fault_injected(&self, _pid: u32, batch_id: u64, op: &str, _at: Time) -> Span {
-        self.push(LoaderEvent::FaultInjected {
-            batch_id,
-            op: op.to_string(),
-        });
-        Span::ZERO
-    }
-
-    fn on_worker_died(&self, pid: u32, at: Time) -> Span {
-        self.push(LoaderEvent::WorkerDied {
-            worker_pid: pid,
-            at,
-        });
-        Span::ZERO
-    }
-
-    fn on_batch_redispatched(&self, batch_id: u64, from_pid: u32, to_pid: u32, at: Time) -> Span {
-        self.push(LoaderEvent::Redispatched {
-            batch_id,
-            from_pid,
-            to_pid,
-            at,
-        });
-        Span::ZERO
-    }
-
-    fn on_batch_stolen(&self, batch_id: u64, from_pid: u32, to_pid: u32, at: Time) -> Span {
-        self.push(LoaderEvent::Stolen {
-            batch_id,
-            from_pid,
-            to_pid,
-            at,
-        });
-        Span::ZERO
-    }
-
-    fn on_lane_assigned(&self, batch_id: u64, lane: &str, to_pid: u32, at: Time) -> Span {
-        self.push(LoaderEvent::LaneAssigned {
-            batch_id,
-            lane: lane.to_string(),
-            to_pid,
-            at,
-        });
-        Span::ZERO
-    }
-
-    fn on_prefetch_resized(&self, target: usize, at: Time) -> Span {
-        self.push(LoaderEvent::PrefetchResized { target, at });
-        Span::ZERO
-    }
-
-    fn on_gauge(&self, name: &str, value: f64, at: Time) -> Span {
-        self.push(LoaderEvent::Gauge {
-            name: name.to_string(),
-            value,
-            at,
-        });
+    fn overhead(&self) -> Span {
         Span::ZERO
     }
 }
@@ -286,12 +52,18 @@ impl Tracer for RecordingObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lotus_dataflow::Tracer;
+    use lotus_sim::Time;
+    use std::borrow::Cow;
 
     #[test]
     fn observer_captures_hooks_in_order_and_charges_nothing() {
         let obs = RecordingObserver::new();
         assert!(obs
             .on_batch_dispatched(0, 4243, &[0, 1, 2], false, Time::ZERO)
+            .is_zero());
+        assert!(obs
+            .on_op(4243, 0, "Loader", Time::ZERO, Span::from_micros(4))
             .is_zero());
         assert!(obs
             .on_batch_preprocessed(4243, 0, Time::ZERO, Span::from_micros(5))
@@ -307,25 +79,32 @@ mod tests {
             )
             .is_zero());
         let events = obs.events();
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 3, "the op is not a protocol event");
         assert_eq!(
             events[0],
-            LoaderEvent::Dispatched {
+            TraceEvent::Dispatched {
                 batch_id: 0,
-                worker_pid: 4243,
-                indices: vec![0, 1, 2],
+                to_pid: 4243,
+                indices: Cow::Owned(vec![0, 1, 2]),
                 redispatch: false,
                 at: Time::ZERO,
             }
         );
-        assert_eq!(events[1].batch_id(), Some(0));
+        assert!(matches!(
+            events[1],
+            TraceEvent::BatchPreprocessed { batch_id: 0, .. }
+        ));
         assert_eq!(
             events[2],
-            LoaderEvent::Delivered {
+            TraceEvent::BatchWait {
+                pid: 4242,
                 batch_id: 0,
+                start: Time::ZERO + Span::from_micros(5),
+                dur: Span::from_micros(1),
                 out_of_order: false,
-                at: Time::ZERO + Span::from_micros(6),
+                queue_delay: Span::from_micros(1),
             }
         );
+        assert_eq!(obs.overhead(), Span::ZERO);
     }
 }

@@ -417,7 +417,7 @@ mod tests {
     fn dashboard_never_renders_nan_for_the_wait_fraction() {
         use std::sync::Arc;
 
-        use crate::metrics::sink::{MetricsSink, TraceEvent, TraceSink};
+        use crate::metrics::{MetricsSink, TraceEvent, TraceSink};
         use lotus_sim::Span;
 
         // A zero-duration wait completing at t=0 is the degenerate case

@@ -21,5 +21,6 @@ pub mod sink;
 
 pub use dashboard::{render_dashboard, sparkline, utilization_bar, DashboardOptions};
 pub use export::{to_csv, to_json, to_prometheus};
+pub use lotus_dataflow::{TraceEvent, TraceSink};
 pub use registry::{GaugeSeries, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use sink::{names, ChromeSink, MetricsSink, MultiSink, TraceEvent, TraceSink, VizSink};
+pub use sink::{names, ChromeSink, MetricsSink, MultiSink, VizSink};

@@ -2,12 +2,14 @@
 //! virtual-time overhead accounting.
 //!
 //! The pre-metrics design buffered a `Vec<TraceRecord>` and analyzed it
-//! after the run. Here the data flow is inverted: the engine's
-//! [`Tracer`] hooks are fanned out through a [`MultiSink`] to any number
-//! of [`TraceSink`]s, each of which consumes events *as they happen* —
-//! the log backend keeps recording, the Chrome/viz backends stream into
-//! their buffers, and the [`MetricsSink`] folds events into live
-//! counters, gauge time-series and latency histograms.
+//! after the run. Here the data flow is inverted: every engine hook
+//! reaches a sink as one [`TraceEvent`] (the blanket
+//! [`Tracer`](lotus_dataflow::Tracer) impl over [`TraceSink`]), and a
+//! [`MultiSink`] fans it out to any number of sinks, each of which
+//! consumes events *as they happen* — the log backend keeps recording,
+//! the Chrome/viz backends stream into their buffers, and the
+//! [`MetricsSink`] folds events into live counters, gauge time-series
+//! and latency histograms.
 //!
 //! Every sink self-accounts the virtual-time overhead it charges to the
 //! traced program ([`TraceSink::overhead`]), so Table III-style
@@ -17,11 +19,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lotus_dataflow::Tracer;
-use lotus_sim::{ReadOutcome, Span, Time};
+use lotus_dataflow::{TraceEvent, TraceSink};
+use lotus_sim::{Span, Time};
 
 use super::registry::MetricsRegistry;
-use crate::trace::{LotusTrace, SpanKind, TraceRecord};
+use crate::trace::TraceRecord;
 
 /// Well-known metric names recorded by [`MetricsSink`].
 pub mod names {
@@ -110,415 +112,6 @@ pub mod names {
     #[must_use]
     pub fn storage_queue_depth(tier: &str) -> String {
         format!("storage_queue_depth.{tier}")
-    }
-}
-
-/// One data-flow event, as delivered incrementally to every sink.
-///
-/// This is the streaming union of the [`Tracer`] hooks: span completions
-/// (\[T1\]/\[T2\]/\[T3\] and consumption), the zero-duration fault marks,
-/// and the engine's gauge feed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent<'a> {
-    /// One preprocessing operation finished on a worker (\[T3\]).
-    Op {
-        /// Emitting worker pid.
-        pid: u32,
-        /// Batch the item belongs to.
-        batch_id: u64,
-        /// Operation name.
-        name: &'a str,
-        /// Span start.
-        start: Time,
-        /// Span duration.
-        dur: Span,
-    },
-    /// A dataset storage read completed on a worker (\[T0\]).
-    StorageRead {
-        /// Emitting worker pid.
-        pid: u32,
-        /// Batch being fetched.
-        batch_id: u64,
-        /// Read start (request issue).
-        start: Time,
-        /// The storage hierarchy's full account of the read (tier, span,
-        /// bytes, seek, observed queue depth).
-        read: ReadOutcome,
-    },
-    /// A worker finished fetching a whole batch (\[T1\]).
-    BatchPreprocessed {
-        /// Emitting worker pid.
-        pid: u32,
-        /// Batch id.
-        batch_id: u64,
-        /// Span start.
-        start: Time,
-        /// Span duration.
-        dur: Span,
-    },
-    /// The main process finished waiting for a batch (\[T2\]).
-    BatchWait {
-        /// Main-process pid.
-        pid: u32,
-        /// Batch id.
-        batch_id: u64,
-        /// Span start.
-        start: Time,
-        /// Span duration.
-        dur: Span,
-        /// Served from the pinned out-of-order cache.
-        out_of_order: bool,
-        /// Shared-queue residency of the delivered batch.
-        queue_delay: Span,
-    },
-    /// The main process consumed a batch.
-    BatchConsumed {
-        /// Main-process pid.
-        pid: u32,
-        /// Batch id.
-        batch_id: u64,
-        /// Span start.
-        start: Time,
-        /// Span duration.
-        dur: Span,
-        /// Samples in the batch.
-        batch_len: usize,
-    },
-    /// A fault plan injected an error into sample fetching.
-    FaultInjected {
-        /// Emitting worker pid.
-        pid: u32,
-        /// Batch being fetched.
-        batch_id: u64,
-        /// Operation the injected error reports.
-        op: &'a str,
-        /// Injection instant.
-        at: Time,
-    },
-    /// The main process observed a worker's death.
-    WorkerDied {
-        /// The dead worker's pid.
-        pid: u32,
-        /// Observation instant.
-        at: Time,
-    },
-    /// An orphaned batch was re-sent to a survivor.
-    BatchRedispatched {
-        /// Batch id.
-        batch_id: u64,
-        /// The dead owner's pid.
-        from_pid: u32,
-        /// The receiving survivor's pid.
-        to_pid: u32,
-        /// Redispatch instant.
-        at: Time,
-    },
-    /// A scheduling policy stole a batch off its round-robin target.
-    BatchStolen {
-        /// Batch id.
-        batch_id: u64,
-        /// The round-robin target the batch was taken from.
-        from_pid: u32,
-        /// The worker that received it instead.
-        to_pid: u32,
-        /// Steal instant.
-        at: Time,
-    },
-    /// A lane-aware policy classified a batch into a fast/slow lane.
-    LaneAssigned {
-        /// Batch id.
-        batch_id: u64,
-        /// Lane name (`"fast"` or `"slow"`).
-        lane: &'a str,
-        /// The worker that received the batch.
-        to_pid: u32,
-        /// Assignment instant.
-        at: Time,
-    },
-    /// An adaptive policy resized the per-worker prefetch window.
-    PrefetchResized {
-        /// New per-worker prefetch target.
-        target: usize,
-        /// Resize instant.
-        at: Time,
-    },
-    /// A named scalar sampled by the engine (queue depths, in-flight
-    /// inventory).
-    Gauge {
-        /// Gauge name.
-        name: &'a str,
-        /// Sampled value.
-        value: f64,
-        /// Sampling instant.
-        at: Time,
-    },
-}
-
-impl TraceEvent<'_> {
-    /// Converts a span/instant event to the log-record form; gauge
-    /// samples have no record representation and return `None`.
-    #[must_use]
-    pub fn to_record(&self) -> Option<TraceRecord> {
-        let (kind, pid, batch_id, start, duration, out_of_order, queue_delay) = match *self {
-            TraceEvent::Op {
-                pid,
-                batch_id,
-                name,
-                start,
-                dur,
-            } => (
-                SpanKind::Op(name.to_string()),
-                pid,
-                batch_id,
-                start,
-                dur,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::StorageRead {
-                pid,
-                batch_id,
-                start,
-                read,
-            } => (
-                SpanKind::StorageRead(read.tier.as_str().to_string()),
-                pid,
-                batch_id,
-                start,
-                read.span,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::BatchPreprocessed {
-                pid,
-                batch_id,
-                start,
-                dur,
-            } => (
-                SpanKind::BatchPreprocessed,
-                pid,
-                batch_id,
-                start,
-                dur,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::BatchWait {
-                pid,
-                batch_id,
-                start,
-                dur,
-                out_of_order,
-                queue_delay,
-            } => (
-                SpanKind::BatchWait,
-                pid,
-                batch_id,
-                start,
-                dur,
-                out_of_order,
-                queue_delay,
-            ),
-            TraceEvent::BatchConsumed {
-                pid,
-                batch_id,
-                start,
-                dur,
-                ..
-            } => (
-                SpanKind::BatchConsumed,
-                pid,
-                batch_id,
-                start,
-                dur,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::FaultInjected {
-                pid,
-                batch_id,
-                op,
-                at,
-            } => (
-                SpanKind::FaultInjected(op.to_string()),
-                pid,
-                batch_id,
-                at,
-                Span::ZERO,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::WorkerDied { pid, at } => (
-                SpanKind::WorkerDied,
-                pid,
-                0,
-                at,
-                Span::ZERO,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::BatchRedispatched {
-                batch_id,
-                to_pid,
-                at,
-                ..
-            } => (
-                SpanKind::BatchRedispatched,
-                to_pid,
-                batch_id,
-                at,
-                Span::ZERO,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::BatchStolen {
-                batch_id,
-                to_pid,
-                at,
-                ..
-            } => (
-                SpanKind::BatchStolen,
-                to_pid,
-                batch_id,
-                at,
-                Span::ZERO,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::LaneAssigned {
-                batch_id,
-                lane,
-                to_pid,
-                at,
-            } => (
-                SpanKind::LaneAssigned(lane.to_string()),
-                to_pid,
-                batch_id,
-                at,
-                Span::ZERO,
-                false,
-                Span::ZERO,
-            ),
-            // The resize target rides the batch-id slot (the label
-            // notation is `SPrefetchResized_{target}`); the emitter is
-            // always the main process.
-            TraceEvent::PrefetchResized { target, at } => (
-                SpanKind::PrefetchResized,
-                4242,
-                target as u64,
-                at,
-                Span::ZERO,
-                false,
-                Span::ZERO,
-            ),
-            TraceEvent::Gauge { .. } => return None,
-        };
-        Some(TraceRecord {
-            kind,
-            pid,
-            batch_id,
-            start,
-            duration,
-            out_of_order,
-            queue_delay,
-        })
-    }
-}
-
-/// An incremental consumer of data-flow events.
-///
-/// `on_event` returns the virtual-time overhead the sink charges the
-/// traced program for this event; implementations must also accumulate
-/// everything they return so [`TraceSink::overhead`] reports their total
-/// self-accounted cost (how Table III attributes overhead per backend).
-pub trait TraceSink: Send + Sync {
-    /// Stable sink name for overhead reports.
-    fn name(&self) -> &str;
-
-    /// Consumes one event, returning the overhead charged for it.
-    fn on_event(&self, event: &TraceEvent<'_>) -> Span;
-
-    /// Total virtual-time overhead this sink has charged so far.
-    fn overhead(&self) -> Span;
-}
-
-/// The log backend is a sink: every span/instant event is appended to the
-/// LotusTrace record log exactly as the direct [`Tracer`] wiring would,
-/// and gauge samples are ignored (the paper's log format has no gauge
-/// rows). Overhead is the tracer's own per-record charge.
-impl TraceSink for LotusTrace {
-    fn name(&self) -> &str {
-        "lotus-trace"
-    }
-
-    fn on_event(&self, event: &TraceEvent<'_>) -> Span {
-        match *event {
-            TraceEvent::Op {
-                pid,
-                batch_id,
-                name,
-                start,
-                dur,
-            } => self.on_op(pid, batch_id, name, start, dur),
-            TraceEvent::StorageRead {
-                pid,
-                batch_id,
-                start,
-                ref read,
-            } => self.on_storage_read(pid, batch_id, start, read),
-            TraceEvent::BatchPreprocessed {
-                pid,
-                batch_id,
-                start,
-                dur,
-            } => self.on_batch_preprocessed(pid, batch_id, start, dur),
-            TraceEvent::BatchWait {
-                pid,
-                batch_id,
-                start,
-                dur,
-                out_of_order,
-                queue_delay,
-            } => self.on_batch_wait(pid, batch_id, start, dur, out_of_order, queue_delay),
-            TraceEvent::BatchConsumed {
-                pid,
-                batch_id,
-                start,
-                dur,
-                batch_len,
-            } => self.on_batch_consumed(pid, batch_id, start, dur, batch_len),
-            TraceEvent::FaultInjected {
-                pid,
-                batch_id,
-                op,
-                at,
-            } => self.on_fault_injected(pid, batch_id, op, at),
-            TraceEvent::WorkerDied { pid, at } => self.on_worker_died(pid, at),
-            TraceEvent::BatchRedispatched {
-                batch_id,
-                from_pid,
-                to_pid,
-                at,
-            } => self.on_batch_redispatched(batch_id, from_pid, to_pid, at),
-            TraceEvent::BatchStolen {
-                batch_id,
-                from_pid,
-                to_pid,
-                at,
-            } => self.on_batch_stolen(batch_id, from_pid, to_pid, at),
-            TraceEvent::LaneAssigned {
-                batch_id,
-                lane,
-                to_pid,
-                at,
-            } => self.on_lane_assigned(batch_id, lane, to_pid, at),
-            TraceEvent::PrefetchResized { target, at } => self.on_prefetch_resized(target, at),
-            TraceEvent::Gauge { .. } => Span::ZERO,
-        }
-    }
-
-    fn overhead(&self) -> Span {
-        self.charged_overhead()
     }
 }
 
@@ -665,7 +258,7 @@ impl TraceSink for MetricsSink {
             }
             TraceEvent::BatchRedispatched { .. } => r.inc_counter(names::REDISPATCHES, 1),
             TraceEvent::BatchStolen { .. } => r.inc_counter(names::STEALS, 1),
-            TraceEvent::LaneAssigned { lane, .. } => {
+            TraceEvent::LaneAssigned { ref lane, .. } => {
                 if lane == "slow" {
                     r.inc_counter(names::LANE_SLOW, 1);
                 }
@@ -674,13 +267,19 @@ impl TraceSink for MetricsSink {
                 r.inc_counter(names::PREFETCH_RESIZES, 1);
                 r.set_gauge(names::PREFETCH_TARGET, at, target as f64);
             }
-            TraceEvent::Gauge { name, value, at } => {
+            TraceEvent::Gauge {
+                ref name,
+                value,
+                at,
+            } => {
                 // Engine-internal samples piggyback on queue transitions
                 // the engine already paid for; only span/instant events
                 // carry the per-event fold cost.
                 r.set_gauge(name, at, value);
                 return Span::ZERO;
             }
+            // Dispatches feed the model checker's ledger, not a metric.
+            TraceEvent::Dispatched { .. } => return Span::ZERO,
         }
         self.charge()
     }
@@ -699,8 +298,8 @@ struct RecordBuffer {
 
 impl RecordBuffer {
     fn consume(&self, event: &TraceEvent<'_>, per_event: Span) -> Span {
-        let Some(record) = event.to_record() else {
-            return Span::ZERO; // gauges have no span representation
+        let Some(record) = TraceRecord::from_event(event) else {
+            return Span::ZERO; // dispatches and gauges have no record form
         };
         self.records.lock().expect("sink poisoned").push(record);
         self.charged_ns
@@ -810,9 +409,9 @@ impl TraceSink for VizSink {
     }
 }
 
-/// Fan-out [`Tracer`]: converts every engine hook into a [`TraceEvent`]
-/// and delivers it to each registered sink in registration order,
-/// charging the traced program the *sum* of the sinks' overheads.
+/// Fan-out sink: delivers every [`TraceEvent`] to each registered sink in
+/// registration order, charging the traced program the *sum* of the
+/// sinks' overheads.
 ///
 /// An empty `MultiSink` is the no-sink configuration and charges exactly
 /// zero everywhere — identical to [`lotus_dataflow::NullTracer`].
@@ -854,10 +453,6 @@ impl MultiSink {
             .map(|s| (s.name().to_string(), s.overhead()))
             .collect()
     }
-
-    fn fan_out(&self, event: &TraceEvent<'_>) -> Span {
-        self.sinks.iter().map(|s| s.on_event(event)).sum()
-    }
 }
 
 impl std::fmt::Debug for MultiSink {
@@ -871,130 +466,121 @@ impl std::fmt::Debug for MultiSink {
     }
 }
 
-impl Tracer for MultiSink {
-    fn on_op(&self, pid: u32, batch_id: u64, name: &str, start: Time, dur: Span) -> Span {
-        self.fan_out(&TraceEvent::Op {
-            pid,
-            batch_id,
-            name,
-            start,
-            dur,
-        })
+impl TraceSink for MultiSink {
+    fn name(&self) -> &str {
+        "multi"
     }
 
-    fn on_storage_read(&self, pid: u32, batch_id: u64, start: Time, read: &ReadOutcome) -> Span {
-        self.fan_out(&TraceEvent::StorageRead {
-            pid,
-            batch_id,
-            start,
-            read: *read,
-        })
+    fn on_event(&self, event: &TraceEvent<'_>) -> Span {
+        self.sinks.iter().map(|s| s.on_event(event)).sum()
     }
 
-    fn on_batch_preprocessed(&self, pid: u32, batch_id: u64, start: Time, dur: Span) -> Span {
-        self.fan_out(&TraceEvent::BatchPreprocessed {
-            pid,
-            batch_id,
-            start,
-            dur,
-        })
-    }
-
-    fn on_batch_wait(
-        &self,
-        pid: u32,
-        batch_id: u64,
-        start: Time,
-        dur: Span,
-        out_of_order: bool,
-        queue_delay: Span,
-    ) -> Span {
-        self.fan_out(&TraceEvent::BatchWait {
-            pid,
-            batch_id,
-            start,
-            dur,
-            out_of_order,
-            queue_delay,
-        })
-    }
-
-    fn on_batch_consumed(
-        &self,
-        pid: u32,
-        batch_id: u64,
-        start: Time,
-        dur: Span,
-        batch_len: usize,
-    ) -> Span {
-        self.fan_out(&TraceEvent::BatchConsumed {
-            pid,
-            batch_id,
-            start,
-            dur,
-            batch_len,
-        })
-    }
-
-    fn on_fault_injected(&self, pid: u32, batch_id: u64, op: &str, at: Time) -> Span {
-        self.fan_out(&TraceEvent::FaultInjected {
-            pid,
-            batch_id,
-            op,
-            at,
-        })
-    }
-
-    fn on_worker_died(&self, pid: u32, at: Time) -> Span {
-        self.fan_out(&TraceEvent::WorkerDied { pid, at })
-    }
-
-    fn on_batch_redispatched(&self, batch_id: u64, from_pid: u32, to_pid: u32, at: Time) -> Span {
-        self.fan_out(&TraceEvent::BatchRedispatched {
-            batch_id,
-            from_pid,
-            to_pid,
-            at,
-        })
-    }
-
-    fn on_batch_stolen(&self, batch_id: u64, from_pid: u32, to_pid: u32, at: Time) -> Span {
-        self.fan_out(&TraceEvent::BatchStolen {
-            batch_id,
-            from_pid,
-            to_pid,
-            at,
-        })
-    }
-
-    fn on_lane_assigned(&self, batch_id: u64, lane: &str, to_pid: u32, at: Time) -> Span {
-        self.fan_out(&TraceEvent::LaneAssigned {
-            batch_id,
-            lane,
-            to_pid,
-            at,
-        })
-    }
-
-    fn on_prefetch_resized(&self, target: usize, at: Time) -> Span {
-        self.fan_out(&TraceEvent::PrefetchResized { target, at })
-    }
-
-    fn on_gauge(&self, name: &str, value: f64, at: Time) -> Span {
-        self.fan_out(&TraceEvent::Gauge { name, value, at })
+    fn overhead(&self) -> Span {
+        self.sinks.iter().map(|s| s.overhead()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::RecordingObserver;
+    use crate::trace::{LotusTrace, SpanKind};
+    use lotus_dataflow::Tracer;
+    use lotus_sim::ReadOutcome;
+
+    /// One call of a hook on a sink, through the blanket [`Tracer`] impl.
+    type Hook = fn(&dyn TraceSink) -> Span;
+
+    /// Each of the 13 hooks called once, and whether a log sink keeps a
+    /// record for it (dispatches and gauge samples have no record form).
+    fn hooks() -> Vec<(&'static str, Hook, bool)> {
+        vec![
+            (
+                "on_op",
+                |t| t.on_op(4243, 0, "Loader", Time::ZERO, Span::from_millis(2)),
+                true,
+            ),
+            (
+                "on_batch_preprocessed",
+                |t| t.on_batch_preprocessed(4243, 0, Time::ZERO, Span::from_millis(5)),
+                true,
+            ),
+            (
+                "on_batch_dispatched",
+                |t| t.on_batch_dispatched(1, 4243, &[2, 3], false, Time::from_nanos(10)),
+                false,
+            ),
+            (
+                "on_batch_wait",
+                |t| {
+                    let (start, dur) = (Time::from_nanos(1_000), Span::from_millis(1));
+                    t.on_batch_wait(4242, 0, start, dur, true, Span::from_micros(40))
+                },
+                true,
+            ),
+            (
+                "on_batch_consumed",
+                |t| t.on_batch_consumed(4242, 0, Time::ZERO, Span::from_millis(1), 8),
+                true,
+            ),
+            (
+                "on_storage_read",
+                |t| {
+                    let read = ReadOutcome {
+                        tier: lotus_sim::StorageTier::LocalDisk,
+                        span: Span::from_micros(700),
+                        bytes: 131_072,
+                        seek: true,
+                        queue_depth: 3,
+                    };
+                    t.on_storage_read(4243, 2, Time::from_nanos(20), &read)
+                },
+                true,
+            ),
+            (
+                "on_fault_injected",
+                |t| t.on_fault_injected(4243, 3, "Decode", Time::from_nanos(30)),
+                true,
+            ),
+            (
+                "on_worker_died",
+                |t| t.on_worker_died(4244, Time::from_nanos(40)),
+                true,
+            ),
+            (
+                "on_batch_redispatched",
+                |t| t.on_batch_redispatched(3, 4244, 4243, Time::from_nanos(50)),
+                true,
+            ),
+            (
+                "on_batch_stolen",
+                |t| t.on_batch_stolen(4, 4243, 4245, Time::from_nanos(60)),
+                true,
+            ),
+            (
+                "on_lane_assigned",
+                |t| t.on_lane_assigned(4, "slow", 4245, Time::from_nanos(60)),
+                true,
+            ),
+            (
+                "on_prefetch_resized",
+                |t| t.on_prefetch_resized(1, Time::from_nanos(70)),
+                true,
+            ),
+            (
+                "on_gauge",
+                |t| t.on_gauge("queue_depth.data_queue", 2.0, Time::from_nanos(80)),
+                false,
+            ),
+        ]
+    }
 
     fn feed(sink: &dyn TraceSink) -> Span {
         let mut total = Span::ZERO;
         total += sink.on_event(&TraceEvent::Op {
             pid: 4243,
             batch_id: 0,
-            name: "Loader",
+            name: "Loader".into(),
             start: Time::ZERO,
             dur: Span::from_millis(2),
         });
@@ -1020,7 +606,7 @@ mod tests {
             batch_len: 8,
         });
         total += sink.on_event(&TraceEvent::Gauge {
-            name: "queue_depth.data_queue",
+            name: "queue_depth.data_queue".into(),
             value: 2.0,
             at: Time::from_nanos(500),
         });
@@ -1029,31 +615,43 @@ mod tests {
 
     #[test]
     fn lotus_trace_sink_matches_direct_tracer_wiring() {
-        let direct = LotusTrace::new();
-        let _ = direct.on_op(4243, 0, "Loader", Time::ZERO, Span::from_millis(2));
-        let _ = direct.on_batch_preprocessed(4243, 0, Time::ZERO, Span::from_millis(5));
-        let _ = direct.on_batch_wait(
-            4242,
-            0,
-            Time::from_nanos(1_000),
-            Span::from_millis(1),
-            false,
-            Span::from_micros(40),
-        );
-        let _ = direct.on_batch_consumed(
-            4242,
-            0,
-            Time::from_nanos(2_000_000),
-            Span::from_millis(1),
-            8,
-        );
+        for (hook, call, keeps_record) in hooks() {
+            // A bare LotusTrace and one inside a MultiSink keep the same
+            // records and charge the same.
+            let bare = LotusTrace::new();
+            let inner = Arc::new(LotusTrace::new());
+            let multi = MultiSink::new().with(Arc::clone(&inner) as Arc<dyn TraceSink>);
+            let charged = call(&bare);
+            assert_eq!(call(&multi), charged, "{hook}");
+            assert_eq!(inner.records(), bare.records(), "{hook}");
+            assert_eq!(inner.charged_overhead(), charged, "{hook}");
+            assert_eq!(bare.charged_overhead(), charged, "{hook}");
+            assert_eq!(bare.len(), usize::from(keeps_record), "{hook}");
+            assert_eq!(charged.is_zero(), !keeps_record, "{hook}");
 
-        let streamed = LotusTrace::new();
-        let charged = feed(&streamed);
-        assert_eq!(streamed.records(), direct.records());
-        // The gauge sample costs nothing and records nothing.
-        assert_eq!(charged, streamed.charged_overhead());
-        assert_eq!(charged, TraceSink::overhead(&streamed));
+            // A RecordingObserver sees the same events inside a MultiSink
+            // as attached alone.
+            let alone = RecordingObserver::new();
+            let observer = Arc::new(RecordingObserver::new());
+            let multi = MultiSink::new().with(Arc::clone(&observer) as Arc<dyn TraceSink>);
+            assert!(call(&alone).is_zero() && call(&multi).is_zero(), "{hook}");
+            assert_eq!(observer.events(), alone.events(), "{hook}");
+        }
+
+        // Dispatches and gauge samples record nothing and charge zero in
+        // every sink.
+        let trace = LotusTrace::new();
+        let registry = Arc::new(MetricsRegistry::new());
+        let metrics = MetricsSink::new(Arc::clone(&registry), 2);
+        let (chrome, viz) = (ChromeSink::new(), VizSink::new());
+        for (hook, call, _) in hooks().into_iter().filter(|(_, _, keeps)| !keeps) {
+            for sink in [&trace as &dyn TraceSink, &metrics, &chrome, &viz] {
+                assert_eq!(call(sink), Span::ZERO, "{hook} on {}", sink.name());
+                assert_eq!(sink.overhead(), Span::ZERO, "{hook} on {}", sink.name());
+            }
+        }
+        assert!(trace.is_empty() && chrome.records().is_empty() && viz.records().is_empty());
+        assert!(registry.snapshot().counters.is_empty());
     }
 
     #[test]
@@ -1118,7 +716,7 @@ mod tests {
             Some(3.0)
         );
 
-        let record = event.to_record().unwrap();
+        let record = TraceRecord::from_event(&event).unwrap();
         assert_eq!(record.kind, SpanKind::StorageRead("local-disk".into()));
         assert_eq!(record.duration, Span::from_micros(700));
         assert_eq!(record.batch_id, 2);
@@ -1151,7 +749,7 @@ mod tests {
         let _ = sink.on_event(&TraceEvent::FaultInjected {
             pid: 4243,
             batch_id: 3,
-            op: "Decode",
+            op: "Decode".into(),
             at: Time::from_nanos(60),
         });
         let _ = sink.on_event(&TraceEvent::BatchRedispatched {
@@ -1233,13 +831,13 @@ mod tests {
         });
         let _ = sink.on_event(&TraceEvent::LaneAssigned {
             batch_id: 7,
-            lane: "slow",
+            lane: "slow".into(),
             to_pid: 4244,
             at: Time::from_nanos(10),
         });
         let _ = sink.on_event(&TraceEvent::LaneAssigned {
             batch_id: 8,
-            lane: "fast",
+            lane: "fast".into(),
             to_pid: 4243,
             at: Time::from_nanos(20),
         });
@@ -1259,34 +857,35 @@ mod tests {
             Some(3.0)
         );
 
-        let stolen = TraceEvent::BatchStolen {
+        let stolen = TraceRecord::from_event(&TraceEvent::BatchStolen {
             batch_id: 7,
             from_pid: 4243,
             to_pid: 4244,
             at: Time::from_nanos(10),
-        }
-        .to_record()
+        })
         .unwrap();
         assert_eq!(stolen.kind, SpanKind::BatchStolen);
         assert_eq!(stolen.pid, 4244, "steal records the receiving worker");
-        let lane = TraceEvent::LaneAssigned {
+        let lane = TraceRecord::from_event(&TraceEvent::LaneAssigned {
             batch_id: 7,
-            lane: "slow",
+            lane: "slow".into(),
             to_pid: 4244,
             at: Time::from_nanos(10),
-        }
-        .to_record()
+        })
         .unwrap();
         assert_eq!(lane.kind, SpanKind::LaneAssigned("slow".into()));
-        let resized = TraceEvent::PrefetchResized {
+        let resized = TraceRecord::from_event(&TraceEvent::PrefetchResized {
             target: 3,
             at: Time::from_nanos(30),
-        }
-        .to_record()
+        })
         .unwrap();
         assert_eq!(resized.kind, SpanKind::PrefetchResized);
         assert_eq!(resized.batch_id, 3, "target rides the batch-id slot");
-        assert_eq!(resized.pid, 4242, "resize is a main-process event");
+        assert_eq!(
+            resized.pid,
+            lotus_dataflow::MAIN_OS_PID,
+            "resize is a main-process event"
+        );
     }
 
     #[test]
@@ -1330,15 +929,14 @@ mod tests {
             to_pid: 4245,
             at: Time::from_nanos(30),
         };
-        let r = e.to_record().unwrap();
+        let r = TraceRecord::from_event(&e).unwrap();
         assert_eq!(r.kind, SpanKind::BatchRedispatched);
         assert_eq!(r.pid, 4245, "redispatch records the receiving worker");
-        assert!(TraceEvent::Gauge {
-            name: "x",
+        assert!(TraceRecord::from_event(&TraceEvent::Gauge {
+            name: "x".into(),
             value: 1.0,
             at: Time::ZERO
-        }
-        .to_record()
+        })
         .is_none());
     }
 }

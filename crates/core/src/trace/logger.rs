@@ -5,12 +5,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use lotus_dataflow::Tracer;
-use lotus_sim::{ReadOutcome, Span, Time};
+use lotus_dataflow::{TraceEvent, TraceSink};
+use lotus_sim::Span;
 
 use super::analysis::OpStats;
 use super::hist::LogHistogram;
-use super::record::{SpanKind, TraceRecord};
+use super::record::TraceRecord;
 
 /// How per-operation (\[T3\]) events are collected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl Default for LotusTraceConfig {
 /// in-memory log with byte-accurate storage accounting, charging only a
 /// fixed per-record cost to the traced program.
 ///
-/// Implements [`lotus_dataflow::Tracer`]; attach it to a
+/// A [`TraceSink`], hence a [`lotus_dataflow::Tracer`]; attach it to a
 /// [`lotus_dataflow::TrainingJob`] and read the records back for analysis
 /// ([`crate::trace::analysis`]) or visualization
 /// ([`crate::trace::chrome`]).
@@ -104,8 +104,8 @@ impl LotusTrace {
     }
 
     /// [`OpLogMode::Aggregate`] path: account the record's bytes as if it
-    /// were written, then fold the duration into the named histogram.
-    fn fold_aggregate(&self, name: &str, dur: Span, record: &TraceRecord) -> Span {
+    /// were written, then fold its duration into the named histogram.
+    fn fold_aggregate(&self, name: &str, record: &TraceRecord) -> Span {
         self.log_bytes
             .fetch_add(record.log_bytes(), Ordering::Relaxed);
         let mut agg = self.op_aggregates.lock().expect("trace poisoned");
@@ -116,7 +116,7 @@ impl LotusTrace {
         agg.by_name
             .get_mut(name)
             .expect("just inserted")
-            .record(dur);
+            .record(record.duration);
         self.charge(self.config.per_log_overhead)
     }
 
@@ -190,186 +190,51 @@ impl LotusTrace {
     }
 }
 
-impl Tracer for LotusTrace {
-    fn on_op(&self, pid: u32, batch_id: u64, name: &str, start: Time, dur: Span) -> Span {
-        match self.config.op_mode {
-            OpLogMode::Off => Span::ZERO,
-            OpLogMode::Full => self.push(TraceRecord {
-                kind: SpanKind::Op(name.to_string()),
-                pid,
-                batch_id,
-                start,
-                duration: dur,
-                out_of_order: false,
-                queue_delay: Span::ZERO,
-            }),
-            OpLogMode::Aggregate => {
-                let record = TraceRecord {
-                    kind: SpanKind::Op(name.to_string()),
-                    pid,
-                    batch_id,
-                    start,
-                    duration: dur,
-                    out_of_order: false,
-                    queue_delay: Span::ZERO,
-                };
-                self.fold_aggregate(name, dur, &record)
-            }
-        }
+/// The log backend: every span/instant event becomes one log record, and
+/// dispatches and gauge samples are ignored (the paper's log format has
+/// no rows for them). Overhead is the per-record charge.
+impl TraceSink for LotusTrace {
+    fn name(&self) -> &str {
+        "lotus-trace"
     }
 
-    fn on_storage_read(&self, pid: u32, batch_id: u64, start: Time, read: &ReadOutcome) -> Span {
-        let record = TraceRecord {
-            kind: SpanKind::StorageRead(read.tier.as_str().to_string()),
-            pid,
-            batch_id,
-            start,
-            duration: read.span,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
+    fn on_event(&self, event: &TraceEvent<'_>) -> Span {
+        // Storage reads are per-item events like ops, so both follow the
+        // op collection mode, which applies before any record is built:
+        // dropped when off, folded into a per-op (per-tier `T0(tier)`)
+        // histogram when aggregating.
+        let mode = match event {
+            TraceEvent::Op { .. } | TraceEvent::StorageRead { .. } => self.config.op_mode,
+            _ => OpLogMode::Full,
         };
-        match self.config.op_mode {
-            // Storage reads are per-item events like ops, so they follow
-            // the op collection mode: dropped when per-op tracing is off,
-            // folded into a per-tier `T0(tier)` histogram when
-            // aggregating.
-            OpLogMode::Off => Span::ZERO,
-            OpLogMode::Full => self.push(record),
-            OpLogMode::Aggregate => {
-                self.fold_aggregate(&format!("T0({})", read.tier), read.span, &record)
+        if mode == OpLogMode::Off {
+            return Span::ZERO;
+        }
+        let Some(record) = TraceRecord::from_event(event) else {
+            return Span::ZERO;
+        };
+        match (mode, event) {
+            (OpLogMode::Aggregate, TraceEvent::Op { name, .. }) => {
+                self.fold_aggregate(name, &record)
             }
+            (OpLogMode::Aggregate, TraceEvent::StorageRead { read, .. }) => {
+                self.fold_aggregate(&format!("T0({})", read.tier), &record)
+            }
+            _ => self.push(record),
         }
     }
 
-    fn on_batch_preprocessed(&self, pid: u32, batch_id: u64, start: Time, dur: Span) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::BatchPreprocessed,
-            pid,
-            batch_id,
-            start,
-            duration: dur,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
-    }
-
-    fn on_batch_wait(
-        &self,
-        pid: u32,
-        batch_id: u64,
-        start: Time,
-        dur: Span,
-        out_of_order: bool,
-        queue_delay: Span,
-    ) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::BatchWait,
-            pid,
-            batch_id,
-            start,
-            duration: dur,
-            out_of_order,
-            queue_delay,
-        })
-    }
-
-    fn on_batch_consumed(
-        &self,
-        pid: u32,
-        batch_id: u64,
-        start: Time,
-        dur: Span,
-        _batch_len: usize,
-    ) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::BatchConsumed,
-            pid,
-            batch_id,
-            start,
-            duration: dur,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
-    }
-
-    fn on_fault_injected(&self, pid: u32, batch_id: u64, op: &str, at: Time) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::FaultInjected(op.to_string()),
-            pid,
-            batch_id,
-            start: at,
-            duration: Span::ZERO,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
-    }
-
-    fn on_worker_died(&self, pid: u32, at: Time) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::WorkerDied,
-            pid,
-            batch_id: 0,
-            start: at,
-            duration: Span::ZERO,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
-    }
-
-    fn on_batch_redispatched(&self, batch_id: u64, _from_pid: u32, to_pid: u32, at: Time) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::BatchRedispatched,
-            pid: to_pid,
-            batch_id,
-            start: at,
-            duration: Span::ZERO,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
-    }
-
-    fn on_batch_stolen(&self, batch_id: u64, _from_pid: u32, to_pid: u32, at: Time) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::BatchStolen,
-            pid: to_pid,
-            batch_id,
-            start: at,
-            duration: Span::ZERO,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
-    }
-
-    fn on_lane_assigned(&self, batch_id: u64, lane: &str, to_pid: u32, at: Time) -> Span {
-        self.push(TraceRecord {
-            kind: SpanKind::LaneAssigned(lane.to_string()),
-            pid: to_pid,
-            batch_id,
-            start: at,
-            duration: Span::ZERO,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
-    }
-
-    fn on_prefetch_resized(&self, target: usize, at: Time) -> Span {
-        // The resize target rides the batch-id slot; the emitter is the
-        // main process.
-        self.push(TraceRecord {
-            kind: SpanKind::PrefetchResized,
-            pid: 4242,
-            batch_id: target as u64,
-            start: at,
-            duration: Span::ZERO,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        })
+    fn overhead(&self) -> Span {
+        self.charged_overhead()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SpanKind;
+    use lotus_dataflow::Tracer;
+    use lotus_sim::{ReadOutcome, Time};
 
     #[test]
     fn records_accumulate_with_byte_accounting() {

@@ -1,5 +1,6 @@
 //! LotusTrace log records.
 
+use lotus_dataflow::{TraceEvent, MAIN_OS_PID};
 use lotus_sim::{Span, Time};
 
 /// What a trace record describes.
@@ -103,6 +104,109 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
+    /// The record form of a span/instant event — the one place an event
+    /// becomes a record, for the log, Chrome and viz sinks alike.
+    /// Dispatches and gauge samples have no record form and return
+    /// `None`.
+    ///
+    /// Instants are zero-length records at their instant. Redispatch,
+    /// steal and lane marks carry the receiving worker's pid; a prefetch
+    /// resize is a main-process mark whose target rides the batch-id slot
+    /// (the label notation is `SPrefetchResized_{target}`).
+    #[must_use]
+    pub fn from_event(event: &TraceEvent<'_>) -> Option<TraceRecord> {
+        let span = |kind, pid, batch_id, start, duration| TraceRecord {
+            kind,
+            pid,
+            batch_id,
+            start,
+            duration,
+            out_of_order: false,
+            queue_delay: Span::ZERO,
+        };
+        let instant = |kind, pid, batch_id, at| span(kind, pid, batch_id, at, Span::ZERO);
+        Some(match *event {
+            TraceEvent::Op {
+                pid,
+                batch_id,
+                ref name,
+                start,
+                dur,
+            } => span(SpanKind::Op(name.to_string()), pid, batch_id, start, dur),
+            TraceEvent::StorageRead {
+                pid,
+                batch_id,
+                start,
+                read,
+            } => span(
+                SpanKind::StorageRead(read.tier.as_str().to_string()),
+                pid,
+                batch_id,
+                start,
+                read.span,
+            ),
+            TraceEvent::BatchPreprocessed {
+                pid,
+                batch_id,
+                start,
+                dur,
+            } => span(SpanKind::BatchPreprocessed, pid, batch_id, start, dur),
+            TraceEvent::BatchWait {
+                pid,
+                batch_id,
+                start,
+                dur,
+                out_of_order,
+                queue_delay,
+            } => TraceRecord {
+                out_of_order,
+                queue_delay,
+                ..span(SpanKind::BatchWait, pid, batch_id, start, dur)
+            },
+            TraceEvent::BatchConsumed {
+                pid,
+                batch_id,
+                start,
+                dur,
+                ..
+            } => span(SpanKind::BatchConsumed, pid, batch_id, start, dur),
+            TraceEvent::FaultInjected {
+                pid,
+                batch_id,
+                ref op,
+                at,
+            } => instant(SpanKind::FaultInjected(op.to_string()), pid, batch_id, at),
+            TraceEvent::WorkerDied { pid, at } => instant(SpanKind::WorkerDied, pid, 0, at),
+            TraceEvent::BatchRedispatched {
+                batch_id,
+                to_pid,
+                at,
+                ..
+            } => instant(SpanKind::BatchRedispatched, to_pid, batch_id, at),
+            TraceEvent::BatchStolen {
+                batch_id,
+                to_pid,
+                at,
+                ..
+            } => instant(SpanKind::BatchStolen, to_pid, batch_id, at),
+            TraceEvent::LaneAssigned {
+                batch_id,
+                ref lane,
+                to_pid,
+                at,
+            } => instant(
+                SpanKind::LaneAssigned(lane.to_string()),
+                to_pid,
+                batch_id,
+                at,
+            ),
+            TraceEvent::PrefetchResized { target, at } => {
+                instant(SpanKind::PrefetchResized, MAIN_OS_PID, target as u64, at)
+            }
+            TraceEvent::Dispatched { .. } | TraceEvent::Gauge { .. } => return None,
+        })
+    }
+
     /// Serializes to the CSV-ish log-line format.
     #[must_use]
     pub fn to_log_line(&self) -> String {

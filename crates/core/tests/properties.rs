@@ -58,25 +58,32 @@ proptest! {
         }
     }
 
-    /// The zero-duration fault marks (`FaultInjected`, `WorkerDied`,
-    /// `BatchRedispatched`) survive the full streaming path: sink event →
-    /// trace record → log line → parsed record.
+    /// All six zero-duration marks — the fault marks (`FaultInjected`,
+    /// `WorkerDied`, `BatchRedispatched`) and the policy marks
+    /// (`BatchStolen`, `LaneAssigned`, `PrefetchResized`) — survive the
+    /// full streaming path: sink event → trace record → log line → parsed
+    /// record.
     #[test]
     fn instant_marks_round_trip_through_log_lines(
-        which in 0usize..3,
+        which in 0usize..6,
         pid in 0u32..100_000,
         from_pid in 0u32..100_000,
         batch in 0u64..1 << 40,
         at in 0u64..1 << 50,
         op in "[A-Za-z][A-Za-z0-9_()]{0,24}",
+        lane in "[a-z]{1,8}",
     ) {
         let at_t = Time::from_nanos(at);
         let event = match which {
-            0 => TraceEvent::FaultInjected { pid, batch_id: batch, op: &op, at: at_t },
+            0 => TraceEvent::FaultInjected { pid, batch_id: batch, op: op.as_str().into(), at: at_t },
             1 => TraceEvent::WorkerDied { pid, at: at_t },
-            _ => TraceEvent::BatchRedispatched { batch_id: batch, from_pid, to_pid: pid, at: at_t },
+            2 => TraceEvent::BatchRedispatched { batch_id: batch, from_pid, to_pid: pid, at: at_t },
+            3 => TraceEvent::BatchStolen { batch_id: batch, from_pid, to_pid: pid, at: at_t },
+            4 => TraceEvent::LaneAssigned { batch_id: batch, lane: lane.as_str().into(), to_pid: pid, at: at_t },
+            _ => TraceEvent::PrefetchResized { target: batch as usize, at: at_t },
         };
-        let record = event.to_record().unwrap();
+        let record = TraceRecord::from_event(&event).unwrap();
+        prop_assert!(record.kind.is_instant());
         // Instant marks anchor at their instant and have no extent.
         prop_assert_eq!(record.start, at_t);
         prop_assert_eq!(record.duration, Span::ZERO);

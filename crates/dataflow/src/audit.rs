@@ -127,9 +127,9 @@ pub enum SyncOp {
 pub struct SyncEvent {
     /// Logical timestamp: total order consistent with happens-before.
     pub seq: u64,
-    /// Trace pid of the recording thread ([`MAIN_OS_PID`]
-    /// (crate::MAIN_OS_PID) or a worker pid); [`UNKNOWN_TID`] when the
-    /// thread never registered.
+    /// Trace pid of the recording thread
+    /// ([`MAIN_OS_PID`](crate::MAIN_OS_PID) or a worker pid);
+    /// [`UNKNOWN_TID`] when the thread never registered.
     pub tid: u32,
     /// The synchronization object's name.
     pub obj: String,

@@ -50,6 +50,6 @@ pub use policy::{
     BatchRef, DispatchContext, Lane, Placement, Refill, SchedulingPolicy, SchedulingPolicyKind,
 };
 pub use protocol::{worker_os_pid, MAIN_OS_PID};
-pub use tracer::{NullTracer, Tracer};
+pub use tracer::{NullTracer, TraceEvent, TraceSink, Tracer};
 
 pub use lotus_sim::FaultPlan;

@@ -7,6 +7,13 @@
 //! overhead the instrumentation itself costs at that point, which the
 //! engine adds to the emitting process's timeline — this is how
 //! per-profiler wall-time overhead (the paper's Table III) arises.
+//!
+//! The hooks are the emitter API. Each call is also one [`TraceEvent`]
+//! value: a [`TraceSink`] implements only [`TraceSink::on_event`], and the
+//! blanket [`Tracer`] impl over every sink below is the one place a hook
+//! call becomes an event.
+
+use std::borrow::Cow;
 
 use lotus_sim::{ReadOutcome, Span, Time};
 
@@ -151,6 +158,454 @@ pub trait Tracer: Send + Sync {
     /// interference; 1.0 = none).
     fn compute_dilation(&self) -> f64 {
         1.0
+    }
+}
+
+/// One data-flow event: the value form of one [`Tracer`] hook call, as
+/// delivered to every [`TraceSink`]. The variant docs name the hook; its
+/// docs give the semantics.
+///
+/// Borrowed payloads are [`Cow`]s, so emitting allocates nothing and a
+/// recorder can keep an owned copy ([`TraceEvent::into_owned`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceEvent<'a> {
+    /// [`Tracer::on_op`] (\[T3\]).
+    Op {
+        /// Emitting worker pid.
+        pid: u32,
+        /// Batch the item belongs to.
+        batch_id: u64,
+        /// Operation name.
+        name: Cow<'a, str>,
+        /// Span start.
+        start: Time,
+        /// Span duration.
+        dur: Span,
+    },
+    /// [`Tracer::on_storage_read`] (\[T0\]).
+    StorageRead {
+        /// Emitting worker pid.
+        pid: u32,
+        /// Batch being fetched.
+        batch_id: u64,
+        /// Read start (request issue).
+        start: Time,
+        /// Serving tier, span, bytes, seek and observed queue depth.
+        read: ReadOutcome,
+    },
+    /// [`Tracer::on_batch_preprocessed`] (\[T1\]).
+    BatchPreprocessed {
+        /// Emitting worker pid.
+        pid: u32,
+        /// Batch id.
+        batch_id: u64,
+        /// Span start.
+        start: Time,
+        /// Span duration.
+        dur: Span,
+    },
+    /// [`Tracer::on_batch_dispatched`].
+    Dispatched {
+        /// Batch id.
+        batch_id: u64,
+        /// The receiving worker's pid.
+        to_pid: u32,
+        /// Sample indices in the batch.
+        indices: Cow<'a, [u64]>,
+        /// True when a dead worker's orphan is being re-sent.
+        redispatch: bool,
+        /// Dispatch instant.
+        at: Time,
+    },
+    /// [`Tracer::on_batch_wait`] (\[T2\]).
+    BatchWait {
+        /// Main-process pid.
+        pid: u32,
+        /// Batch id.
+        batch_id: u64,
+        /// Span start.
+        start: Time,
+        /// Span duration.
+        dur: Span,
+        /// Served from the pinned out-of-order cache.
+        out_of_order: bool,
+        /// Shared-queue residency of the delivered batch.
+        queue_delay: Span,
+    },
+    /// [`Tracer::on_batch_consumed`].
+    BatchConsumed {
+        /// Main-process pid.
+        pid: u32,
+        /// Batch id.
+        batch_id: u64,
+        /// Span start.
+        start: Time,
+        /// Span duration.
+        dur: Span,
+        /// Samples in the batch.
+        batch_len: usize,
+    },
+    /// [`Tracer::on_fault_injected`].
+    FaultInjected {
+        /// Emitting worker pid.
+        pid: u32,
+        /// Batch being fetched.
+        batch_id: u64,
+        /// Operation the injected error reports.
+        op: Cow<'a, str>,
+        /// Injection instant.
+        at: Time,
+    },
+    /// [`Tracer::on_worker_died`].
+    WorkerDied {
+        /// The dead worker's pid.
+        pid: u32,
+        /// Observation instant.
+        at: Time,
+    },
+    /// [`Tracer::on_batch_redispatched`].
+    BatchRedispatched {
+        /// Batch id.
+        batch_id: u64,
+        /// The dead owner's pid.
+        from_pid: u32,
+        /// The receiving survivor's pid.
+        to_pid: u32,
+        /// Redispatch instant.
+        at: Time,
+    },
+    /// [`Tracer::on_batch_stolen`].
+    BatchStolen {
+        /// Batch id.
+        batch_id: u64,
+        /// The round-robin target the batch was taken from.
+        from_pid: u32,
+        /// The worker that received it instead.
+        to_pid: u32,
+        /// Steal instant.
+        at: Time,
+    },
+    /// [`Tracer::on_lane_assigned`].
+    LaneAssigned {
+        /// Batch id.
+        batch_id: u64,
+        /// Lane name (`"fast"` or `"slow"`).
+        lane: Cow<'a, str>,
+        /// The worker that received the batch.
+        to_pid: u32,
+        /// Assignment instant.
+        at: Time,
+    },
+    /// [`Tracer::on_prefetch_resized`].
+    PrefetchResized {
+        /// New per-worker prefetch target.
+        target: usize,
+        /// Resize instant.
+        at: Time,
+    },
+    /// [`Tracer::on_gauge`].
+    Gauge {
+        /// Gauge name.
+        name: Cow<'a, str>,
+        /// Sampled value.
+        value: f64,
+        /// Sampling instant.
+        at: Time,
+    },
+}
+
+impl TraceEvent<'_> {
+    /// The same event with every borrowed payload copied, for recorders
+    /// that outlive the hook call.
+    #[must_use]
+    pub fn into_owned(self) -> TraceEvent<'static> {
+        let own = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
+        match self {
+            TraceEvent::Op {
+                pid,
+                batch_id,
+                name,
+                start,
+                dur,
+            } => TraceEvent::Op {
+                pid,
+                batch_id,
+                name: own(name),
+                start,
+                dur,
+            },
+            TraceEvent::StorageRead {
+                pid,
+                batch_id,
+                start,
+                read,
+            } => TraceEvent::StorageRead {
+                pid,
+                batch_id,
+                start,
+                read,
+            },
+            TraceEvent::BatchPreprocessed {
+                pid,
+                batch_id,
+                start,
+                dur,
+            } => TraceEvent::BatchPreprocessed {
+                pid,
+                batch_id,
+                start,
+                dur,
+            },
+            TraceEvent::Dispatched {
+                batch_id,
+                to_pid,
+                indices,
+                redispatch,
+                at,
+            } => TraceEvent::Dispatched {
+                batch_id,
+                to_pid,
+                indices: Cow::Owned(indices.into_owned()),
+                redispatch,
+                at,
+            },
+            TraceEvent::BatchWait {
+                pid,
+                batch_id,
+                start,
+                dur,
+                out_of_order,
+                queue_delay,
+            } => TraceEvent::BatchWait {
+                pid,
+                batch_id,
+                start,
+                dur,
+                out_of_order,
+                queue_delay,
+            },
+            TraceEvent::BatchConsumed {
+                pid,
+                batch_id,
+                start,
+                dur,
+                batch_len,
+            } => TraceEvent::BatchConsumed {
+                pid,
+                batch_id,
+                start,
+                dur,
+                batch_len,
+            },
+            TraceEvent::FaultInjected {
+                pid,
+                batch_id,
+                op,
+                at,
+            } => TraceEvent::FaultInjected {
+                pid,
+                batch_id,
+                op: own(op),
+                at,
+            },
+            TraceEvent::WorkerDied { pid, at } => TraceEvent::WorkerDied { pid, at },
+            TraceEvent::BatchRedispatched {
+                batch_id,
+                from_pid,
+                to_pid,
+                at,
+            } => TraceEvent::BatchRedispatched {
+                batch_id,
+                from_pid,
+                to_pid,
+                at,
+            },
+            TraceEvent::BatchStolen {
+                batch_id,
+                from_pid,
+                to_pid,
+                at,
+            } => TraceEvent::BatchStolen {
+                batch_id,
+                from_pid,
+                to_pid,
+                at,
+            },
+            TraceEvent::LaneAssigned {
+                batch_id,
+                lane,
+                to_pid,
+                at,
+            } => TraceEvent::LaneAssigned {
+                batch_id,
+                lane: own(lane),
+                to_pid,
+                at,
+            },
+            TraceEvent::PrefetchResized { target, at } => {
+                TraceEvent::PrefetchResized { target, at }
+            }
+            TraceEvent::Gauge { name, value, at } => TraceEvent::Gauge {
+                name: own(name),
+                value,
+                at,
+            },
+        }
+    }
+}
+
+/// An incremental consumer of data-flow events. Every sink is a
+/// [`Tracer`] through the blanket impl below.
+///
+/// `on_event` returns the virtual-time overhead the sink charges the
+/// traced program for this event; implementations must also accumulate
+/// everything they return so [`TraceSink::overhead`] reports their total
+/// self-accounted cost (how Table III attributes overhead per backend).
+pub trait TraceSink: Send + Sync {
+    /// Stable sink name for overhead reports.
+    fn name(&self) -> &str;
+
+    /// Consumes one event, returning the overhead charged for it.
+    fn on_event(&self, event: &TraceEvent<'_>) -> Span;
+
+    /// Total virtual-time overhead this sink has charged so far.
+    fn overhead(&self) -> Span;
+}
+
+/// The one hook→event mapping: each hook call is delivered to the sink
+/// as the matching [`TraceEvent`], borrowing its payloads.
+impl<S: TraceSink + ?Sized> Tracer for S {
+    fn on_op(&self, pid: u32, batch_id: u64, name: &str, start: Time, dur: Span) -> Span {
+        self.on_event(&TraceEvent::Op {
+            pid,
+            batch_id,
+            name: Cow::Borrowed(name),
+            start,
+            dur,
+        })
+    }
+
+    fn on_batch_preprocessed(&self, pid: u32, batch_id: u64, start: Time, dur: Span) -> Span {
+        self.on_event(&TraceEvent::BatchPreprocessed {
+            pid,
+            batch_id,
+            start,
+            dur,
+        })
+    }
+
+    fn on_batch_dispatched(
+        &self,
+        batch_id: u64,
+        to_pid: u32,
+        indices: &[u64],
+        redispatch: bool,
+        at: Time,
+    ) -> Span {
+        self.on_event(&TraceEvent::Dispatched {
+            batch_id,
+            to_pid,
+            indices: Cow::Borrowed(indices),
+            redispatch,
+            at,
+        })
+    }
+
+    fn on_batch_wait(
+        &self,
+        pid: u32,
+        batch_id: u64,
+        start: Time,
+        dur: Span,
+        out_of_order: bool,
+        queue_delay: Span,
+    ) -> Span {
+        self.on_event(&TraceEvent::BatchWait {
+            pid,
+            batch_id,
+            start,
+            dur,
+            out_of_order,
+            queue_delay,
+        })
+    }
+
+    fn on_batch_consumed(
+        &self,
+        pid: u32,
+        batch_id: u64,
+        start: Time,
+        dur: Span,
+        batch_len: usize,
+    ) -> Span {
+        self.on_event(&TraceEvent::BatchConsumed {
+            pid,
+            batch_id,
+            start,
+            dur,
+            batch_len,
+        })
+    }
+
+    fn on_storage_read(&self, pid: u32, batch_id: u64, start: Time, read: &ReadOutcome) -> Span {
+        self.on_event(&TraceEvent::StorageRead {
+            pid,
+            batch_id,
+            start,
+            read: *read,
+        })
+    }
+
+    fn on_fault_injected(&self, pid: u32, batch_id: u64, op: &str, at: Time) -> Span {
+        self.on_event(&TraceEvent::FaultInjected {
+            pid,
+            batch_id,
+            op: Cow::Borrowed(op),
+            at,
+        })
+    }
+
+    fn on_worker_died(&self, pid: u32, at: Time) -> Span {
+        self.on_event(&TraceEvent::WorkerDied { pid, at })
+    }
+
+    fn on_batch_redispatched(&self, batch_id: u64, from_pid: u32, to_pid: u32, at: Time) -> Span {
+        self.on_event(&TraceEvent::BatchRedispatched {
+            batch_id,
+            from_pid,
+            to_pid,
+            at,
+        })
+    }
+
+    fn on_batch_stolen(&self, batch_id: u64, from_pid: u32, to_pid: u32, at: Time) -> Span {
+        self.on_event(&TraceEvent::BatchStolen {
+            batch_id,
+            from_pid,
+            to_pid,
+            at,
+        })
+    }
+
+    fn on_lane_assigned(&self, batch_id: u64, lane: &str, to_pid: u32, at: Time) -> Span {
+        self.on_event(&TraceEvent::LaneAssigned {
+            batch_id,
+            lane: Cow::Borrowed(lane),
+            to_pid,
+            at,
+        })
+    }
+
+    fn on_prefetch_resized(&self, target: usize, at: Time) -> Span {
+        self.on_event(&TraceEvent::PrefetchResized { target, at })
+    }
+
+    fn on_gauge(&self, name: &str, value: f64, at: Time) -> Span {
+        self.on_event(&TraceEvent::Gauge {
+            name: Cow::Borrowed(name),
+            value,
+            at,
+        })
     }
 }
 

@@ -15,12 +15,12 @@
 use std::sync::Arc;
 
 use lotus_core::check::{
-    explore, verify, ExploreBounds, ExploreReport, LoaderEvent, ProtocolSpec, RecordingObserver,
-    RunEnding, ScheduledRun, Violation,
+    explore, verify, ExploreBounds, ExploreReport, ProtocolSpec, RecordingObserver, RunEnding,
+    ScheduledRun, Violation,
 };
 use lotus_dataflow::{
     DataLoaderConfig, FaultPlan, JobError, JobReport, LoaderMutation, NullTracer,
-    SchedulingPolicyKind,
+    SchedulingPolicyKind, TraceEvent,
 };
 use lotus_sim::{DecisionRecord, GuidedController, SimError, Span, Time};
 use lotus_uarch::{Machine, MachineConfig};
@@ -121,7 +121,7 @@ pub struct ScheduledOutcome {
     /// How the run ended.
     pub ending: RunEnding,
     /// The recorded protocol events.
-    pub events: Vec<LoaderEvent>,
+    pub events: Vec<TraceEvent<'static>>,
 }
 
 fn small_experiment(kind: PipelineKind, options: &CheckOptions) -> ExperimentConfig {
