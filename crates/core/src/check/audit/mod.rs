@@ -36,9 +36,10 @@
 //! counterexample window by greedy chunk deletion, re-running the
 //! analysis to confirm the finding survives — the same
 //! counterexample-minimization UX as `lotus check`. The [`model`]
-//! submodule ports the `NativeQueue` state machine into the bounded DFS
-//! explorer so exhaustive small-interleaving checks run in `cargo
-//! test`.
+//! submodule drives the bounded DFS explorer over the backend's own
+//! `NativeQueue` and liveness code, run as lotus-sim processes, and
+//! judges each run with [`analyze`], so exhaustive small-interleaving
+//! checks of the code that ships run in `cargo test`.
 
 pub mod model;
 pub mod vc;
@@ -333,13 +334,6 @@ struct ThreadState {
     unsatisfied: Option<(String, CvKind)>,
 }
 
-fn cv_name(cv: CvKind) -> &'static str {
-    match cv {
-        CvKind::NotEmpty => "not_empty",
-        CvKind::NotFull => "not_full",
-    }
-}
-
 /// Analyzes a synchronization-event stream (sorted by `seq`, as
 /// [`AuditFeed::drain`](lotus_dataflow::AuditFeed::drain) returns it)
 /// against `spec`. Returns every finding; an empty report certifies the
@@ -372,7 +366,8 @@ pub fn analyze(events: &[SyncEvent], spec: &AuditSpec) -> AuditReport {
     // joining with the latest release transitively orders a section
     // after every earlier one.
     let mut last_release: HashMap<String, VectorClock> = HashMap::new();
-    let mut counts: HashMap<(u32, String), PairCounts> = HashMap::new();
+    // Ordered, so findings come out in the same order on every replay.
+    let mut counts: BTreeMap<(u32, String), PairCounts> = BTreeMap::new();
     let mut sends: HashMap<(String, u64), (u64, u32, VectorClock)> = HashMap::new();
     let mut deaths: HashMap<usize, VectorClock> = HashMap::new();
     let mut last_gauge: HashMap<String, (u64, u32, VectorClock)> = HashMap::new();
@@ -402,7 +397,7 @@ pub fn analyze(events: &[SyncEvent], spec: &AuditSpec) -> AuditReport {
                     findings.push(AuditFinding::WaitWithoutRecheck {
                         tid: event.tid,
                         obj: obj.to_string(),
-                        cv: cv_name(cv),
+                        cv: cv.as_str(),
                         seq: event.seq,
                     });
                 }
@@ -537,16 +532,6 @@ pub fn analyze(events: &[SyncEvent], spec: &AuditSpec) -> AuditReport {
                     }
                 }
             }
-            SyncOp::Close => {
-                if !ts.held.contains(obj) {
-                    findings.push(AuditFinding::UnpairedLock {
-                        tid: event.tid,
-                        obj: obj.to_string(),
-                        seq: event.seq,
-                        detail: "close outside the object's critical section".to_string(),
-                    });
-                }
-            }
             SyncOp::MarkDead { worker } => {
                 if !ts.held.contains(obj) {
                     findings.push(AuditFinding::UnpairedLock {
@@ -587,8 +572,7 @@ pub fn analyze(events: &[SyncEvent], spec: &AuditSpec) -> AuditReport {
 
     // Wake discipline: per (thread, object), every committed send must
     // have signalled `not_empty` and every receive `not_full`. Extra
-    // notifies (close's broadcast) are fine; missing ones are lost
-    // wakeups.
+    // notifies are fine; missing ones are lost wakeups.
     for ((tid, obj), c) in &counts {
         if c.sends > c.notify_not_empty {
             findings.push(AuditFinding::MissedWake {

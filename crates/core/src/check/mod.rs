@@ -26,9 +26,8 @@ pub mod lint;
 pub mod observer;
 
 pub use audit::{
-    analyze, minimize_events, model::explore_native_model, model::run_model,
-    model::run_model_traced, model::ModelBug, model::ModelConfig, AuditFinding, AuditReport,
-    AuditSpec, AuditStats,
+    analyze, minimize_events, model::explore_native_model, model::run_model, model::ModelConfig,
+    AuditFinding, AuditReport, AuditSpec, AuditStats,
 };
 pub use explorer::{
     explore, Counterexample, ExploreBounds, ExploreReport, ExploreStats, ScheduledRun,

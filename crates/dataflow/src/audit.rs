@@ -27,6 +27,11 @@
 //! `a.seq < b.seq`. The vector-clock analyzer in `lotus-core` rebuilds
 //! the partial order from these events and checks it; see
 //! `crates/core/src/check/audit/`.
+//!
+//! The same feed records the runs of `lotus audit --model`, which
+//! executes the backend's own queue and liveness code as lotus-sim
+//! processes (`model.rs`). There one process runs at a time, so the
+//! sequence order is exactly the explored interleaving.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,8 +103,6 @@ pub enum SyncOp {
         /// Batch id of the dequeued item, when identifiable.
         batch: Option<u64>,
     },
-    /// The queue was closed (inside the critical section).
-    Close,
     /// The main thread marked a worker dead (recorded while holding the
     /// liveness lock, with the data queue observed empty).
     MarkDead {
@@ -159,14 +162,20 @@ pub enum AuditMutation {
     /// The worker takes the data-queue lock and *then* the liveness lock
     /// (the reverse of every other site), closing a lock-order cycle.
     LockOrder,
+    /// `NativeQueue`'s consumer wait loop on the data queue treats a
+    /// wake-up as permission to receive instead of re-checking that the
+    /// queue is non-empty (`if` where `while` belongs). A live run shows
+    /// it only when a status-check interval expires empty.
+    IfInsteadOfWhile,
 }
 
 impl AuditMutation {
     /// Every seeded mutation (excluding `None`).
-    pub const ALL: [AuditMutation; 3] = [
+    pub const ALL: [AuditMutation; 4] = [
         AuditMutation::SkipNotify,
         AuditMutation::ReleaseRecheck,
         AuditMutation::LockOrder,
+        AuditMutation::IfInsteadOfWhile,
     ];
 
     /// Stable kebab-case name (the `--mutate` argument).
@@ -177,19 +186,16 @@ impl AuditMutation {
             AuditMutation::SkipNotify => "skip-notify",
             AuditMutation::ReleaseRecheck => "release-recheck",
             AuditMutation::LockOrder => "lock-order",
+            AuditMutation::IfInsteadOfWhile => "if-instead-of-while",
         }
     }
 
-    /// Parses a `--mutate` argument.
+    /// Parses a `--mutate` (or `lotus audit --model --bug`) argument.
     #[must_use]
     pub fn parse(s: &str) -> Option<AuditMutation> {
-        match s {
-            "none" => Some(AuditMutation::None),
-            "skip-notify" => Some(AuditMutation::SkipNotify),
-            "release-recheck" => Some(AuditMutation::ReleaseRecheck),
-            "lock-order" => Some(AuditMutation::LockOrder),
-            _ => None,
-        }
+        std::iter::once(AuditMutation::None)
+            .chain(AuditMutation::ALL)
+            .find(|m| m.as_str() == s)
     }
 }
 
@@ -325,6 +331,14 @@ impl AuditFeed {
         events
     }
 
+    /// Calls `f` on each event recorded after the first `from`, in
+    /// recording order; returns the number recorded so far.
+    pub(crate) fn for_each_since(&self, from: usize, f: impl FnMut(&SyncEvent)) -> usize {
+        let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        events.iter().skip(from).for_each(f);
+        events.len()
+    }
+
     /// Total nanoseconds the feed spent recording (its self-accounted
     /// instrumentation overhead).
     #[must_use]
@@ -376,7 +390,9 @@ mod tests {
     fn unregistered_thread_is_unknown() {
         let feed = AuditFeed::new();
         std::thread::scope(|s| {
-            s.spawn(|| feed.record("q", SyncOp::Close)).join().unwrap();
+            s.spawn(|| feed.record("q", SyncOp::LockAcquire))
+                .join()
+                .unwrap();
         });
         assert_eq!(feed.drain()[0].tid, UNKNOWN_TID);
     }

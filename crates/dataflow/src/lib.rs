@@ -32,10 +32,12 @@ mod config;
 mod dataset;
 mod error;
 mod loader;
+mod model;
 mod native;
 mod pipeline;
 mod policy;
 mod protocol;
+mod sync;
 mod tracer;
 
 pub use audit::{AuditFeed, AuditMutation, CvKind, SyncEvent, SyncOp, UNKNOWN_TID};
@@ -44,12 +46,14 @@ pub use config::{DataLoaderConfig, GpuConfig};
 pub use dataset::{BatchSampler, Dataset, Sampler};
 pub use error::JobError;
 pub use loader::{JobReport, LoaderMutation, TrainingJob};
+pub use model::{run_native_model, ModelConfig, ModelRun};
 pub use native::{NativeBackend, NativeOptions, NativeQueue};
 pub use pipeline::{Pipeline, Source};
 pub use policy::{
     BatchRef, DispatchContext, Lane, Placement, Refill, SchedulingPolicy, SchedulingPolicyKind,
 };
 pub use protocol::{worker_os_pid, MAIN_OS_PID};
+pub use sync::{StdSync, SyncFacade};
 pub use tracer::{NullTracer, TraceEvent, TraceSink, Tracer};
 
 pub use lotus_sim::FaultPlan;

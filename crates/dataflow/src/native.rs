@@ -33,7 +33,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use lotus_data::mix_seed;
@@ -51,11 +51,12 @@ use crate::protocol::{
     audit_rec, kill_times, main_loop, worker_os_pid, BatchPayload, Envelope, EpochPlan, QueueId,
     Received, Substrate, WorkerMsg, MAIN_OS_PID,
 };
+use crate::sync::{StdSync, SyncFacade};
 use crate::tracer::Tracer;
 
 /// How long a worker blocked on a full data queue sleeps between
 /// re-checking its own liveness.
-const PUSH_RETRY: Duration = Duration::from_millis(10);
+pub(crate) const PUSH_RETRY: Duration = Duration::from_millis(10);
 
 /// Audit object name of the worker-liveness lock.
 const LIVENESS_OBJ: &str = "liveness";
@@ -141,14 +142,6 @@ impl NativeBackend {
     }
 }
 
-/// Queue state guarded by the mutex: the item deque plus the close
-/// flag of [`NativeQueue::close`].
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
 /// Audit wiring of one queue: where synchronization events go, how to
 /// pull a batch id out of an item, and which seeded mutation (if any)
 /// this queue enacts.
@@ -158,18 +151,12 @@ struct QueueAudit<T> {
     mutation: AuditMutation,
 }
 
-impl<T> std::fmt::Debug for QueueAudit<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueueAudit")
-            .field("mutation", &self.mutation)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A bounded (or unbounded) blocking MPMC channel: `Mutex<VecDeque>` +
-/// condition variables, the shape `crossbeam`'s array channel presents.
-/// Mirrors the simulated [`lotus_sim::Queue`] API so the two engines
-/// read alike.
+/// A bounded (or unbounded) blocking MPMC channel: a mutex-guarded
+/// `VecDeque` + condition variables, the shape `crossbeam`'s array
+/// channel presents. Mirrors the simulated [`lotus_sim::Queue`] API so
+/// the two engines read alike. The primitives come from the
+/// [`SyncFacade`] `F`: std's in production, lotus-sim's when `lotus
+/// audit --model` explores this code.
 ///
 /// When an [`AuditFeed`] is attached, every lock transition, condvar
 /// wait/notify and commit records a [`SyncEvent`](crate::SyncEvent).
@@ -179,37 +166,49 @@ impl<T> std::fmt::Debug for QueueAudit<T> {
 /// sequence order is consistent with the mutex's happens-before chain.
 /// Notify events carry no ordering obligations (the mutex chain already
 /// orders waker and woken) and are recorded outside the lock.
-#[derive(Debug)]
-pub struct NativeQueue<T> {
+pub struct NativeQueue<T, F: SyncFacade = StdSync> {
     name: String,
     cap: Option<usize>,
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    items: F::Mutex<VecDeque<T>>,
+    not_empty: F::Condvar,
+    not_full: F::Condvar,
     audit: Option<QueueAudit<T>>,
+}
+
+impl<T, F: SyncFacade> std::fmt::Debug for NativeQueue<T, F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NativeQueue")
+            .field("name", &self.name)
+            .field("cap", &self.cap)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T> NativeQueue<T> {
     /// Creates a queue. `cap = None` leaves it unbounded.
     #[must_use]
     pub fn new(name: impl Into<String>, cap: Option<usize>) -> NativeQueue<T> {
+        NativeQueue::on(name, cap)
+    }
+}
+
+impl<T, F: SyncFacade> NativeQueue<T, F> {
+    /// Creates a queue on the facade `F`.
+    pub(crate) fn on(name: impl Into<String>, cap: Option<usize>) -> NativeQueue<T, F> {
         NativeQueue {
             name: name.into(),
             cap,
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            items: F::mutex(VecDeque::new()),
+            not_empty: F::condvar(),
+            not_full: F::condvar(),
             audit: None,
         }
     }
 
     /// Attaches audit wiring. `tag` extracts a batch id from an item
     /// for send/recv events; `mutation` seeds a concurrency bug in this
-    /// queue's own code paths (only [`AuditMutation::SkipNotify`] lives
-    /// here).
+    /// queue's own code paths ([`AuditMutation::SkipNotify`] and
+    /// [`AuditMutation::IfInsteadOfWhile`] live here).
     pub(crate) fn set_audit(
         &mut self,
         feed: Arc<AuditFeed>,
@@ -223,15 +222,11 @@ impl<T> NativeQueue<T> {
         });
     }
 
-    /// Locks the queue state, recovering from a poisoned mutex. A
-    /// panicking worker must not cascade its panic into every other
-    /// thread touching the queue: the deque holds plain values that are
-    /// valid at every await point (each critical section completes its
-    /// push/pop before unlocking), so the poison flag carries no
-    /// integrity information here. The panic itself is surfaced
-    /// separately, as an in-band [`PipelineError::WorkerPanic`].
-    fn lock_state(&self) -> MutexGuard<'_, QueueState<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Locks the queue and records the acquire.
+    fn lock(&self) -> F::Guard<'_, VecDeque<T>> {
+        let items = F::lock(&self.items);
+        self.rec(SyncOp::LockAcquire);
+        items
     }
 
     fn rec(&self, op: SyncOp) {
@@ -244,30 +239,30 @@ impl<T> NativeQueue<T> {
         self.audit.as_ref().and_then(|a| (a.tag)(item))
     }
 
+    fn seeded(&self, mutation: AuditMutation) -> bool {
+        self.audit.as_ref().is_some_and(|a| a.mutation == mutation)
+    }
+
     fn notify_not_empty(&self) {
         // The seeded lost-wakeup bug: a committed send that never
         // signals its consumer. With the real 5 s status-check interval
         // this is the classic "training hangs for no reason" failure;
         // audit runs shrink the interval so the run limps to completion
         // and the missing notify shows up in the event counts.
-        if self
-            .audit
-            .as_ref()
-            .is_some_and(|a| a.mutation == AuditMutation::SkipNotify)
-        {
+        if self.seeded(AuditMutation::SkipNotify) {
             return;
         }
         self.rec(SyncOp::Notify {
             cv: CvKind::NotEmpty,
         });
-        self.not_empty.notify_one();
+        F::notify_one(&self.not_empty);
     }
 
     fn notify_not_full(&self) {
         self.rec(SyncOp::Notify {
             cv: CvKind::NotFull,
         });
-        self.not_full.notify_one();
+        F::notify_one(&self.not_full);
     }
 
     /// The queue's name.
@@ -279,9 +274,8 @@ impl<T> NativeQueue<T> {
     /// Current number of queued items.
     #[must_use]
     pub fn len(&self) -> usize {
-        let state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        let len = state.items.len();
+        let items = self.lock();
+        let len = items.len();
         self.rec(SyncOp::LockRelease);
         len
     }
@@ -293,9 +287,8 @@ impl<T> NativeQueue<T> {
     /// verifies.
     #[must_use]
     pub fn audited_len(&self, gauge: &str) -> usize {
-        let state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        let len = state.items.len();
+        let items = self.lock();
+        let len = items.len();
         if let Some(a) = &self.audit {
             a.feed.record(gauge, SyncOp::Gauge { value: len as f64 });
         }
@@ -309,18 +302,8 @@ impl<T> NativeQueue<T> {
         self.len() == 0
     }
 
-    /// True once [`Self::close`] has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        let state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        let closed = state.closed;
-        self.rec(SyncOp::LockRelease);
-        closed
-    }
-
-    fn is_full(items: &VecDeque<T>, cap: Option<usize>) -> bool {
-        cap.is_some_and(|c| items.len() >= c)
+    fn is_full(&self, items: &VecDeque<T>) -> bool {
+        self.cap.is_some_and(|c| items.len() >= c)
     }
 
     /// Runs `f` while holding the queue's internal lock, recording the
@@ -328,37 +311,27 @@ impl<T> NativeQueue<T> {
     /// [`AuditMutation::LockOrder`] bug can take this lock and then a
     /// foreign one in the wrong order.
     pub(crate) fn with_lock<R>(&self, f: impl FnOnce() -> R) -> R {
-        let state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
+        let items = self.lock();
         let result = f();
         self.rec(SyncOp::LockRelease);
-        drop(state);
+        drop(items);
         result
     }
 
     /// Pushes an item, blocking while the queue is full.
     pub fn push(&self, item: T) {
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        while Self::is_full(&state.items, self.cap) {
+        let mut items = self.lock();
+        while self.is_full(&items) {
             self.rec(SyncOp::WaitStart {
                 cv: CvKind::NotFull,
             });
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            items = F::wait(&self.not_full, items, None);
             self.rec(SyncOp::WaitReturn {
                 cv: CvKind::NotFull,
-                satisfied: !Self::is_full(&state.items, self.cap),
+                satisfied: !self.is_full(&items),
             });
         }
-        let batch = self.tag_of(&item);
-        state.items.push_back(item);
-        self.rec(SyncOp::SendCommit { batch });
-        self.rec(SyncOp::LockRelease);
-        drop(state);
-        self.notify_not_empty();
+        self.commit_send(items, item);
     }
 
     /// Pushes an item unless the queue is full, returning it on refusal.
@@ -367,217 +340,110 @@ impl<T> NativeQueue<T> {
     ///
     /// Returns `Err(item)` when the queue is at capacity.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        if Self::is_full(&state.items, self.cap) {
+        let items = self.lock();
+        if self.is_full(&items) {
             self.rec(SyncOp::LockRelease);
             return Err(item);
         }
-        let batch = self.tag_of(&item);
-        state.items.push_back(item);
-        self.rec(SyncOp::SendCommit { batch });
-        self.rec(SyncOp::LockRelease);
-        drop(state);
-        self.notify_not_empty();
+        self.commit_send(items, item);
         Ok(())
     }
 
-    /// Pushes an item unless the queue has been closed, blocking while
-    /// it is full. The close check and the push are one critical
-    /// section: after a `close` no send can ever be committed.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(item)` when the queue is closed.
-    pub fn push_unless_closed(&self, item: T) -> Result<(), T> {
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        loop {
-            if state.closed {
-                self.rec(SyncOp::LockRelease);
-                return Err(item);
-            }
-            if !Self::is_full(&state.items, self.cap) {
-                break;
-            }
-            self.rec(SyncOp::WaitStart {
-                cv: CvKind::NotFull,
-            });
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            self.rec(SyncOp::WaitReturn {
-                cv: CvKind::NotFull,
-                satisfied: state.closed || !Self::is_full(&state.items, self.cap),
-            });
-        }
+    /// Appends `item` inside the critical section `items` holds, then
+    /// releases it and wakes a consumer.
+    fn commit_send(&self, mut items: F::Guard<'_, VecDeque<T>>, item: T) {
         let batch = self.tag_of(&item);
-        state.items.push_back(item);
+        items.push_back(item);
         self.rec(SyncOp::SendCommit { batch });
         self.rec(SyncOp::LockRelease);
-        drop(state);
+        drop(items);
         self.notify_not_empty();
-        Ok(())
     }
 
     /// Blocks until the queue has free capacity or `timeout` elapses.
     /// A wake-up is advisory — callers re-try with [`Self::try_push`].
     pub fn wait_not_full(&self, timeout: Duration) {
-        let state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        if Self::is_full(&state.items, self.cap) {
+        let mut items = self.lock();
+        if self.is_full(&items) {
             self.rec(SyncOp::WaitStart {
                 cv: CvKind::NotFull,
             });
-            let (state, _result) = self
-                .not_full
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
+            items = F::wait(&self.not_full, items, Some(timeout));
             self.rec(SyncOp::WaitReturn {
                 cv: CvKind::NotFull,
-                satisfied: !Self::is_full(&state.items, self.cap),
+                satisfied: !self.is_full(&items),
             });
-            self.rec(SyncOp::LockRelease);
-            drop(state);
-        } else {
-            self.rec(SyncOp::LockRelease);
         }
+        self.rec(SyncOp::LockRelease);
     }
 
     /// Pops the oldest item, blocking while the queue is empty.
     pub fn pop(&self) -> T {
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
         loop {
-            if let Some(item) = state.items.pop_front() {
-                self.rec(SyncOp::RecvCommit {
-                    batch: self.tag_of(&item),
-                });
-                self.rec(SyncOp::LockRelease);
-                drop(state);
-                self.notify_not_full();
+            if let Some(item) = self.recv(None) {
                 return item;
             }
-            self.rec(SyncOp::WaitStart {
-                cv: CvKind::NotEmpty,
-            });
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            self.rec(SyncOp::WaitReturn {
-                cv: CvKind::NotEmpty,
-                satisfied: !state.items.is_empty(),
-            });
-        }
-    }
-
-    /// Pops the oldest item, blocking while the queue is empty and not
-    /// closed. Returns `None` only once the queue is closed *and*
-    /// drained, so consumers see every committed send.
-    pub fn pop_until_closed(&self) -> Option<T> {
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.rec(SyncOp::RecvCommit {
-                    batch: self.tag_of(&item),
-                });
-                self.rec(SyncOp::LockRelease);
-                drop(state);
-                self.notify_not_full();
-                return Some(item);
-            }
-            if state.closed {
-                self.rec(SyncOp::LockRelease);
-                return None;
-            }
-            self.rec(SyncOp::WaitStart {
-                cv: CvKind::NotEmpty,
-            });
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            self.rec(SyncOp::WaitReturn {
-                cv: CvKind::NotEmpty,
-                satisfied: state.closed || !state.items.is_empty(),
-            });
         }
     }
 
     /// Pops the oldest item, giving up after `timeout`.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
+        self.recv(Some(F::now() + timeout))
+    }
+
+    /// Pops the oldest item if one is queued.
+    pub fn try_pop(&self) -> Option<T> {
+        let items = self.lock();
+        self.commit_recv(items, false)
+    }
+
+    /// The consumers' wait loop: pops the oldest item, waiting on
+    /// `not_empty` while the queue is empty, until `deadline` (forever
+    /// when `None`).
+    fn recv(&self, deadline: Option<F::Instant>) -> Option<T> {
+        let mut items = self.lock();
         loop {
-            if let Some(item) = state.items.pop_front() {
-                self.rec(SyncOp::RecvCommit {
-                    batch: self.tag_of(&item),
-                });
-                self.rec(SyncOp::LockRelease);
-                drop(state);
-                self.notify_not_full();
-                return Some(item);
+            if !items.is_empty() {
+                return self.commit_recv(items, false);
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
+            let remaining = deadline.map(F::until);
+            if remaining.is_some_and(|left| left.is_zero()) {
                 self.rec(SyncOp::LockRelease);
                 return None;
             }
             self.rec(SyncOp::WaitStart {
                 cv: CvKind::NotEmpty,
             });
-            let (guard, _result) = self
-                .not_empty
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
+            items = F::wait(&self.not_empty, items, remaining);
             self.rec(SyncOp::WaitReturn {
                 cv: CvKind::NotEmpty,
-                satisfied: !state.items.is_empty(),
+                satisfied: !items.is_empty(),
             });
+            if self.seeded(AuditMutation::IfInsteadOfWhile) {
+                // Seeded bug: the wake-up is taken as permission to
+                // receive, without re-checking the predicate.
+                return self.commit_recv(items, true);
+            }
         }
     }
 
-    /// Pops the oldest item if one is queued.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        let item = state.items.pop_front();
-        if let Some(it) = &item {
+    /// Pops the front item inside the critical section `items` holds,
+    /// then releases it and wakes a producer. A receive is committed
+    /// when an item was taken, or unconditionally when `unchecked`.
+    fn commit_recv(&self, mut items: F::Guard<'_, VecDeque<T>>, unchecked: bool) -> Option<T> {
+        let item = items.pop_front();
+        let committed = unchecked || item.is_some();
+        if committed {
             self.rec(SyncOp::RecvCommit {
-                batch: self.tag_of(it),
+                batch: item.as_ref().and_then(|it| self.tag_of(it)),
             });
         }
         self.rec(SyncOp::LockRelease);
-        drop(state);
-        if item.is_some() {
+        drop(items);
+        if committed {
             self.notify_not_full();
         }
         item
-    }
-
-    /// Closes the queue: subsequent [`Self::push_unless_closed`] calls
-    /// are refused, and [`Self::pop_until_closed`] returns `None` once
-    /// the backlog drains. Wakes every blocked producer and consumer.
-    pub fn close(&self) {
-        let mut state = self.lock_state();
-        self.rec(SyncOp::LockAcquire);
-        state.closed = true;
-        self.rec(SyncOp::Close);
-        self.rec(SyncOp::LockRelease);
-        drop(state);
-        self.rec(SyncOp::Notify {
-            cv: CvKind::NotEmpty,
-        });
-        self.rec(SyncOp::Notify {
-            cv: CvKind::NotFull,
-        });
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -612,26 +478,151 @@ fn duration_of(span: Span) -> Duration {
     Duration::from_nanos(span.as_nanos())
 }
 
+/// The synchronization between the workers and the main thread: the
+/// data queue, and the liveness lock every envelope commit is gated on.
+/// [`Handoff::commit`] is the workers' side and [`Handoff::recv`] the
+/// main thread's. `lotus audit --model` runs both, unchanged, as
+/// lotus-sim processes (see `model.rs`).
+pub(crate) struct Handoff<'a, F: SyncFacade = StdSync> {
+    pub(crate) data_q: &'a NativeQueue<Envelope, F>,
+    /// Per-worker death flags, shared with the main thread. A worker's
+    /// envelope push is atomic with a check of its own flag, so once the
+    /// main thread marks a worker dead (it only does so while holding
+    /// this lock *and* observing an empty data queue) that worker can
+    /// never deliver again — redispatch cannot double-deliver a batch.
+    pub(crate) liveness: &'a F::Mutex<Vec<bool>>,
+    /// Raised when the main thread exits early; unsticks workers blocked
+    /// on a full data queue.
+    pub(crate) shutdown: &'a AtomicBool,
+    /// Synchronization-event collector for `lotus audit`, when attached.
+    pub(crate) audit: Option<&'a AuditFeed>,
+    /// The seeded concurrency bug this run enacts.
+    pub(crate) mutation: AuditMutation,
+}
+
+impl<F: SyncFacade> Handoff<'_, F> {
+    /// Commits worker `worker`'s `envelope` to the data queue. The push
+    /// is atomic with the worker's liveness check: a worker the main
+    /// thread has marked dead (or whose `kill_time` has passed) drops the
+    /// batch instead — it becomes an orphan and is redispatched. On a
+    /// full queue the worker waits for space without holding the
+    /// liveness lock, then re-checks everything. Returns false when the
+    /// worker must exit instead: dead, killed or shut down.
+    pub(crate) fn commit(
+        &self,
+        worker: usize,
+        kill_time: Option<Time>,
+        clock: &impl TimeSource,
+        mut envelope: Envelope,
+    ) -> bool {
+        let (data_q, audit) = (self.data_q, self.audit);
+        let doomed = |dead: &[bool]| dead[worker] || kill_time.is_some_and(|at| clock.now() >= at);
+        loop {
+            if self.shutdown.load(Ordering::Acquire) {
+                return false;
+            }
+            let outcome = if self.mutation == AuditMutation::ReleaseRecheck {
+                // Seeded bug: the liveness gate is checked, but the lock
+                // is released *before* the push — the commit is no
+                // longer atomic with the check, so a worker marked dead
+                // in the gap can still deliver (the double-delivery race
+                // redispatch safety depends on). The auditor flags the
+                // ungated SendCommit.
+                let doomed = {
+                    let dead = F::lock(self.liveness);
+                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+                    let doomed = doomed(&dead);
+                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+                    doomed
+                };
+                if doomed {
+                    return false;
+                }
+                data_q.try_push(envelope)
+            } else {
+                if self.mutation == AuditMutation::LockOrder {
+                    // Seeded bug: this path takes the data-queue lock
+                    // and *then* the liveness lock — the reverse of
+                    // every other site (worker commit and main-thread
+                    // recheck both nest data_queue inside liveness).
+                    // The inner acquisition uses try_lock so the seeded
+                    // inversion can close the cycle in the lock-order
+                    // graph without ever actually deadlocking the run.
+                    data_q.with_lock(|| {
+                        if let Some(dead) = F::try_lock(self.liveness) {
+                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+                            let _observed = dead[worker];
+                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+                            drop(dead);
+                        }
+                    });
+                }
+                let dead = F::lock(self.liveness);
+                audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+                if doomed(&dead) {
+                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+                    return false;
+                }
+                let outcome = data_q.try_push(envelope);
+                audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+                outcome
+            };
+            match outcome {
+                Ok(()) => return true,
+                Err(back) => {
+                    envelope = back;
+                    data_q.wait_not_full(PUSH_RETRY);
+                }
+            }
+        }
+    }
+
+    /// One status-check interval of the main thread's wait for an
+    /// envelope. When `status_check` passes with the data queue empty,
+    /// it re-checks under the liveness lock, then the queue lock, and
+    /// marks the workers whose `kill_times` have passed as dead. Deaths
+    /// are marked under the liveness lock with the data queue observed
+    /// empty, so no marked worker can have an envelope in flight: its
+    /// commit is gated on the same lock.
+    pub(crate) fn recv(
+        &self,
+        status_check: Duration,
+        kill_times: &[Option<Time>],
+        clock: &impl TimeSource,
+    ) -> Received {
+        if let Some(env) = self.data_q.pop_timeout(status_check) {
+            return Received::Envelope(env);
+        }
+        let audit = self.audit;
+        let mut dead = F::lock(self.liveness);
+        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+        let received = match self.data_q.try_pop() {
+            Some(env) => Received::Envelope(env),
+            None => {
+                let now = clock.now();
+                let mut newly_dead = Vec::new();
+                for (w, kill_time) in kill_times.iter().enumerate() {
+                    if !dead[w] && kill_time.is_some_and(|at| now >= at) {
+                        dead[w] = true;
+                        audit_rec(audit, LIVENESS_OBJ, SyncOp::MarkDead { worker: w });
+                        newly_dead.push(w);
+                    }
+                }
+                Received::TimedOut(newly_dead)
+            }
+        };
+        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+        received
+    }
+}
+
 /// Everything a worker thread — and the main thread's substrate —
 /// borrows from the run.
 struct WorkerShared<'a> {
     clock: &'a WallClock,
     tracer: &'a dyn Tracer,
     dataset: &'a dyn Dataset,
-    data_q: &'a NativeQueue<Envelope>,
-    /// Per-worker death flags, shared with the main thread. A worker's
-    /// envelope push is atomic with a check of its own flag, so once the
-    /// main thread marks a worker dead (it only does so while holding
-    /// this lock *and* observing an empty data queue) that worker can
-    /// never deliver again — redispatch cannot double-deliver a batch.
-    liveness: &'a Mutex<Vec<bool>>,
-    /// Raised when the main thread exits early; unsticks workers blocked
-    /// on a full data queue.
-    shutdown: &'a AtomicBool,
-    /// Synchronization-event collector for `lotus audit`, when attached.
-    audit: Option<&'a AuditFeed>,
-    /// The seeded concurrency bug this run enacts.
-    audit_mutation: AuditMutation,
+    handoff: Handoff<'a>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -652,13 +643,9 @@ fn native_worker_loop(
         clock,
         tracer,
         dataset,
-        data_q,
-        liveness,
-        shutdown,
-        audit,
-        audit_mutation,
+        ref handoff,
     } = *shared;
-    if let Some(feed) = audit {
+    if let Some(feed) = handoff.audit {
         feed.register_thread(worker_os_pid(worker));
     }
     // The CpuThread carries the virtual cost model through the dataset
@@ -779,80 +766,15 @@ fn native_worker_loop(
             }
         };
         let fetch = clock.now().since(start);
-        let mut envelope = Envelope::new(id, worker, batch, start, fetch);
-
-        // Commit the envelope. The push is atomic with this worker's
-        // liveness check: a worker the main thread has marked dead (or
-        // whose kill time has passed) drops the batch instead — it
-        // becomes an orphan and is redispatched. The [T1] record is
-        // emitted only after a successful push so a dropped batch never
-        // contributes a fetch span.
-        loop {
-            if shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let outcome = if audit_mutation == AuditMutation::ReleaseRecheck {
-                // Seeded bug: the liveness gate is checked, but the lock
-                // is released *before* the push — the commit is no
-                // longer atomic with the check, so a worker marked dead
-                // in the gap can still deliver (the double-delivery race
-                // redispatch safety depends on). The auditor flags the
-                // ungated SendCommit.
-                let doomed = {
-                    let dead = liveness.lock().unwrap_or_else(PoisonError::into_inner);
-                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-                    let doomed = dead[worker] || kill_time.is_some_and(|at| clock.now() >= at);
-                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-                    doomed
-                };
-                if doomed {
-                    return;
-                }
-                data_q.try_push(envelope)
-            } else {
-                if audit_mutation == AuditMutation::LockOrder {
-                    // Seeded bug: this path takes the data-queue lock
-                    // and *then* the liveness lock — the reverse of
-                    // every other site (worker commit and main-thread
-                    // recheck both nest data_queue inside liveness).
-                    // The inner acquisition uses try_lock so the seeded
-                    // inversion can close the cycle in the lock-order
-                    // graph without ever actually deadlocking the run.
-                    data_q.with_lock(|| {
-                        if let Ok(dead) = liveness.try_lock() {
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-                            let _observed = dead[worker];
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-                            drop(dead);
-                        }
-                    });
-                }
-                let dead = liveness.lock().unwrap_or_else(PoisonError::into_inner);
-                audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-                if dead[worker] || kill_time.is_some_and(|at| clock.now() >= at) {
-                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-                    return;
-                }
-                let outcome = data_q.try_push(envelope);
-                audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-                outcome
-            };
-            match outcome {
-                Ok(()) => {
-                    let _overhead = tracer.on_batch_preprocessed(os_pid, id, start, fetch);
-                    let depth = data_q.audited_len("queue_depth.data_queue");
-                    let _overhead =
-                        tracer.on_gauge("queue_depth.data_queue", depth as f64, clock.now());
-                    break;
-                }
-                Err(back) => {
-                    envelope = back;
-                    // Queue full: wait for space without holding the
-                    // liveness lock, then re-check everything.
-                    data_q.wait_not_full(PUSH_RETRY);
-                }
-            }
+        let envelope = Envelope::new(id, worker, batch, start, fetch);
+        // The [T1] record is emitted only after a successful commit, so
+        // a dropped batch never contributes a fetch span.
+        if !handoff.commit(worker, kill_time, clock, envelope) {
+            return;
         }
+        let _overhead = tracer.on_batch_preprocessed(os_pid, id, start, fetch);
+        let depth = handoff.data_q.audited_len("queue_depth.data_queue");
+        let _overhead = tracer.on_gauge("queue_depth.data_queue", depth as f64, clock.now());
     }
 }
 
@@ -878,7 +800,7 @@ impl Substrate for NativeMain<'_> {
     fn depth(&self, queue: QueueId) -> usize {
         match queue {
             QueueId::Index(w) => self.index_qs[w].len(),
-            QueueId::Data => self.shared.data_q.len(),
+            QueueId::Data => self.shared.handoff.data_q.len(),
         }
     }
 
@@ -887,7 +809,7 @@ impl Substrate for NativeMain<'_> {
     fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
         match queue {
             QueueId::Index(w) => self.index_qs[w].audited_len(gauge),
-            QueueId::Data => self.shared.data_q.audited_len(gauge),
+            QueueId::Data => self.shared.handoff.data_q.audited_len(gauge),
         }
     }
 
@@ -895,40 +817,12 @@ impl Substrate for NativeMain<'_> {
         self.index_qs[worker].push(msg);
     }
 
-    /// Deaths are marked under the liveness lock with the data queue
-    /// observed empty, so no marked worker can have an envelope in
-    /// flight: its commit is gated on the same lock.
     fn recv(&mut self, _dead: &[bool]) -> Received {
-        let shared = self.shared;
-        if let Some(env) = shared
-            .data_q
-            .pop_timeout(duration_of(self.options.status_check))
-        {
-            return Received::Envelope(env);
-        }
-        let audit = shared.audit;
-        let mut dead = shared
-            .liveness
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-        let received = match shared.data_q.try_pop() {
-            Some(env) => Received::Envelope(env),
-            None => {
-                let now = shared.clock.now();
-                let mut newly_dead = Vec::new();
-                for (w, kill_time) in self.kill_times.iter().enumerate() {
-                    if !dead[w] && kill_time.is_some_and(|at| now >= at) {
-                        dead[w] = true;
-                        audit_rec(audit, LIVENESS_OBJ, SyncOp::MarkDead { worker: w });
-                        newly_dead.push(w);
-                    }
-                }
-                Received::TimedOut(newly_dead)
-            }
-        };
-        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-        received
+        self.shared.handoff.recv(
+            duration_of(self.options.status_check),
+            &self.kill_times,
+            self.shared.clock,
+        )
     }
 
     fn consume(&mut self, payload: &BatchPayload) {
@@ -940,7 +834,7 @@ impl Substrate for NativeMain<'_> {
     }
 
     fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.handoff.shutdown.store(true, Ordering::Release);
     }
 }
 
@@ -995,7 +889,7 @@ impl ExecutionBackend for NativeBackend {
             // the lock-order graph deterministically (no thread can
             // contend yet, hence no actual deadlock is possible here).
             data_q.with_lock(|| {
-                let dead = liveness.lock().unwrap_or_else(PoisonError::into_inner);
+                let dead = StdSync::lock(&liveness);
                 feed.record(LIVENESS_OBJ, SyncOp::LockAcquire);
                 feed.record(LIVENESS_OBJ, SyncOp::LockRelease);
                 drop(dead);
@@ -1006,11 +900,13 @@ impl ExecutionBackend for NativeBackend {
             clock: &clock,
             tracer: &*tracer,
             dataset: &*dataset,
-            data_q: &data_q,
-            liveness: &liveness,
-            shutdown: &shutdown,
-            audit: self.audit.as_deref(),
-            audit_mutation: self.audit_mutation,
+            handoff: Handoff {
+                data_q: &data_q,
+                liveness: &liveness,
+                shutdown: &shutdown,
+                audit: self.audit.as_deref(),
+                mutation: self.audit_mutation,
+            },
         };
 
         let outcome = std::thread::scope(|scope| {
@@ -1288,7 +1184,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         // Poison the state mutex by panicking while holding it.
         let _ = std::thread::spawn(move || {
-            let _guard = q2.lock_state();
+            let _guard = q2.lock();
             panic!("poison the queue");
         })
         .join();
@@ -1299,46 +1195,6 @@ mod tests {
         assert!(q.try_push(2).is_ok());
         assert_eq!(q.pop(), 2);
         assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn closed_queue_refuses_sends_and_drains_to_none() {
-        let q: NativeQueue<u32> = NativeQueue::new("q", None);
-        assert!(q.push_unless_closed(1).is_ok());
-        assert!(q.push_unless_closed(2).is_ok());
-        assert!(!q.is_closed());
-        q.close();
-        assert!(q.is_closed());
-        assert_eq!(q.push_unless_closed(3), Err(3));
-        // The backlog committed before the close is still delivered.
-        assert_eq!(q.pop_until_closed(), Some(1));
-        assert_eq!(q.pop_until_closed(), Some(2));
-        assert_eq!(q.pop_until_closed(), None);
-    }
-
-    #[test]
-    fn close_unblocks_a_waiting_consumer() {
-        let q: NativeQueue<u32> = NativeQueue::new("q", None);
-        std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| q.pop_until_closed());
-            std::thread::sleep(Duration::from_millis(5));
-            q.close();
-            assert_eq!(consumer.join().unwrap(), None);
-        });
-    }
-
-    #[test]
-    fn close_unblocks_a_waiting_producer() {
-        let q: NativeQueue<u32> = NativeQueue::new("q", Some(1));
-        assert!(q.push_unless_closed(1).is_ok());
-        std::thread::scope(|scope| {
-            let producer = scope.spawn(|| q.push_unless_closed(2)); // blocks: full
-            std::thread::sleep(Duration::from_millis(5));
-            q.close();
-            assert_eq!(producer.join().unwrap(), Err(2));
-        });
-        assert_eq!(q.pop_until_closed(), Some(1));
-        assert_eq!(q.pop_until_closed(), None);
     }
 
     #[test]

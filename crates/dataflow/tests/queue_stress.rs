@@ -1,11 +1,13 @@
 //! Lost-wakeup stress regression for [`NativeQueue`]: eight threads
-//! hammer a small bounded queue with concurrent sends, receives and a
-//! mid-flight close, under a watchdog. A lost wakeup (a missing
-//! `notify` on any of the four signalling paths) hangs a consumer or
-//! producer forever; the watchdog turns that hang into a test failure
-//! instead of a stuck CI job. Exact item conservation is asserted on
-//! top: every accepted send is received exactly once, because
-//! `pop_until_closed` drains remaining items before honoring the close.
+//! hammer a small bounded queue with the operations the native backend
+//! uses, under a watchdog. Two producers block in `push` (the main
+//! thread's index-queue sends), two retry `try_push` + `wait_not_full`
+//! (the workers' data-queue commits), and four consumers poll with a
+//! short `pop_timeout` (the main thread's status-check wait), so expiring
+//! waits race the producers' notifies. A lost `not_full` wakeup parks a
+//! blocking producer forever; the watchdog turns that hang into a test
+//! failure instead of a stuck CI job. Exact item conservation is
+//! asserted on top: every pushed item is received exactly once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -18,57 +20,65 @@ use lotus_dataflow::NativeQueue;
 const PRODUCERS: usize = 4;
 const CONSUMERS: usize = 4;
 const ITEMS_PER_PRODUCER: u64 = 500;
+/// Tells a consumer to exit, after every real item has been pushed.
+const SENTINEL: u64 = u64::MAX;
 
 #[test]
-fn eight_threads_hammering_close_send_recv_never_hang_or_lose_items() {
+fn eight_threads_hammering_push_and_pop_timeout_never_hang_or_lose_items() {
     let queue: Arc<NativeQueue<u64>> = Arc::new(NativeQueue::new("stress", Some(4)));
-    let accepted = Arc::new(AtomicU64::new(0));
     let received_sum = Arc::new(AtomicU64::new(0));
     let received_count = Arc::new(AtomicU64::new(0));
 
     let (done_tx, done_rx) = mpsc::channel::<()>();
     let body = {
         let queue = Arc::clone(&queue);
-        let accepted = Arc::clone(&accepted);
         let received_sum = Arc::clone(&received_sum);
         let received_count = Arc::clone(&received_count);
         move || {
-            let mut handles = Vec::new();
-            for p in 0..PRODUCERS {
-                let queue = Arc::clone(&queue);
-                let accepted = Arc::clone(&accepted);
-                handles.push(thread::spawn(move || {
-                    for i in 0..ITEMS_PER_PRODUCER {
-                        let item = (p as u64) * ITEMS_PER_PRODUCER + i;
-                        // Blocking send unless the queue closed under us;
-                        // a refused send is not an accepted item.
-                        if queue.push_unless_closed(item).is_ok() {
-                            accepted.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            break;
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let queue = Arc::clone(&queue);
+                    thread::spawn(move || {
+                        for i in 0..ITEMS_PER_PRODUCER {
+                            let mut item = (p as u64) * ITEMS_PER_PRODUCER + i;
+                            if p % 2 == 0 {
+                                queue.push(item);
+                                continue;
+                            }
+                            // The worker's commit: refused on a full
+                            // queue, it waits for space and retries.
+                            while let Err(back) = queue.try_push(item) {
+                                item = back;
+                                queue.wait_not_full(Duration::from_millis(10));
+                            }
                         }
-                    }
-                }));
-            }
-            for _ in 0..CONSUMERS {
-                let queue = Arc::clone(&queue);
-                let received_sum = Arc::clone(&received_sum);
-                let received_count = Arc::clone(&received_count);
-                handles.push(thread::spawn(move || {
-                    while let Some(item) = queue.pop_until_closed() {
-                        received_sum.fetch_add(item, Ordering::Relaxed);
-                        received_count.fetch_add(1, Ordering::Relaxed);
-                    }
-                }));
-            }
-            // Close only after the producers have drained their loops, so
-            // every accepted item is in (or through) the queue before the
-            // consumers see the close.
-            for handle in handles.drain(..PRODUCERS) {
+                    })
+                })
+                .collect();
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|_| {
+                    let queue = Arc::clone(&queue);
+                    let received_sum = Arc::clone(&received_sum);
+                    let received_count = Arc::clone(&received_count);
+                    thread::spawn(move || loop {
+                        match queue.pop_timeout(Duration::from_millis(1)) {
+                            Some(SENTINEL) => break,
+                            Some(item) => {
+                                received_sum.fetch_add(item, Ordering::Relaxed);
+                                received_count.fetch_add(1, Ordering::Relaxed);
+                            }
+                            None => {}
+                        }
+                    })
+                })
+                .collect();
+            for handle in producers {
                 handle.join().expect("producer panicked");
             }
-            queue.close();
-            for handle in handles {
+            for _ in 0..CONSUMERS {
+                queue.push(SENTINEL);
+            }
+            for handle in consumers {
                 handle.join().expect("consumer panicked");
             }
         }
@@ -85,49 +95,14 @@ fn eight_threads_hammering_close_send_recv_never_hang_or_lose_items() {
         .expect("stress run hung — lost wakeup or deadlock in NativeQueue");
     worker.join().expect("stress harness panicked");
 
-    let accepted = accepted.load(Ordering::Relaxed);
+    let total = (PRODUCERS as u64) * ITEMS_PER_PRODUCER;
     let count = received_count.load(Ordering::Relaxed);
     assert_eq!(
-        accepted,
-        (PRODUCERS as u64) * ITEMS_PER_PRODUCER,
-        "producers were refused before the close"
-    );
-    assert_eq!(
-        count, accepted,
-        "item conservation violated: {count} received of {accepted} accepted"
+        count, total,
+        "item conservation violated: {count} received of {total} pushed"
     );
     // Sum check makes silent duplication+loss pairs visible too.
-    let expected_sum: u64 = (0..(PRODUCERS as u64) * ITEMS_PER_PRODUCER).sum();
+    let expected_sum: u64 = (0..total).sum();
     assert_eq!(received_sum.load(Ordering::Relaxed), expected_sum);
-    assert!(queue.is_closed());
-    assert_eq!(queue.len(), 0, "closed queue should have drained");
-}
-
-/// Closing while consumers are parked on an empty queue releases all of
-/// them promptly — the close broadcast is the only wakeup they get.
-#[test]
-fn close_releases_a_crowd_of_parked_consumers() {
-    let queue: Arc<NativeQueue<u64>> = Arc::new(NativeQueue::new("crowd", Some(2)));
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let consumers: Vec<_> = (0..6)
-        .map(|_| {
-            let queue = Arc::clone(&queue);
-            let done_tx = done_tx.clone();
-            thread::spawn(move || {
-                while queue.pop_until_closed().is_some() {}
-                let _ = done_tx.send(());
-            })
-        })
-        .collect();
-    // Give the consumers time to park, then close.
-    thread::sleep(Duration::from_millis(20));
-    queue.close();
-    for _ in 0..6 {
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a parked consumer never woke from close");
-    }
-    for consumer in consumers {
-        consumer.join().expect("consumer panicked");
-    }
+    assert_eq!(queue.len(), 0, "the queue should have drained");
 }

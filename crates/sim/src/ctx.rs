@@ -79,6 +79,17 @@ impl Ctx {
         crate::sim::spawn_process(&self.kernel, name.into(), body)
     }
 
+    /// Creates a queue bound to this process's simulation — what
+    /// [`crate::Simulation::queue`] does from outside it.
+    #[must_use]
+    pub fn queue<T: Send + 'static>(
+        &self,
+        name: impl Into<String>,
+        capacity: Option<usize>,
+    ) -> crate::Queue<T> {
+        crate::Queue::new(Arc::clone(&self.kernel), name.into(), capacity)
+    }
+
     /// Parks this process; see [`Kernel::park`].
     pub(crate) fn park<F>(&self, label: &'static str, prepare: F)
     where

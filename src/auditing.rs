@@ -83,7 +83,9 @@ pub struct AuditRun {
 ///
 /// # Errors
 ///
-/// Returns the loader-validation or job error as a string.
+/// Returns the loader-validation or job error as a string, or an error
+/// when the run delivered no batch (fewer items than one batch): an
+/// empty event stream would audit clean without checking anything.
 pub fn audit_run(
     kind: PipelineKind,
     policy: SchedulingPolicyKind,
@@ -110,10 +112,17 @@ pub fn audit_run(
     })
     .with_audit(Arc::clone(&feed))
     .with_audit_mutation(options.mutation);
+    let name = format!("{}/{}", kind.abbrev(), policy.as_str());
     let report = backend.run(job).map_err(|e| e.to_string())?;
+    if report.batches == 0 {
+        return Err(format!(
+            "{name}: {} item(s) fill no batch, so the run had nothing to audit",
+            options.items
+        ));
+    }
     let events = feed.drain();
     Ok(AuditRun {
-        name: format!("{}/{}", kind.abbrev(), policy.as_str()),
+        name,
         report: analyze(&events, &AuditSpec::native_backend()),
         events,
         audit_overhead_ns: feed.overhead_ns(),
@@ -172,6 +181,21 @@ mod tests {
         assert!(run.batches > 0);
         assert!(run.report.stats.events > 0);
         assert!(run.report.stats.threads >= 2);
+    }
+
+    #[test]
+    fn a_run_without_a_full_batch_is_an_error_not_ok() {
+        let options = AuditOptions {
+            items: 2,
+            ..AuditOptions::default()
+        };
+        let err = audit_run(
+            PipelineKind::ImageClassification,
+            SchedulingPolicyKind::RoundRobin,
+            &options,
+        )
+        .unwrap_err();
+        assert!(err.contains("nothing to audit"), "{err}");
     }
 
     #[test]

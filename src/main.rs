@@ -182,11 +182,12 @@ USAGE:
       event window. --mutate seeds a known backend defect and *expects*
       detection (exit 1 when the auditor misses it). --trace dumps the
       event stream per run. --model switches to the bounded exhaustive
-      mode: the NativeQueue protocol's state machine explored through
-      every small interleaving (DFS with state-hash pruning), --bug
-      seeding skip-notify|release-recheck|lock-order|if-instead-of-while
-      into the model, and --replay re-running one model schedule
-      deterministically.
+      mode: the backend's own NativeQueue, liveness-gated commit and
+      status-check recheck run as simulated processes, explored through
+      every small interleaving (DFS with state-hash pruning; --workers,
+      --batches and --cap size it, each at least 1). --bug seeds
+      skip-notify|release-recheck|lock-order|if-instead-of-while into
+      that code, and --replay re-runs one schedule deterministically.
 
   POLICY: the loader scheduling policy — round-robin (default; the
   PyTorch-faithful dispatch), work-stealing (overflowing queues donate to
@@ -1094,13 +1095,13 @@ fn parse_schedule(raw: &str) -> Result<Vec<usize>, String> {
 }
 
 /// The bounded-exhaustive side of `lotus audit`: explore (or `--replay`)
-/// the modelled native protocol.
+/// the native backend's own synchronization code under the sim kernel.
 fn cmd_audit_model(args: &Args) -> Result<(), Box<dyn Error>> {
-    use lotus::core::check::ExploreBounds;
-    use lotus::core::check::{explore_native_model, run_model_traced, ModelBug, ModelConfig};
+    use lotus::core::check::{explore_native_model, run_model, ExploreBounds, ModelConfig};
+    use lotus::dataflow::AuditMutation;
 
     let raw_bug = args.get("bug", "none".to_string())?;
-    let bug = ModelBug::parse(&raw_bug).ok_or_else(|| {
+    let bug = AuditMutation::parse(&raw_bug).ok_or_else(|| {
         format!(
             "invalid --bug '{raw_bug}' (none, skip-notify, release-recheck, lock-order or \
              if-instead-of-while)"
@@ -1112,6 +1113,7 @@ fn cmd_audit_model(args: &Args) -> Result<(), Box<dyn Error>> {
         queue_cap: args.get("cap", 1usize)?,
         bug,
     };
+    cfg.validate()?;
     let bounds = ExploreBounds {
         max_schedules: args.get("schedules", 2_000usize)?,
         max_depth: args.get("depth", 96usize)?,
@@ -1121,7 +1123,7 @@ fn cmd_audit_model(args: &Args) -> Result<(), Box<dyn Error>> {
 
     if let Some(raw) = args.flags.get("replay") {
         let schedule = parse_schedule(raw)?;
-        let (run, events) = run_model_traced(&cfg, &schedule);
+        let (run, events) = run_model(&cfg, &schedule, bounds.max_steps);
         println!(
             "replay model[bug={}] schedule [{}]: {} decision points, {} sync events",
             bug.as_str(),
@@ -1187,8 +1189,8 @@ fn cmd_audit_model(args: &Args) -> Result<(), Box<dyn Error>> {
         }
     }
     match (bug, found) {
-        (ModelBug::None, false) => Ok(()),
-        (ModelBug::None, true) => {
+        (AuditMutation::None, false) => Ok(()),
+        (AuditMutation::None, true) => {
             Err("the clean model violated the synchronization contract".into())
         }
         (_, true) => {
@@ -1233,6 +1235,13 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn Error>> {
         options.mutation = AuditMutation::parse(name).ok_or_else(|| {
             format!("invalid --mutate '{name}' (skip-notify, release-recheck or lock-order)")
         })?;
+    }
+    if options.mutation == AuditMutation::IfInsteadOfWhile {
+        return Err(
+            "if-instead-of-while needs a status check to expire on an empty queue, \
+             which a live run cannot force; use --model --bug if-instead-of-while"
+                .into(),
+        );
     }
 
     println!(
@@ -1355,6 +1364,11 @@ fn run() -> Result<(), Box<dyn Error>> {
         return Ok(());
     };
     let args = Args::parse(raw)?;
+    // Every command sizes its dataset from --items; an empty one has
+    // nothing to load, trace or audit.
+    if args.get("items", 1u64)? == 0 {
+        return Err("--items must be at least 1".into());
+    }
     match command.as_str() {
         "trace" => cmd_trace(&args),
         "run" => cmd_run(&args),

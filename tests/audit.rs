@@ -1,14 +1,15 @@
 //! Integration tests for `lotus audit`: clean native runs audit clean
 //! under every scheduling policy, every seeded backend mutation is
 //! flagged with the expected finding kind, the detached feed stays
-//! zero-cost, and the bounded model exploration catches every modelled
-//! bug while passing the clean protocol.
+//! zero-cost, and the bounded exploration of the backend's own
+//! synchronization code catches every seeded bug while passing the code
+//! as it ships.
 
 use std::sync::Arc;
 
 use lotus::auditing::{audit_run, minimized_window, AuditOptions};
 use lotus::core::check::{
-    analyze, explore_native_model, run_model, AuditSpec, ExploreBounds, ModelBug, ModelConfig,
+    analyze, explore_native_model, run_model, AuditSpec, ExploreBounds, ModelConfig,
 };
 use lotus::dataflow::{
     AuditFeed, AuditMutation, ExecutionBackend, NativeBackend, NativeOptions, NullTracer,
@@ -117,9 +118,8 @@ fn detached_feed_is_free() {
     assert_eq!(feed.overhead_ns(), 0);
 }
 
-/// The bounded model exploration passes the clean protocol and catches
-/// every modelled bug; counterexample schedules replay to the same
-/// verdict.
+/// The bounded exploration passes the shipped code and catches every
+/// seeded bug; counterexample schedules replay to the same verdict.
 #[test]
 fn model_exploration_catches_every_bug_and_passes_clean() {
     let bounds = ExploreBounds {
@@ -134,7 +134,7 @@ fn model_exploration_catches_every_bug_and_passes_clean() {
         clean.counterexample
     );
 
-    for bug in ModelBug::ALL {
+    for bug in AuditMutation::ALL {
         let cfg = ModelConfig {
             bug,
             ..ModelConfig::default()
@@ -144,7 +144,7 @@ fn model_exploration_catches_every_bug_and_passes_clean() {
             .counterexample
             .unwrap_or_else(|| panic!("{} escaped the model explorer", bug.as_str()));
         assert!(!cx.violations.is_empty());
-        let replay = run_model(&cfg, &cx.schedule);
+        let (replay, _) = run_model(&cfg, &cx.schedule, bounds.max_steps);
         assert!(
             !replay.violations.is_empty(),
             "{}: counterexample schedule did not replay",
