@@ -106,6 +106,12 @@ impl<'a> BitReader<'a> {
     pub fn bits_read(&self) -> usize {
         self.pos_bits
     }
+
+    /// Bits not yet consumed.
+    #[must_use]
+    pub fn bits_left(&self) -> usize {
+        self.bytes.len() * 8 - self.pos_bits
+    }
 }
 
 #[cfg(test)]

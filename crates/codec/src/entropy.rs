@@ -91,23 +91,31 @@ pub fn encode_blocks(blocks: &[[i16; BLOCK_LEN]], writer: &mut BitWriter) -> Ent
     stats
 }
 
+/// The fewest bits one coded block takes (a 4-bit DC category and one
+/// 8-bit AC symbol): a header's untrusted block count reserves no more.
+const MIN_BLOCK_BITS: usize = 12;
+
 /// Decodes `count` blocks from `reader`.
 ///
 /// # Errors
 ///
-/// Returns [`BitstreamExhausted`] on a truncated stream.
+/// Returns [`BitstreamExhausted`] on a truncated or malformed stream: one
+/// that ends early, runs past the end of a block, or predicts a DC value
+/// outside `i16`.
 pub fn decode_blocks(
     reader: &mut BitReader<'_>,
     count: usize,
 ) -> Result<(Vec<[i16; BLOCK_LEN]>, EntropyStats), BitstreamExhausted> {
     let mut stats = EntropyStats::default();
-    let mut blocks = Vec::with_capacity(count);
+    let mut blocks = Vec::with_capacity(count.min(reader.bits_left() / MIN_BLOCK_BITS));
     let mut prev_dc = 0i16;
     for _ in 0..count {
         let mut block = [0i16; BLOCK_LEN];
         let cat = reader.read_bits(4)? as u8;
         let bits = reader.read_bits(cat)?;
-        prev_dc += decode_magnitude(bits, cat);
+        prev_dc = prev_dc
+            .checked_add(decode_magnitude(bits, cat))
+            .ok_or(BitstreamExhausted)?;
         block[ZIGZAG[0]] = prev_dc;
         stats.symbols += 1;
         let mut pos = 1usize;
@@ -147,6 +155,31 @@ mod tests {
         let (decoded, dec_stats) = decode_blocks(&mut r, blocks.len()).unwrap();
         assert_eq!(decoded, blocks);
         assert_eq!(enc_stats.symbols, dec_stats.symbols);
+    }
+
+    #[test]
+    fn dc_overflow_is_an_error() {
+        // Two +32767 DC differences predict 65534, outside i16.
+        let mut w = BitWriter::new();
+        for _ in 0..2 {
+            w.write_bits(15, 4);
+            w.write_bits(0x7FFF, 15);
+            w.write_bits(0, 8); // EOB
+        }
+        let bytes = w.finish();
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(decode_blocks(&mut r, 2), Err(BitstreamExhausted));
+    }
+
+    #[test]
+    fn hostile_block_count_reserves_only_what_the_stream_holds() {
+        // Two empty blocks' worth of bits, and a count no allocator has.
+        let bytes = [0u8; 3];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(
+            decode_blocks(&mut r, usize::MAX / 64),
+            Err(BitstreamExhausted)
+        );
     }
 
     #[test]

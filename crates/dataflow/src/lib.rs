@@ -39,6 +39,7 @@ mod policy;
 mod protocol;
 mod sync;
 mod tracer;
+mod worker;
 
 pub use audit::{AuditFeed, AuditMutation, CvKind, SyncEvent, SyncOp, UNKNOWN_TID};
 pub use backend::{ExecutionBackend, SimBackend};

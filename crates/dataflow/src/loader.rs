@@ -5,25 +5,24 @@
 //! the main process. The main process runs the shared protocol
 //! (`protocol.rs`) on `SimMain`, which charges virtual time for tracer
 //! overhead and for the modeled framework kernels (unpickle, pin, CUDA
-//! launch); only the worker loop is specific to this engine.
+//! launch). Each worker runs the shared worker loop (`worker.rs`) on
+//! `SimWorker`, which times a fetch on the worker's `CpuThread` cursor
+//! and charges it, dilated by the instrumentation, as virtual time.
 
 use std::sync::{Arc, Mutex};
 
-use lotus_data::mix_seed;
 use lotus_sim::{Ctx, FaultPlan, Queue, ScheduleController, Simulation, Span, Time};
-use lotus_transforms::{Batch, Collate, PipelineError, TransformCtx, TransformObserver};
 use lotus_uarch::{CostCoeffs, CpuThread, HwProfiler, KernelId, Machine};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::config::{DataLoaderConfig, GpuConfig};
 use crate::dataset::Dataset;
 use crate::error::JobError;
 use crate::protocol::{
-    kill_times, main_loop, worker_os_pid, BatchPayload, Envelope, EpochPlan, QueueId, Received,
-    Substrate, WorkerMsg,
+    kill_times, main_loop, BatchPayload, Envelope, EpochPlan, QueueId, Received, Substrate,
+    WorkerMsg,
 };
 use crate::tracer::Tracer;
+use crate::worker::{run_worker, HandOff, WorkerSubstrate};
 
 /// How often the main process gives up waiting on the data queue to check
 /// worker liveness (PyTorch's `MP_STATUS_CHECK_INTERVAL` of 5 s).
@@ -187,28 +186,17 @@ pub struct JobReport {
     pub samples: u64,
 }
 
-struct OpBridge<'a> {
-    tracer: &'a dyn Tracer,
-    pid: u32,
-    batch_id: u64,
-    overhead: Span,
-}
-
-impl TransformObserver for OpBridge<'_> {
-    fn on_transform(&mut self, name: &str, start: Time, elapsed: Span) {
-        self.overhead += self
-            .tracer
-            .on_op(self.pid, self.batch_id, name, start, elapsed);
-    }
-
-    fn on_storage_read(&mut self, start: Time, read: &lotus_sim::ReadOutcome) {
-        self.overhead += self
-            .tracer
-            .on_storage_read(self.pid, self.batch_id, start, read);
-    }
-}
-
 impl TrainingJob {
+    /// A CPU thread on the job's machine, attached to its hardware
+    /// profiling session when it has one.
+    pub(crate) fn cpu_thread(&self) -> CpuThread {
+        let mut cpu = CpuThread::new(Arc::clone(&self.machine));
+        if let Some(p) = &self.hw_profiler {
+            cpu.attach_profiler(Arc::clone(p));
+        }
+        cpu
+    }
+
     /// Runs one epoch to completion.
     ///
     /// # Errors
@@ -225,76 +213,59 @@ impl TrainingJob {
         if totals.batches == 0 {
             return Ok(totals);
         }
-        let TrainingJob {
-            machine,
-            dataset,
-            loader,
-            gpu,
-            tracer,
-            hw_profiler,
-            seed,
-            faults,
-            controller,
-            mutation,
-            ..
-        } = self;
-        let fw = FrameworkKernels::register(&machine);
+        let job = Arc::new(self);
+        let fw = FrameworkKernels::register(&job.machine);
+        let queue_factor = job.faults.queue_factor("data_queue");
 
         let mut sim = Simulation::new();
-        if let Some(controller) = controller {
-            sim.set_controller(controller);
+        if let Some(controller) = &job.controller {
+            sim.set_controller(Arc::clone(controller));
         }
-        let data_q: Queue<Envelope> = sim.queue(QueueId::Data.name(), loader.data_queue_cap);
-        let index_qs: Vec<Queue<WorkerMsg>> = (0..loader.num_workers)
+        let data_q: Queue<Envelope> = sim.queue(QueueId::Data.name(), job.loader.data_queue_cap);
+        let index_qs: Vec<Queue<WorkerMsg>> = (0..job.loader.num_workers)
             .map(|w| sim.queue(QueueId::Index(w).name(), None))
             .collect();
 
         let job_error: Arc<Mutex<Option<JobError>>> = Arc::new(Mutex::new(None));
 
-        for (w, worker_index_q) in index_qs.iter().enumerate() {
-            let machine = Arc::clone(&machine);
-            let dataset = Arc::clone(&dataset);
-            let tracer = Arc::clone(&tracer);
-            let hw_profiler = hw_profiler.clone();
-            let index_q = worker_index_q.clone();
-            let data_q = data_q.clone();
-            let faults = faults.clone();
+        for (w, index_q) in index_qs.iter().enumerate() {
+            let (index_q, data_q) = (index_q.clone(), data_q.clone());
+            let (job, cpu) = (Arc::clone(&job), job.cpu_thread());
             sim.spawn(format!("dataloader{w}"), move |ctx| {
-                worker_loop(
-                    &ctx,
-                    w,
-                    &machine,
-                    &*dataset,
-                    &*tracer,
-                    hw_profiler,
-                    &index_q,
-                    &data_q,
-                    fw,
-                    seed,
-                    &faults,
-                    mutation,
+                let dilation = job.tracer.compute_dilation();
+                assert!(
+                    dilation >= 1.0,
+                    "compute dilation cannot speed the program up"
                 );
+                let sub = SimWorker {
+                    ctx: &ctx,
+                    index_q,
+                    data_q,
+                    fw,
+                    dilation,
+                    queue_factor,
+                    mutation: job.mutation,
+                };
+                run_worker(&sub, &job, w, cpu);
             });
         }
 
         {
-            let job_error = Arc::clone(&job_error);
+            let (job, job_error) = (Arc::clone(&job), Arc::clone(&job_error));
+            let cpu = job.cpu_thread();
             sim.spawn("main", move |ctx| {
-                let mut cpu = CpuThread::new(Arc::clone(&machine));
-                if let Some(p) = hw_profiler {
-                    cpu.attach_profiler(p);
-                }
                 let main = SimMain {
                     ctx: &ctx,
                     cpu,
                     fw,
-                    kill_times: kill_times(&faults, index_qs.len()),
-                    queue_factor: faults.queue_factor("data_queue"),
+                    kill_times: kill_times(&job.faults, index_qs.len()),
+                    queue_factor,
                     index_qs,
                     data_q,
-                    gpu,
+                    gpu: job.gpu,
                 };
-                if let Err(e) = main_loop(main, &*tracer, None, &loader, plan, mutation) {
+                let (tracer, loader) = (&*job.tracer, &job.loader);
+                if let Err(e) = main_loop(main, tracer, None, loader, plan, job.mutation) {
                     *job_error
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
@@ -316,162 +287,92 @@ impl TrainingJob {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    ctx: &Ctx,
-    worker: usize,
-    machine: &Arc<Machine>,
-    dataset: &dyn Dataset,
-    tracer: &dyn Tracer,
-    hw_profiler: Option<Arc<HwProfiler>>,
-    index_q: &Queue<WorkerMsg>,
-    data_q: &Queue<Envelope>,
+/// The simulated engine's side of a worker: virtual time, simulated
+/// queues, and a fetch timed on the worker's `CpuThread` cursor, then
+/// charged as virtual time at the hand-off. A panic is not caught: the
+/// simulation reports the worker process panicking.
+struct SimWorker<'a> {
+    ctx: &'a Ctx,
+    index_q: Queue<WorkerMsg>,
+    data_q: Queue<Envelope>,
     fw: FrameworkKernels,
-    seed: u64,
-    faults: &FaultPlan,
+    /// The instrumentation's compute dilation of every fetch.
+    dilation: f64,
+    /// Serialization slowdown of the data queue under the fault plan.
+    queue_factor: f64,
     mutation: LoaderMutation,
-) {
-    let mut cpu = CpuThread::new(Arc::clone(machine));
-    if let Some(p) = hw_profiler {
-        cpu.attach_profiler(p);
+}
+
+impl WorkerSubstrate for SimWorker<'_> {
+    fn now(&self) -> Time {
+        self.ctx.now()
     }
-    let mut rng = StdRng::seed_from_u64(mix_seed(seed, 1_000 + worker as u64));
-    let collate = Collate::new(machine);
-    let os_pid = worker_os_pid(worker);
-    let dilation = tracer.compute_dilation();
-    assert!(
-        dilation >= 1.0,
-        "compute dilation cannot speed the program up"
-    );
-    let kill_time = faults.kill_time(&ctx.name());
-    let queue_factor = faults.queue_factor("data_queue");
 
-    loop {
-        // A killed worker dies silently: the main process discovers it via
-        // the liveness check, exactly like PyTorch's `w.is_alive()`.
-        let msg = match kill_time {
-            Some(at) => {
-                if ctx.now() >= at {
-                    return;
-                }
-                match index_q.pop_timeout(ctx, at.since(ctx.now())) {
-                    Some(msg) => msg,
-                    None => return, // died while idle
-                }
-            }
-            None => index_q.pop(ctx),
-        };
-        let WorkerMsg::Batch { id, indices } = msg else {
-            break;
-        };
-        // Sample this worker's index-queue depth right after the pop: the
-        // metrics layer sees every depth transition in virtual time.
-        let oh = tracer.on_gauge(
-            &QueueId::Index(worker).gauge(),
-            index_q.len() as f64,
-            ctx.now(),
-        );
-        if !oh.is_zero() {
-            ctx.delay(oh);
+    fn charge(&self, overhead: Span) {
+        if !overhead.is_zero() {
+            self.ctx.delay(overhead);
         }
-        let start = ctx.now();
-        cpu.set_cursor(start);
-        machine.thread_started_compute();
+    }
 
-        let mut bridge = OpBridge {
-            tracer,
-            pid: os_pid,
-            batch_id: id,
-            overhead: Span::ZERO,
-        };
-        let mut samples = Vec::with_capacity(indices.len());
-        let mut failure: Option<PipelineError> = None;
-        for &i in &indices {
-            if let Some(op) = faults.sample_error(i) {
-                bridge.overhead += tracer.on_fault_injected(os_pid, id, op, cpu.cursor());
-                failure = Some(PipelineError::Injected {
-                    op: op.to_string(),
-                    index: i,
-                });
-                break;
-            }
-            let item_start = cpu.cursor();
-            let mut tctx = TransformCtx {
-                cpu: &mut cpu,
-                rng: &mut rng,
-            };
-            match dataset.get_item(i, &mut tctx, &mut bridge) {
-                Ok(sample) => {
-                    // A slow-sample fault plan dilates this item's
-                    // modeled cost (a straggler record, a cold cache).
-                    let slowdown = faults.sample_slowdown(i);
-                    if slowdown > 1.0 {
-                        let item_span = cpu.cursor().since(item_start);
-                        cpu.idle(item_span.mul_f64(slowdown - 1.0));
-                    }
-                    samples.push(sample);
-                }
-                Err(e) => {
-                    // PyTorch wraps the exception and abandons the rest of
-                    // the batch; the worker itself keeps running.
-                    failure = Some(e);
-                    break;
-                }
-            }
+    fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg> {
+        match timeout {
+            Some(timeout) => self.index_q.pop_timeout(self.ctx, timeout),
+            None => Some(self.index_q.pop(self.ctx)),
         }
-        let batch: Result<Batch, PipelineError> = match failure {
-            Some(e) => Err(e),
-            None => {
-                let batch_len = samples.len();
-                let collate_start = cpu.cursor();
-                let collated = {
-                    let mut tctx = TransformCtx {
-                        cpu: &mut cpu,
-                        rng: &mut rng,
-                    };
-                    collate.apply(samples, &mut tctx)
-                };
-                if collated.is_ok() {
-                    bridge.on_transform(
-                        &Collate::display_name(batch_len),
-                        collate_start,
-                        cpu.cursor().since(collate_start),
-                    );
-                }
-                collated
-            }
-        };
+    }
 
-        let raw = cpu.cursor().since(start);
-        let fetch_span = raw.mul_f64(dilation) + bridge.overhead;
-        let trace_overhead = tracer.on_batch_preprocessed(os_pid, id, start, fetch_span);
-        ctx.delay(fetch_span + trace_overhead);
-        machine.thread_stopped_compute();
+    fn sample_depth(&self, queue: QueueId, _gauge: &str) -> usize {
+        match queue {
+            QueueId::Index(_) => self.index_q.len(),
+            QueueId::Data => self.data_q.len(),
+        }
+    }
 
-        // Serialize the batch (or its exception) into the shared-memory
-        // queue; a slowed queue multiplies the serialization work.
-        let envelope = Envelope::new(id, worker, batch, start, fetch_span);
-        run_kernel(
-            ctx,
-            &mut cpu,
-            fw.pickle_dumps,
-            envelope.bytes() as f64 * queue_factor,
-        );
-        if kill_time.is_some_and(|at| ctx.now() >= at) {
-            // Died after fetching but before handing the batch over: the
-            // batch is orphaned and the main process must redispatch it.
-            return;
+    fn fetch_now(&self, cpu: &CpuThread) -> Time {
+        cpu.cursor()
+    }
+
+    fn begin_fetch(&self, cpu: &mut CpuThread) -> Time {
+        cpu.set_cursor(self.ctx.now());
+        cpu.machine().thread_started_compute();
+        cpu.cursor()
+    }
+
+    fn stall(&self, cpu: &mut CpuThread, span: Span) {
+        cpu.idle(span);
+    }
+
+    fn end_fetch(&self, cpu: &CpuThread, start: Time, overhead: Span) -> Span {
+        cpu.cursor().since(start).mul_f64(self.dilation) + overhead
+    }
+
+    /// Traces the fetch and lets its virtual time pass, then serializes
+    /// the envelope into the shared-memory queue (a slowed queue
+    /// multiplies the work) and pushes it, unless the worker was killed
+    /// meanwhile: then the batch is orphaned, to be redispatched.
+    fn hand_off(
+        &self,
+        cpu: &mut CpuThread,
+        envelope: Envelope,
+        kill_time: Option<Time>,
+        trace_fetch: impl FnOnce() -> Span,
+    ) -> HandOff {
+        let trace_overhead = trace_fetch();
+        self.ctx.delay(envelope.fetch + trace_overhead);
+        cpu.machine().thread_stopped_compute();
+        let work = envelope.bytes() as f64 * self.queue_factor;
+        run_kernel(self.ctx, cpu, self.fw.pickle_dumps, work);
+        if kill_time.is_some_and(|at| self.ctx.now() >= at) {
+            return HandOff::Exit;
         }
-        if mutation == (LoaderMutation::LoseBatch { batch_id: id }) {
-            // Seeded bug: the finished envelope is silently dropped, so
-            // the main process waits for a batch that never arrives.
-            continue;
+        let batch_id = envelope.batch_id;
+        if self.mutation == (LoaderMutation::LoseBatch { batch_id }) {
+            // Seeded bug: the main process waits for a batch that never
+            // arrives.
+            return HandOff::Dropped;
         }
-        data_q.push(ctx, envelope);
-        let oh = tracer.on_gauge("queue_depth.data_queue", data_q.len() as f64, ctx.now());
-        if !oh.is_zero() {
-            ctx.delay(oh);
-        }
+        self.data_q.push(self.ctx, envelope);
+        HandOff::Pushed
     }
 }
 
@@ -542,63 +443,11 @@ impl Substrate for SimMain<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Sampler;
+    use crate::backend::{ExecutionBackend, SimBackend};
     use crate::policy::SchedulingPolicyKind;
+    use crate::protocol::worker_os_pid;
     use crate::tracer::NullTracer;
-    use lotus_data::DType;
-    use lotus_transforms::Sample;
-    use lotus_uarch::{Machine, MachineConfig};
-
-    /// A dataset whose items each cost a fixed millisecond of modeled
-    /// work, so kill times land mid-epoch at predictable points.
-    struct FixedCostDataset {
-        items: u64,
-    }
-
-    impl Dataset for FixedCostDataset {
-        fn len(&self) -> u64 {
-            self.items
-        }
-
-        fn get_item(
-            &self,
-            _index: u64,
-            ctx: &mut TransformCtx<'_>,
-            observer: &mut dyn TransformObserver,
-        ) -> Result<Sample, PipelineError> {
-            let start = ctx.cpu.cursor();
-            ctx.cpu.idle(Span::from_millis(1));
-            observer.on_transform("Loader", start, ctx.cpu.cursor().since(start));
-            Ok(Sample::tensor_meta(&[4, 4], DType::F32))
-        }
-    }
-
-    fn fixed_job(items: u64, workers: usize, tracer: Arc<dyn Tracer>) -> TrainingJob {
-        let machine = Machine::new(MachineConfig::cloudlab_c4130());
-        TrainingJob {
-            machine,
-            dataset: Arc::new(FixedCostDataset { items }),
-            storage: None,
-            loader: DataLoaderConfig {
-                batch_size: 4,
-                num_workers: workers,
-                prefetch_factor: 2,
-                data_queue_cap: None,
-                pin_memory: true,
-                sampler: Sampler::Sequential,
-                drop_last: true,
-                policy: SchedulingPolicyKind::RoundRobin,
-            },
-            gpu: GpuConfig::v100(1, Span::from_micros(10)),
-            tracer,
-            hw_profiler: None,
-            seed: 7,
-            epochs: 1,
-            faults: FaultPlan::default(),
-            controller: None,
-            mutation: LoaderMutation::None,
-        }
-    }
+    use crate::worker::tests::{epoch_shapes, every_policy_survives_worker_deaths, fixture_job};
 
     /// Records every dispatch the engine announces.
     #[derive(Default)]
@@ -636,7 +485,7 @@ mod tests {
     #[test]
     fn round_robin_rotates_over_survivors_after_a_death() {
         let recorder = Arc::new(DispatchRecorder::default());
-        let mut job = fixed_job(60, 3, Arc::clone(&recorder) as Arc<dyn Tracer>);
+        let mut job = fixture_job(60, 3, Arc::clone(&recorder) as Arc<dyn Tracer>);
         job.faults =
             FaultPlan::new(7).kill_process("dataloader0", Time::ZERO + Span::from_millis(6));
         let report = SimBackend.run(job).unwrap();
@@ -677,36 +526,24 @@ mod tests {
         }
     }
 
-    use crate::backend::{ExecutionBackend, SimBackend};
-
     #[test]
     fn every_policy_completes_an_epoch_on_the_sim_backend() {
         for kind in SchedulingPolicyKind::ALL {
-            let mut job = fixed_job(48, 3, Arc::new(NullTracer));
-            job.loader.policy = kind;
-            let report = SimBackend.run(job).unwrap();
-            assert_eq!((report.batches, report.samples), (12, 48), "{kind:?}");
+            epoch_shapes("sim", &SimBackend, kind);
         }
     }
 
     #[test]
     fn every_policy_survives_a_mid_epoch_death() {
-        for kind in SchedulingPolicyKind::ALL {
-            let mut job = fixed_job(48, 3, Arc::new(NullTracer));
-            job.loader.policy = kind;
-            job.faults =
-                FaultPlan::new(7).kill_process("dataloader1", Time::ZERO + Span::from_millis(5));
-            let report = SimBackend.run(job).unwrap();
-            assert_eq!((report.batches, report.samples), (12, 48), "{kind:?}");
-        }
+        every_policy_survives_worker_deaths("sim", &SimBackend);
     }
 
     #[test]
     fn slow_sample_faults_dilate_the_epoch() {
         let base = SimBackend
-            .run(fixed_job(32, 2, Arc::new(NullTracer)))
+            .run(fixture_job(32, 2, Arc::new(NullTracer)))
             .unwrap();
-        let mut slowed_job = fixed_job(32, 2, Arc::new(NullTracer));
+        let mut slowed_job = fixture_job(32, 2, Arc::new(NullTracer));
         slowed_job.faults = FaultPlan::new(3).slow_samples(0.25, 10.0);
         let slowed = SimBackend.run(slowed_job).unwrap();
         assert!(

@@ -5,10 +5,11 @@
 //! `protocol.rs` — the same dispatcher and main loop as the simulated
 //! engine — on `NativeMain`, a substrate whose queues are
 //! [`NativeQueue`]s (mutex + condvar channels) and whose every
-//! timestamp comes from a shared [`WallClock`]. The worker loop here is
-//! the native half: each worker is a `std::thread` whose kernels run on
-//! real pixels, so the resulting LotusTrace measures the actual Rust
-//! preprocessing code rather than the cost model.
+//! timestamp comes from a shared [`WallClock`]. Each worker is a
+//! `std::thread` running the one worker loop in `worker.rs` on
+//! `NativeWorker`: its kernels run on real pixels, so the resulting
+//! LotusTrace measures the actual Rust preprocessing code rather than
+//! the cost model.
 //!
 //! Wall-clock timestamps are nondeterministic, so the backend preserves
 //! the *structural* trace invariants the linter checks instead of exact
@@ -36,15 +37,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lotus_data::mix_seed;
-use lotus_sim::{FaultPlan, Span, Time, TimeSource, WallClock};
-use lotus_transforms::{Batch, Collate, PipelineError, TransformCtx, TransformObserver};
+use lotus_sim::{Span, Time, TimeSource, WallClock};
+use lotus_transforms::{Batch, PipelineError};
 use lotus_uarch::CpuThread;
 
 use crate::audit::{AuditFeed, AuditMutation, CvKind, SyncOp};
 use crate::backend::ExecutionBackend;
 use crate::config::GpuConfig;
-use crate::dataset::Dataset;
 use crate::error::JobError;
 use crate::loader::{JobReport, LoaderMutation, TrainingJob};
 use crate::protocol::{
@@ -52,7 +51,7 @@ use crate::protocol::{
     Received, Substrate, WorkerMsg, MAIN_OS_PID,
 };
 use crate::sync::{StdSync, SyncFacade};
-use crate::tracer::Tracer;
+use crate::worker::{run_worker, HandOff, WorkerSubstrate};
 
 /// How long a worker blocked on a full data queue sleeps between
 /// re-checking its own liveness.
@@ -447,33 +446,6 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
     }
 }
 
-/// Forwards transform completions to the tracer with wall-clock spans.
-///
-/// The observer callbacks fire synchronously after each transform, so
-/// consecutive clock reads bracket each op exactly; the virtual-time
-/// arguments the dataset passes are ignored.
-struct WallOpBridge<'a> {
-    tracer: &'a dyn Tracer,
-    clock: &'a WallClock,
-    pid: u32,
-    batch_id: u64,
-    mark: Time,
-}
-
-impl TransformObserver for WallOpBridge<'_> {
-    fn on_transform(&mut self, name: &str, _start: Time, _elapsed: Span) {
-        let now = self.clock.now();
-        let _overhead = self.tracer.on_op(
-            self.pid,
-            self.batch_id,
-            name,
-            self.mark,
-            now.since(self.mark),
-        );
-        self.mark = now;
-    }
-}
-
 fn duration_of(span: Span) -> Duration {
     Duration::from_nanos(span.as_nanos())
 }
@@ -616,172 +588,99 @@ impl<F: SyncFacade> Handoff<'_, F> {
     }
 }
 
-/// Everything a worker thread — and the main thread's substrate —
-/// borrows from the run.
-struct WorkerShared<'a> {
+/// The native engine's side of a worker: the shared wall clock, real
+/// queues, a sleep for a stall, `catch_unwind` around each fetch, and
+/// the liveness-gated commit.
+struct NativeWorker<'a> {
     clock: &'a WallClock,
-    tracer: &'a dyn Tracer,
-    dataset: &'a dyn Dataset,
-    handoff: Handoff<'a>,
+    index_q: &'a NativeQueue<WorkerMsg>,
+    handoff: &'a Handoff<'a>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn native_worker_loop(
-    shared: &WorkerShared<'_>,
-    worker: usize,
-    machine: &Arc<lotus_uarch::Machine>,
-    hw_profiler: Option<Arc<lotus_uarch::HwProfiler>>,
-    feed: Option<Arc<lotus_uarch::KernelSpanFeed>>,
-    index_q: &NativeQueue<WorkerMsg>,
-    seed: u64,
-    faults: &FaultPlan,
-) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+impl WorkerSubstrate for NativeWorker<'_> {
+    fn now(&self) -> Time {
+        self.clock.now()
+    }
 
-    let WorkerShared {
-        clock,
-        tracer,
-        dataset,
-        ref handoff,
-    } = *shared;
-    if let Some(feed) = handoff.audit {
-        feed.register_thread(worker_os_pid(worker));
-    }
-    // The CpuThread carries the virtual cost model through the dataset
-    // and transform code; its cursor is ignored here — only the wall
-    // clock times anything.
-    let mut cpu = CpuThread::new(Arc::clone(machine));
-    if let Some(p) = hw_profiler {
-        cpu.attach_profiler(p);
-    }
-    if let Some(f) = feed {
-        cpu.attach_native_feed(f);
-    }
-    let mut rng = StdRng::seed_from_u64(mix_seed(seed, 1_000 + worker as u64));
-    let collate = Collate::new(machine);
-    let os_pid = worker_os_pid(worker);
-    // Kill times in the fault plan are interpreted as wall offsets from
-    // the run's start.
-    let kill_time = faults.kill_time(&format!("dataloader{worker}"));
+    /// Instrumentation overhead is real wall time here, already inside
+    /// the measured spans.
+    fn charge(&self, _overhead: Span) {}
 
-    loop {
-        let msg = match kill_time {
-            Some(at) => {
-                let now = clock.now();
-                if now >= at {
-                    return;
-                }
-                match index_q.pop_timeout(duration_of(at.since(now))) {
-                    Some(msg) => msg,
-                    None => return, // died while idle
-                }
-            }
-            None => index_q.pop(),
-        };
-        let WorkerMsg::Batch { id, indices } = msg else {
-            break;
-        };
-        let index_gauge = QueueId::Index(worker).gauge();
-        let index_depth = index_q.audited_len(&index_gauge);
-        let _overhead = tracer.on_gauge(&index_gauge, index_depth as f64, clock.now());
-        let start = clock.now();
-        let mut bridge = WallOpBridge {
-            tracer,
-            clock,
-            pid: os_pid,
-            batch_id: id,
-            mark: start,
-        };
-        // The whole fetch runs under `catch_unwind`: a panicking dataset
-        // (the native analog of a crashing Python worker) is converted
-        // into an in-band `WorkerPanic` error — PyTorch's
-        // `ExceptionWrapper` protocol — instead of tearing down this
-        // thread and poisoning every shared queue behind it.
-        let fetch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut samples = Vec::with_capacity(indices.len());
-            let mut failure: Option<PipelineError> = None;
-            for &i in &indices {
-                if let Some(op) = faults.sample_error(i) {
-                    let _overhead = tracer.on_fault_injected(os_pid, id, op, clock.now());
-                    failure = Some(PipelineError::Injected {
-                        op: op.to_string(),
-                        index: i,
-                    });
-                    break;
-                }
-                let item_start = clock.now();
-                let mut tctx = TransformCtx {
-                    cpu: &mut cpu,
-                    rng: &mut rng,
-                };
-                let fetched = dataset.get_item(i, &mut tctx, &mut bridge);
-                let slowdown = faults.sample_slowdown(i);
-                if slowdown > 1.0 {
-                    // A straggler sample: dilate its real elapsed time by
-                    // sleeping out the extra factor, as the simulated
-                    // engine idles the virtual core.
-                    let elapsed = clock.now().since(item_start);
-                    std::thread::sleep(duration_of(elapsed.mul_f64(slowdown - 1.0)));
-                }
-                match fetched {
-                    Ok(sample) => samples.push(sample),
-                    Err(e) => {
-                        // Ship the error in-band; the worker keeps running.
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            match failure {
-                Some(e) => Err(e),
-                None => {
-                    let batch_len = samples.len();
-                    let collated = {
-                        let mut tctx = TransformCtx {
-                            cpu: &mut cpu,
-                            rng: &mut rng,
-                        };
-                        collate.apply(samples, &mut tctx)
-                    };
-                    if collated.is_ok() {
-                        // The bridge's mark sits at the end of the last
-                        // sample's last transform, so this records the real
-                        // collate span.
-                        bridge.on_transform(&Collate::display_name(batch_len), start, Span::ZERO);
-                    }
-                    collated
-                }
-            }
-        }));
-        let batch: Result<Batch, PipelineError> = match fetch {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(ToString::to_string)
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic payload".to_string());
-                Err(PipelineError::WorkerPanic { reason })
-            }
-        };
-        let fetch = clock.now().since(start);
-        let envelope = Envelope::new(id, worker, batch, start, fetch);
-        // The [T1] record is emitted only after a successful commit, so
-        // a dropped batch never contributes a fetch span.
-        if !handoff.commit(worker, kill_time, clock, envelope) {
-            return;
+    fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg> {
+        match timeout {
+            Some(timeout) => self.index_q.pop_timeout(duration_of(timeout)),
+            None => Some(self.index_q.pop()),
         }
-        let _overhead = tracer.on_batch_preprocessed(os_pid, id, start, fetch);
-        let depth = handoff.data_q.audited_len("queue_depth.data_queue");
-        let _overhead = tracer.on_gauge("queue_depth.data_queue", depth as f64, clock.now());
+    }
+
+    /// Sampled inside the queue's critical section, so the auditor sees
+    /// every series totally ordered.
+    fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
+        match queue {
+            QueueId::Index(_) => self.index_q.audited_len(gauge),
+            QueueId::Data => self.handoff.data_q.audited_len(gauge),
+        }
+    }
+
+    fn stall(&self, _cpu: &mut CpuThread, span: Span) {
+        std::thread::sleep(duration_of(span));
+    }
+
+    /// The wall time since the previous op ended: the dataset reports
+    /// each op as it finishes, so consecutive clock reads bracket it.
+    fn op_span(&self, _start: Time, _elapsed: Span, mark: &mut Time) -> (Time, Span) {
+        let now = self.clock.now();
+        let span = (*mark, now.since(*mark));
+        *mark = now;
+        span
+    }
+
+    /// A modeled read has no place on the wall clock.
+    fn read_start(&self, _issued: Time) -> Option<Time> {
+        None
+    }
+
+    /// A panicking dataset (the native analog of a crashing Python
+    /// worker) ships an in-band `WorkerPanic`, PyTorch's
+    /// `ExceptionWrapper` protocol, instead of tearing down this thread
+    /// and poisoning every shared queue behind it.
+    fn guard(
+        &self,
+        fetch: impl FnOnce() -> Result<Batch, PipelineError>,
+    ) -> Result<Batch, PipelineError> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(fetch)).unwrap_or_else(|payload| {
+            let reason = payload
+                .downcast_ref::<&str>()
+                .map(ToString::to_string)
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic payload".to_string());
+            Err(PipelineError::WorkerPanic { reason })
+        })
+    }
+
+    /// The \[T1\] record is emitted only after a successful commit, so a
+    /// dropped batch never contributes a fetch span.
+    fn hand_off(
+        &self,
+        _cpu: &mut CpuThread,
+        envelope: Envelope,
+        kill_time: Option<Time>,
+        trace_fetch: impl FnOnce() -> Span,
+    ) -> HandOff {
+        let worker = envelope.worker;
+        if !self.handoff.commit(worker, kill_time, self.clock, envelope) {
+            return HandOff::Exit;
+        }
+        let _overhead = trace_fetch();
+        HandOff::Pushed
     }
 }
 
 /// The native engine's side of the main process: the shared wall clock,
 /// real queues, and the liveness lock every worker's commit is gated on.
 struct NativeMain<'a> {
-    shared: &'a WorkerShared<'a>,
+    clock: &'a WallClock,
+    handoff: &'a Handoff<'a>,
     index_qs: &'a [NativeQueue<WorkerMsg>],
     kill_times: Vec<Option<Time>>,
     options: NativeOptions,
@@ -790,7 +689,7 @@ struct NativeMain<'a> {
 
 impl Substrate for NativeMain<'_> {
     fn now(&self) -> Time {
-        self.shared.clock.now()
+        self.clock.now()
     }
 
     /// Instrumentation overhead is real wall time here, already inside
@@ -800,7 +699,7 @@ impl Substrate for NativeMain<'_> {
     fn depth(&self, queue: QueueId) -> usize {
         match queue {
             QueueId::Index(w) => self.index_qs[w].len(),
-            QueueId::Data => self.shared.handoff.data_q.len(),
+            QueueId::Data => self.handoff.data_q.len(),
         }
     }
 
@@ -809,7 +708,7 @@ impl Substrate for NativeMain<'_> {
     fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
         match queue {
             QueueId::Index(w) => self.index_qs[w].audited_len(gauge),
-            QueueId::Data => self.shared.handoff.data_q.audited_len(gauge),
+            QueueId::Data => self.handoff.data_q.audited_len(gauge),
         }
     }
 
@@ -818,10 +717,10 @@ impl Substrate for NativeMain<'_> {
     }
 
     fn recv(&mut self, _dead: &[bool]) -> Received {
-        self.shared.handoff.recv(
+        self.handoff.recv(
             duration_of(self.options.status_check),
             &self.kill_times,
-            self.shared.clock,
+            self.clock,
         )
     }
 
@@ -834,7 +733,7 @@ impl Substrate for NativeMain<'_> {
     }
 
     fn shutdown(&self) {
-        self.shared.handoff.shutdown.store(true, Ordering::Release);
+        self.handoff.shutdown.store(true, Ordering::Release);
     }
 }
 
@@ -849,22 +748,10 @@ impl ExecutionBackend for NativeBackend {
         if totals.batches == 0 {
             return Ok(totals);
         }
-        let TrainingJob {
-            machine,
-            dataset,
-            loader,
-            gpu,
-            tracer,
-            hw_profiler,
-            seed,
-            faults,
-            ..
-        } = job;
-
-        let workers = loader.num_workers;
+        let workers = job.loader.num_workers;
         let clock = WallClock::new();
         let mut data_q: NativeQueue<Envelope> =
-            NativeQueue::new(QueueId::Data.name(), loader.data_queue_cap);
+            NativeQueue::new(QueueId::Data.name(), job.loader.data_queue_cap);
         let mut index_qs: Vec<NativeQueue<WorkerMsg>> = (0..workers)
             .map(|w| NativeQueue::new(QueueId::Index(w).name(), None))
             .collect();
@@ -896,25 +783,17 @@ impl ExecutionBackend for NativeBackend {
             });
         }
         let shutdown = AtomicBool::new(false);
-        let shared = WorkerShared {
-            clock: &clock,
-            tracer: &*tracer,
-            dataset: &*dataset,
-            handoff: Handoff {
-                data_q: &data_q,
-                liveness: &liveness,
-                shutdown: &shutdown,
-                audit: self.audit.as_deref(),
-                mutation: self.audit_mutation,
-            },
+        let handoff = Handoff {
+            data_q: &data_q,
+            liveness: &liveness,
+            shutdown: &shutdown,
+            audit: self.audit.as_deref(),
+            mutation: self.audit_mutation,
         };
 
         let outcome = std::thread::scope(|scope| {
             for (w, index_q) in index_qs.iter().enumerate() {
-                let shared = &shared;
-                let machine = &machine;
-                let faults = &faults;
-                let hw_profiler = hw_profiler.clone();
+                let (clock, handoff, job) = (&clock, &handoff, &job);
                 let feed = self.feed.clone();
                 // The OS refusing a thread at job start leaves nothing to
                 // run the epoch with; there is no partial-failure mode to
@@ -923,31 +802,35 @@ impl ExecutionBackend for NativeBackend {
                 std::thread::Builder::new()
                     .name(format!("dataloader{w}"))
                     .spawn_scoped(scope, move || {
-                        native_worker_loop(
-                            shared,
-                            w,
-                            machine,
-                            hw_profiler,
-                            feed,
+                        if let Some(audit) = handoff.audit {
+                            audit.register_thread(worker_os_pid(w));
+                        }
+                        let mut cpu = job.cpu_thread();
+                        if let Some(f) = feed {
+                            cpu.attach_native_feed(f);
+                        }
+                        let sub = NativeWorker {
+                            clock,
                             index_q,
-                            seed,
-                            faults,
-                        );
+                            handoff,
+                        };
+                        run_worker(&sub, job, w, cpu);
                     })
                     .expect("failed to spawn DataLoader worker thread");
             }
             let main = NativeMain {
-                shared: &shared,
+                clock: &clock,
+                handoff: &handoff,
                 index_qs: &index_qs,
-                kill_times: kill_times(&faults, workers),
+                kill_times: kill_times(&job.faults, workers),
                 options: self.options,
-                gpu,
+                gpu: job.gpu,
             };
             main_loop(
                 main,
-                &*tracer,
+                &*job.tracer,
                 self.audit.as_deref(),
-                &loader,
+                &job.loader,
                 plan,
                 LoaderMutation::None,
             )
@@ -965,12 +848,14 @@ impl ExecutionBackend for NativeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DataLoaderConfig;
-    use crate::dataset::Sampler;
+    use crate::dataset::Dataset;
     use crate::tracer::NullTracer;
+    use crate::worker::tests::{
+        epoch_shapes, every_policy_survives_worker_deaths, fast_native, fixture_job,
+    };
     use lotus_data::DType;
-    use lotus_transforms::Sample;
-    use lotus_uarch::{Machine, MachineConfig};
+    use lotus_sim::FaultPlan;
+    use lotus_transforms::{Sample, TransformCtx, TransformObserver};
 
     #[test]
     fn queue_is_fifo_and_counts() {
@@ -1026,80 +911,42 @@ mod tests {
         assert_eq!(total, (0..100).sum());
     }
 
-    /// A dataset of fixed-shape metadata tensors: near-zero real work, so
-    /// protocol tests run fast while exercising the full engine.
-    struct TinyDataset {
-        items: u64,
-    }
-
-    impl Dataset for TinyDataset {
-        fn len(&self) -> u64 {
-            self.items
-        }
-
-        fn get_item(
-            &self,
-            _index: u64,
-            ctx: &mut TransformCtx<'_>,
-            observer: &mut dyn TransformObserver,
-        ) -> Result<Sample, PipelineError> {
-            let start = ctx.cpu.cursor();
-            observer.on_transform("Loader", start, Span::ZERO);
-            Ok(Sample::tensor_meta(&[4, 4], DType::F32))
-        }
-    }
-
-    fn tiny_job(items: u64, workers: usize, tracer: Arc<dyn Tracer>) -> TrainingJob {
-        let machine = Machine::new(MachineConfig::cloudlab_c4130());
-        TrainingJob {
-            machine,
-            dataset: Arc::new(TinyDataset { items }),
-            storage: None,
-            loader: DataLoaderConfig {
-                batch_size: 4,
-                num_workers: workers,
-                prefetch_factor: 2,
-                data_queue_cap: None,
-                pin_memory: true,
-                sampler: Sampler::Sequential,
-                drop_last: true,
-                policy: crate::policy::SchedulingPolicyKind::RoundRobin,
-            },
-            gpu: GpuConfig::v100(1, Span::from_micros(10)),
-            tracer,
-            hw_profiler: None,
-            seed: 7,
-            epochs: 1,
-            faults: FaultPlan::default(),
-            controller: None,
-            mutation: crate::loader::LoaderMutation::None,
-        }
-    }
-
     #[test]
     fn native_backend_consumes_every_batch() {
         let report = NativeBackend::default()
-            .run(tiny_job(32, 2, Arc::new(NullTracer)))
+            .run(fixture_job(32, 2, Arc::new(NullTracer)))
             .unwrap();
         assert_eq!(report.batches, 8);
         assert_eq!(report.samples, 32);
     }
 
     #[test]
+    fn every_policy_completes_an_epoch_on_the_native_backend() {
+        for kind in crate::policy::SchedulingPolicyKind::ALL {
+            epoch_shapes("native", &fast_native(), kind);
+        }
+    }
+
+    #[test]
+    fn native_backend_survives_one_worker_death() {
+        every_policy_survives_worker_deaths("native", &fast_native());
+    }
+
+    #[test]
     fn native_backend_matches_sim_backend_totals() {
         use crate::backend::SimBackend;
         let sim = SimBackend
-            .run(tiny_job(24, 3, Arc::new(NullTracer)))
+            .run(fixture_job(24, 3, Arc::new(NullTracer)))
             .unwrap();
         let native = NativeBackend::default()
-            .run(tiny_job(24, 3, Arc::new(NullTracer)))
+            .run(fixture_job(24, 3, Arc::new(NullTracer)))
             .unwrap();
         assert_eq!((sim.batches, sim.samples), (native.batches, native.samples));
     }
 
     #[test]
     fn native_backend_ships_sample_errors_in_band() {
-        let mut job = tiny_job(32, 2, Arc::new(NullTracer));
+        let mut job = fixture_job(32, 2, Arc::new(NullTracer));
         job.faults = FaultPlan::new(7).inject_sample_errors("Loader", 1.0);
         let err = NativeBackend::default().run(job).unwrap_err();
         assert!(
@@ -1110,7 +957,7 @@ mod tests {
 
     #[test]
     fn native_backend_fails_when_every_worker_dies() {
-        let mut job = tiny_job(64, 2, Arc::new(NullTracer));
+        let mut job = fixture_job(64, 2, Arc::new(NullTracer));
         job.faults = FaultPlan::new(7)
             .kill_process("dataloader0", Time::ZERO)
             .kill_process("dataloader1", Time::ZERO);
@@ -1127,7 +974,7 @@ mod tests {
 
     #[test]
     fn native_backend_rejects_invalid_config() {
-        let mut job = tiny_job(8, 1, Arc::new(NullTracer));
+        let mut job = fixture_job(8, 1, Arc::new(NullTracer));
         job.loader.batch_size = 0;
         let err = NativeBackend::default().run(job).unwrap_err();
         assert!(matches!(err, JobError::InvalidConfig(_)));
@@ -1160,7 +1007,7 @@ mod tests {
 
     #[test]
     fn panicking_worker_yields_clean_job_error_not_a_consumer_panic() {
-        let mut job = tiny_job(32, 2, Arc::new(NullTracer));
+        let mut job = fixture_job(32, 2, Arc::new(NullTracer));
         job.dataset = Arc::new(PanickingDataset {
             items: 32,
             panic_at: 9,
@@ -1225,7 +1072,7 @@ mod tests {
         let feed = Arc::new(AuditFeed::new());
         let report = NativeBackend::default()
             .with_audit(Arc::clone(&feed))
-            .run(tiny_job(32, 2, Arc::new(NullTracer)))
+            .run(fixture_job(32, 2, Arc::new(NullTracer)))
             .unwrap();
         assert_eq!(report.batches, 8);
         let events = feed.drain();
@@ -1255,36 +1102,9 @@ mod tests {
         feed.detach();
         NativeBackend::default()
             .with_audit(Arc::clone(&feed))
-            .run(tiny_job(16, 2, Arc::new(NullTracer)))
+            .run(fixture_job(16, 2, Arc::new(NullTracer)))
             .unwrap();
         assert!(feed.is_empty());
         assert_eq!(feed.overhead_ns(), 0);
-    }
-
-    #[test]
-    fn every_policy_completes_an_epoch_on_the_native_backend() {
-        for kind in crate::policy::SchedulingPolicyKind::ALL {
-            let mut job = tiny_job(48, 3, Arc::new(NullTracer));
-            job.loader.policy = kind;
-            let report = NativeBackend::default()
-                .run(job)
-                .unwrap_or_else(|e| panic!("{kind} failed: {e:?}"));
-            assert_eq!((report.batches, report.samples), (12, 48), "{kind}");
-        }
-    }
-
-    #[test]
-    fn native_backend_survives_one_worker_death() {
-        let mut job = tiny_job(64, 2, Arc::new(NullTracer));
-        // Kill worker 1 immediately: every batch must still arrive via
-        // redispatch to worker 0.
-        job.faults = FaultPlan::new(7).kill_process("dataloader1", Time::ZERO);
-        let backend = NativeBackend::new(NativeOptions {
-            status_check: Span::from_millis(5),
-            emulate_gpu: false,
-        });
-        let report = backend.run(job).unwrap();
-        assert_eq!(report.batches, 16);
-        assert_eq!(report.samples, 64);
     }
 }

@@ -16,9 +16,8 @@
 //! deserializing, pinning and consuming a batch costs, and its shutdown.
 //! The simulated engine (`loader.rs`) charges virtual time for each;
 //! the native engine (`native.rs`) runs on OS threads against a wall
-//! clock, where time passes by itself. The worker loops stay per engine:
-//! their clock, kill, `catch_unwind` and liveness-gated commit are the
-//! substrate.
+//! clock, where time passes by itself. The worker side is written once
+//! too, in `worker.rs`, against the worker-side twin of this trait.
 //!
 //! Every dispatch is traced *before* the batch reaches its worker's
 //! index queue, so no worker can record a fetch of a batch whose
@@ -28,7 +27,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 use lotus_sim::{FaultPlan, Span, Time};
-use lotus_transforms::{Batch, PipelineError};
+use lotus_transforms::PipelineError;
 
 use crate::audit::{AuditFeed, SyncOp};
 use crate::config::DataLoaderConfig;
@@ -112,27 +111,6 @@ pub(crate) struct Envelope {
 }
 
 impl Envelope {
-    /// Worker `worker`'s fetch of batch `batch_id`, started at `start`
-    /// and lasting `fetch`.
-    pub(crate) fn new(
-        batch_id: u64,
-        worker: usize,
-        batch: Result<Batch, PipelineError>,
-        start: Time,
-        fetch: Span,
-    ) -> Envelope {
-        Envelope {
-            batch_id,
-            payload: batch.map(|b| BatchPayload {
-                bytes: b.bytes,
-                len: b.len,
-            }),
-            produced_at: start + fetch,
-            fetch,
-            worker,
-        }
-    }
-
     /// Serialized size on the queue.
     pub(crate) fn bytes(&self) -> u64 {
         match &self.payload {
