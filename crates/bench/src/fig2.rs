@@ -1,12 +1,16 @@
 //! Figure 2: coarse traces of the three pipelines — IC is
 //! preprocessing-bound (short delays), IS and OD are GPU-bound (delays of
 //! ~10.9 s and ~1.64 s). Also writes the Chrome Trace Viewer files.
+//!
+//! Each panel's verdict is the one rule, [`analyze`] over the coarse log.
+//! The log has no op records, so an input-bound IC epoch reads
+//! *preprocessing-bound*.
 
 use std::fmt;
 use std::sync::Arc;
 
-use lotus_core::trace::analysis::{batch_timelines, BatchTimeline};
 use lotus_core::trace::chrome::{to_chrome_trace, ChromeTraceOptions};
+use lotus_core::trace::insights::{analyze, Insights};
 use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus_sim::Span;
 use lotus_uarch::{Machine, MachineConfig};
@@ -14,37 +18,16 @@ use lotus_workloads::{ExperimentConfig, PipelineKind};
 
 use crate::Scale;
 
-/// What dominates an epoch's critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bottleneck {
-    /// The main process waits on preprocessing (Figure 2(a)).
-    Preprocessing,
-    /// Preprocessed batches queue up behind the GPU (Figure 2(b,c)).
-    Gpu,
-}
-
-impl fmt::Display for Bottleneck {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Bottleneck::Preprocessing => f.write_str("preprocessing-bound"),
-            Bottleneck::Gpu => f.write_str("GPU-bound"),
-        }
-    }
-}
-
 /// One pipeline's coarse-trace summary.
 #[derive(Debug, Clone)]
 pub struct Fig2Row {
     /// Pipeline abbreviation.
     pub pipeline: &'static str,
-    /// Mean main-process wait per batch.
-    pub mean_wait: Span,
-    /// Mean delay (preprocessed → consumed) per batch.
-    pub mean_delay: Span,
+    /// The coarse log's diagnosis: wait fraction, mean wait and delay,
+    /// and the verdict.
+    pub insights: Insights,
     /// GPU step time per batch in this configuration.
     pub gpu_step: Span,
-    /// Classification.
-    pub bottleneck: Bottleneck,
     /// Where the Chrome trace was written.
     pub trace_path: std::path::PathBuf,
 }
@@ -54,14 +37,6 @@ pub struct Fig2Row {
 pub struct Fig2 {
     /// One row per pipeline.
     pub rows: Vec<Fig2Row>,
-}
-
-fn mean_span(values: impl Iterator<Item = Span>) -> Span {
-    let v: Vec<Span> = values.collect();
-    if v.is_empty() {
-        return Span::ZERO;
-    }
-    Span::from_nanos(v.iter().map(|s| s.as_nanos()).sum::<u64>() / v.len() as u64)
 }
 
 /// Runs the three Figure 2 configurations and writes coarse Chrome traces
@@ -101,14 +76,6 @@ pub fn run(scale: Scale) -> Fig2 {
             .expect("fig2 run must complete");
 
         let records = trace.records();
-        let timelines = batch_timelines(&records);
-        let mean_wait = mean_span(timelines.iter().filter_map(BatchTimeline::wait_span));
-        let mean_delay = mean_span(timelines.iter().filter_map(BatchTimeline::delay));
-        let bottleneck = if mean_wait > mean_delay {
-            Bottleneck::Preprocessing
-        } else {
-            Bottleneck::Gpu
-        };
         let trace_path = crate::results_dir().join(format!(
             "fig2_{}_coarse_trace.json",
             kind.abbrev().to_lowercase()
@@ -121,10 +88,8 @@ pub fn run(scale: Scale) -> Fig2 {
         .expect("write trace file");
         rows.push(Fig2Row {
             pipeline: kind.abbrev(),
-            mean_wait,
-            mean_delay,
+            insights: analyze(&records),
             gpu_step,
-            bottleneck,
             trace_path,
         });
     }
@@ -139,18 +104,19 @@ impl fmt::Display for Fig2 {
         )?;
         writeln!(
             f,
-            "{:<4} {:>14} {:>14} {:>14}  {:<20} trace file",
-            "", "mean wait", "mean delay", "GPU step", "bottleneck"
+            "{:<4} {:>8} {:>14} {:>14} {:>14}  {:<20} trace file",
+            "", "wait %", "mean wait", "mean delay", "GPU step", "verdict"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<4} {:>14} {:>14} {:>14}  {:<20} {}",
+                "{:<4} {:>7.1}% {:>12.3}ms {:>14} {:>14}  {:<20} {}",
                 r.pipeline,
-                format!("{}", r.mean_wait),
-                format!("{}", r.mean_delay),
+                r.insights.wait_fraction * 100.0,
+                r.insights.mean_wait_ms,
+                format!("{}", r.insights.mean_delay),
                 format!("{}", r.gpu_step),
-                format!("{}", r.bottleneck),
+                r.insights.verdict.as_str(),
                 r.trace_path.display()
             )?;
         }
@@ -162,13 +128,18 @@ impl fmt::Display for Fig2 {
 mod tests {
     use super::*;
 
+    use lotus_core::trace::insights::Verdict;
+
     #[test]
     fn bottleneck_classification_matches_the_paper() {
         let fig = run(Scale::scaled());
-        let row = |p: &str| fig.rows.iter().find(|r| r.pipeline == p).unwrap();
-        assert_eq!(row("IC").bottleneck, Bottleneck::Preprocessing);
-        assert_eq!(row("IS").bottleneck, Bottleneck::Gpu);
-        assert_eq!(row("OD").bottleneck, Bottleneck::Gpu);
+        let verdict = |p: &str| {
+            let row = fig.rows.iter().find(|r| r.pipeline == p).unwrap();
+            row.insights.verdict
+        };
+        assert_eq!(verdict("IC"), Verdict::PreprocessingBound);
+        assert_eq!(verdict("IS"), Verdict::GpuBound);
+        assert_eq!(verdict("OD"), Verdict::GpuBound);
     }
 
     #[test]
@@ -177,21 +148,23 @@ mod tests {
         let is = fig.rows.iter().find(|r| r.pipeline == "IS").unwrap();
         // Paper: 10.9 s delay vs 750 ms step.
         assert!(
-            is.mean_delay > is.gpu_step * 4,
+            is.insights.mean_delay > is.gpu_step * 4,
             "IS delay {} should dwarf the {} step",
-            is.mean_delay,
+            is.insights.mean_delay,
             is.gpu_step
         );
         assert!(
-            is.mean_delay.as_secs_f64() > 4.0 && is.mean_delay.as_secs_f64() < 20.0,
+            is.insights.mean_delay.as_secs_f64() > 4.0
+                && is.insights.mean_delay.as_secs_f64() < 20.0,
             "IS delay {} should be several seconds",
-            is.mean_delay
+            is.insights.mean_delay
         );
         let od = fig.rows.iter().find(|r| r.pipeline == "OD").unwrap();
         assert!(
-            od.mean_delay.as_secs_f64() > 0.7 && od.mean_delay.as_secs_f64() < 4.0,
+            od.insights.mean_delay.as_secs_f64() > 0.7
+                && od.insights.mean_delay.as_secs_f64() < 4.0,
             "OD delay {} should be a couple of seconds",
-            od.mean_delay
+            od.insights.mean_delay
         );
     }
 

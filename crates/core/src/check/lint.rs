@@ -30,9 +30,10 @@
 //!   count matches the job report and no record extends past the reported
 //!   elapsed time; with a report the trace is also required to be
 //!   *complete*: every delivered batch is consumed.
-//! * **gauge-bounds** ([`lint_gauges`]) — queue-depth series stay within
-//!   `[0, cap]`, the pinned cache and in-flight inventory within
-//!   `prefetch_factor × num_workers`.
+//!
+//! Gauge bounds (queue depths within `[0, cap]`, the pinned cache and
+//! in-flight inventory within `prefetch_factor × num_workers`) are judged
+//! on the live event stream by [`verify`](super::verify), not here.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,7 +41,6 @@ use std::path::Path;
 
 use serde_json::Value;
 
-use crate::metrics::MetricsSnapshot;
 use crate::trace::chrome::from_chrome_trace;
 use crate::trace::{SpanKind, TraceRecord};
 use lotus_sim::Span;
@@ -114,8 +114,6 @@ pub enum LintRule {
     StorageContainment,
     /// Trace-vs-JobReport agreement.
     Report,
-    /// Gauge series out of their configured bounds.
-    GaugeBounds,
 }
 
 impl fmt::Display for LintRule {
@@ -128,7 +126,6 @@ impl fmt::Display for LintRule {
             LintRule::OrphanInstant => "orphan-instant",
             LintRule::StorageContainment => "storage-containment",
             LintRule::Report => "report",
-            LintRule::GaugeBounds => "gauge-bounds",
         })
     }
 }
@@ -461,61 +458,9 @@ pub fn lint_records(records: &[TraceRecord], report: Option<&ReportFacts>) -> Ve
     findings
 }
 
-/// Bounds the gauge linter holds series to, derived from the loader
-/// configuration under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeLimits {
-    /// `data_queue_cap`, when bounded.
-    pub data_queue_cap: Option<usize>,
-    /// `prefetch_factor * num_workers`.
-    pub in_flight_bound: usize,
-}
-
-/// Lints the gauge series of a metrics snapshot against loader bounds:
-/// depths stay within `[0, cap]`, the pinned cache and in-flight
-/// inventory within the prefetch bound.
-pub fn lint_gauges(snapshot: &MetricsSnapshot, limits: &GaugeLimits) -> Vec<LintFinding> {
-    let mut findings = Vec::new();
-    let mut check = |name: &str, hi: Option<f64>| {
-        let Some(series) = snapshot.gauges.get(name) else {
-            return;
-        };
-        for &(at, value) in series.samples() {
-            if value < 0.0 {
-                findings.push(LintFinding {
-                    rule: LintRule::GaugeBounds,
-                    batch_id: None,
-                    message: format!("{name} = {value} at {at} (negative depth)"),
-                });
-            } else if hi.is_some_and(|hi| value > hi) {
-                findings.push(LintFinding {
-                    rule: LintRule::GaugeBounds,
-                    batch_id: None,
-                    message: format!(
-                        "{name} = {value} at {at} exceeds bound {}",
-                        hi.unwrap_or_default()
-                    ),
-                });
-            }
-        }
-    };
-    check(
-        "queue_depth.data_queue",
-        limits.data_queue_cap.map(|c| c as f64),
-    );
-    check("pinned_cache_batches", Some(limits.in_flight_bound as f64));
-    check("in_flight_batches", Some(limits.in_flight_bound as f64));
-    for name in snapshot.gauges.keys() {
-        if name.starts_with("queue_depth.index_queue_") {
-            check(name, None);
-        }
-    }
-    findings
-}
-
 /// Loads trace records from `path`, accepting either a Chrome-trace JSON
-/// document (as written by `lotus run --chrome-trace` and the fig2
-/// benches) or a LotusTrace log (one CSV record per line).
+/// document (as written by `lotus trace --out`, `lotus run --out` and
+/// the fig2 benches) or a LotusTrace log (one CSV record per line).
 ///
 /// # Errors
 ///

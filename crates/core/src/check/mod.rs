@@ -13,8 +13,8 @@
 //!    minimized, deterministically replayable counterexample schedule.
 //! 2. A **trace linter** ([`lint`]): structural invariants over recorded
 //!    or imported LotusTrace streams — balanced span pairs, per-track
-//!    monotonicity, \[T1\]/\[T2\] accounting identities, orphan instants,
-//!    gauge bounds — with typed errors on malformed input.
+//!    monotonicity, \[T1\]/\[T2\] accounting identities, orphan instants
+//!    — with typed errors on malformed input.
 //!
 //! The invariant catalog and the exploration bounds are documented in
 //! `DESIGN.md`; the `lotus check` CLI in the repository `README.md`.
@@ -33,8 +33,5 @@ pub use explorer::{
     explore, Counterexample, ExploreBounds, ExploreReport, ExploreStats, ScheduledRun,
 };
 pub use invariants::{verify, ProtocolSpec, RunEnding, Violation};
-pub use lint::{
-    lint_gauges, lint_records, load_trace, CheckError, GaugeLimits, LintFinding, LintRule,
-    ReportFacts,
-};
+pub use lint::{lint_records, load_trace, CheckError, LintFinding, LintRule, ReportFacts};
 pub use observer::RecordingObserver;

@@ -195,7 +195,7 @@ mod tests {
             mean_wait_ms: 1.5,
             mean_queue_delay_ms: 0.75,
             footprint_batches: 5.0,
-            verdict: Some(crate::tune::TuneVerdict::PreprocessingBound),
+            verdict: Some(crate::trace::insights::Verdict::PreprocessingBound),
             faults_injected: 0,
             worker_deaths: 0,
             failed: None,

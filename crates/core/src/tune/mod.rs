@@ -11,8 +11,9 @@
 //!
 //! * the **Pareto frontier** of throughput vs. peak resident batches
 //!   (the memory footprint of queued + pinned + in-progress data),
-//! * a per-config **bottleneck verdict** built from the paper's T1/T2/T3
-//!   measurements (preprocessing-, fetch-, collate-, or GPU-bound),
+//! * a per-config **bottleneck verdict** — the one rule,
+//!   [`Verdict::classify`](crate::trace::insights::Verdict::classify),
+//!   that `lotus trace` and `lotus run` also apply,
 //! * a **recommended configuration** with its predicted speedup over
 //!   the baseline.
 //!
@@ -60,6 +61,6 @@ mod score;
 mod search;
 mod space;
 
-pub use score::{Scorecard, TrialMeasurement, TuneVerdict, WAIT_BOUND_THRESHOLD};
+pub use score::{Scorecard, TrialMeasurement};
 pub use search::{Strategy, TuneReport, Tuner};
 pub use space::{SearchSpace, TrialConfig};

@@ -1,6 +1,6 @@
 //! Scoring one tuning trial: folding a run's metrics snapshot into a
-//! scorecard with throughput, wait share, memory footprint, and a
-//! T1/T2/T3-based bottleneck verdict.
+//! scorecard with throughput, wait share, memory footprint, and the
+//! bottleneck [`Verdict`] — the one rule `lotus trace` also applies.
 
 use lotus_sim::Span;
 use serde_json::{Content, Value};
@@ -8,68 +8,9 @@ use serde_json::{Content, Value};
 use crate::metrics::names;
 use crate::metrics::MetricsSnapshot;
 use crate::trace::analysis::OpClassTotals;
+use crate::trace::insights::Verdict;
 
 use super::space::TrialConfig;
-
-/// Where one configuration's time goes, in the vocabulary of the paper's
-/// T1/T2/T3 measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuneVerdict {
-    /// The main process waits on batches (high \[T2\] share) and the
-    /// transform chain dominates worker time — more workers or cheaper
-    /// transforms pay.
-    PreprocessingBound,
-    /// The main process waits and the `Loader` source fetch (I/O +
-    /// decode) dominates — faster storage or more concurrent fetches
-    /// pay; extra transform workers will idle on I/O.
-    FetchBound,
-    /// The main process waits and traced \[T0\] storage reads dominate —
-    /// the storage hierarchy itself (cold cache, remote object store,
-    /// tiny-file seeks) is the constraint; warm the cache, pack records,
-    /// or move the dataset closer.
-    StorageBound,
-    /// The main process waits and `C(n)` collation dominates — the
-    /// serial tail of each batch is the constraint.
-    CollateBound,
-    /// Batches queue up faster than the consumer drains them — the GPU
-    /// step is the constraint and loader tuning cannot help.
-    GpuBound,
-    /// Neither side clearly dominates.
-    Balanced,
-}
-
-impl TuneVerdict {
-    /// Stable lowercase-kebab name (used in tables and JSON).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TuneVerdict::PreprocessingBound => "preprocessing-bound",
-            TuneVerdict::FetchBound => "fetch-bound",
-            TuneVerdict::StorageBound => "storage-bound",
-            TuneVerdict::CollateBound => "collate-bound",
-            TuneVerdict::GpuBound => "gpu-bound",
-            TuneVerdict::Balanced => "balanced",
-        }
-    }
-
-    /// The inverse of [`as_str`](Self::as_str).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<TuneVerdict> {
-        match name {
-            "preprocessing-bound" => Some(TuneVerdict::PreprocessingBound),
-            "fetch-bound" => Some(TuneVerdict::FetchBound),
-            "storage-bound" => Some(TuneVerdict::StorageBound),
-            "collate-bound" => Some(TuneVerdict::CollateBound),
-            "gpu-bound" => Some(TuneVerdict::GpuBound),
-            "balanced" => Some(TuneVerdict::Balanced),
-            _ => None,
-        }
-    }
-}
-
-/// Main-process wait share of elapsed time above which a configuration
-/// counts as input-bound (the consumer is starving).
-pub const WAIT_BOUND_THRESHOLD: f64 = 0.15;
 
 /// Everything one trial run produces: the job totals, the folded metrics
 /// registry, and the per-op-class elapsed totals from the trace.
@@ -116,7 +57,7 @@ pub struct Scorecard {
     /// cache + one in-progress batch per worker.
     pub footprint_batches: f64,
     /// Bottleneck classification, `None` for failed trials.
-    pub verdict: Option<TuneVerdict>,
+    pub verdict: Option<Verdict>,
     /// Sample errors injected by the fault plan during the run.
     pub faults_injected: u64,
     /// Workers that died during the run.
@@ -153,7 +94,7 @@ impl Scorecard {
         let footprint_batches = peak(&format!("{}data_queue", names::QUEUE_DEPTH_PREFIX))
             + peak(names::PINNED_CACHE)
             + config.num_workers as f64;
-        let verdict = classify(
+        let verdict = Verdict::classify(
             wait_fraction,
             mean_wait_ms,
             mean_queue_delay_ms,
@@ -292,7 +233,7 @@ impl Scorecard {
         let verdict = match &value["verdict"].0 {
             Content::Null => None,
             Content::Str(name) => {
-                Some(TuneVerdict::parse(name).ok_or_else(|| format!("unknown verdict '{name}'"))?)
+                Some(Verdict::parse(name).ok_or_else(|| format!("unknown verdict '{name}'"))?)
             }
             _ => return Err("scorecard field 'verdict' must be a string or null".into()),
         };
@@ -332,34 +273,6 @@ impl Scorecard {
         let strictly_better =
             other.throughput > self.throughput || other.mean_wait_ms < self.mean_wait_ms;
         no_worse && strictly_better
-    }
-}
-
-/// The verdict rule: a high \[T2\] share makes the run input-bound, and
-/// the dominant op class names the culprit (`StorageRead` → storage,
-/// `Loader` → fetch, `C(n)` → collate, otherwise the transform chain).
-/// With the consumer rarely waiting, batches piling up in the shared
-/// queue (queue delay ≫ wait, the inverse of the trace-insights rule)
-/// indicate the GPU step is the constraint; otherwise the pipeline is
-/// balanced.
-fn classify(
-    wait_fraction: f64,
-    mean_wait_ms: f64,
-    mean_queue_delay_ms: f64,
-    op_classes: &OpClassTotals,
-) -> TuneVerdict {
-    if wait_fraction >= WAIT_BOUND_THRESHOLD {
-        return match op_classes.dominant() {
-            Some(("storage", _)) => TuneVerdict::StorageBound,
-            Some(("load", _)) => TuneVerdict::FetchBound,
-            Some(("collate", _)) => TuneVerdict::CollateBound,
-            _ => TuneVerdict::PreprocessingBound,
-        };
-    }
-    if mean_queue_delay_ms > 3.0 * mean_wait_ms && mean_queue_delay_ms > 0.0 {
-        TuneVerdict::GpuBound
-    } else {
-        TuneVerdict::Balanced
     }
 }
 
@@ -425,7 +338,7 @@ mod tests {
         assert!((card.wait_fraction - 0.4).abs() < 1e-9);
         // 3 (queue) + 1 (pinned cache) + 2 (workers)
         assert!((card.footprint_batches - 6.0).abs() < 1e-9);
-        assert_eq!(card.verdict, Some(TuneVerdict::PreprocessingBound));
+        assert_eq!(card.verdict, Some(Verdict::PreprocessingBound));
         assert!(card.is_ok());
     }
 
@@ -439,7 +352,7 @@ mod tests {
             collate: Span::from_millis(5),
         };
         let card = Scorecard::from_measurement(config(), &m);
-        assert_eq!(card.verdict, Some(TuneVerdict::FetchBound));
+        assert_eq!(card.verdict, Some(Verdict::FetchBound));
     }
 
     #[test]
@@ -452,7 +365,7 @@ mod tests {
             collate: Span::from_millis(5),
         };
         let card = Scorecard::from_measurement(config(), &m);
-        assert_eq!(card.verdict, Some(TuneVerdict::StorageBound));
+        assert_eq!(card.verdict, Some(Verdict::StorageBound));
     }
 
     #[test]
@@ -461,7 +374,7 @@ mod tests {
         // queue than the consumer waits for them.
         let m = measurement(1_000_000, 10_000_000.0, 100_000.0);
         let card = Scorecard::from_measurement(config(), &m);
-        assert_eq!(card.verdict, Some(TuneVerdict::GpuBound));
+        assert_eq!(card.verdict, Some(Verdict::GpuBound));
     }
 
     #[test]
@@ -477,21 +390,6 @@ mod tests {
             assert_eq!(retext, text);
         }
         assert!(Scorecard::from_json_value(&Value::null()).is_err());
-    }
-
-    #[test]
-    fn verdict_names_round_trip() {
-        for verdict in [
-            TuneVerdict::PreprocessingBound,
-            TuneVerdict::FetchBound,
-            TuneVerdict::StorageBound,
-            TuneVerdict::CollateBound,
-            TuneVerdict::GpuBound,
-            TuneVerdict::Balanced,
-        ] {
-            assert_eq!(TuneVerdict::parse(verdict.as_str()), Some(verdict));
-        }
-        assert_eq!(TuneVerdict::parse("nonsense"), None);
     }
 
     #[test]

@@ -8,25 +8,15 @@
 use std::error::Error;
 use std::sync::Arc;
 
-use lotus::core::trace::analysis::{batch_timelines, BatchTimeline};
+use lotus::core::trace::insights::analyze;
 use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
-use lotus::sim::Span;
 use lotus::uarch::{Machine, MachineConfig};
 use lotus::workloads::{ExperimentConfig, PipelineKind};
 
-fn mean_ms(spans: impl Iterator<Item = Span>) -> f64 {
-    let v: Vec<f64> = spans.map(|s| s.as_millis_f64()).collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
     println!(
-        "{:<4} {:>12} {:>12} {:>12}  verdict",
-        "", "wait (ms)", "delay (ms)", "step (ms)"
+        "{:<4} {:>8} {:>12} {:>12} {:>12}  verdict",
+        "", "wait %", "wait (ms)", "delay (ms)", "step (ms)"
     );
     for (kind, items) in [
         (PipelineKind::ImageClassification, 8_192u64),
@@ -34,7 +24,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         (PipelineKind::ObjectDetection, 512),
     ] {
         let machine = Machine::new(MachineConfig::cloudlab_c4130());
-        // Batch-level tracing is enough for bottleneck analysis.
+        // Batch-level tracing is enough for bottleneck analysis; with no
+        // op records, an input-bound run reads preprocessing-bound.
         let trace = Arc::new(LotusTrace::with_config(LotusTraceConfig {
             op_mode: OpLogMode::Off,
             ..LotusTraceConfig::default()
@@ -44,21 +35,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         let step = job.gpu.step_span(config.batch_size);
         job.run()?;
 
-        let timelines = batch_timelines(&trace.records());
-        let wait = mean_ms(timelines.iter().filter_map(BatchTimeline::wait_span));
-        let delay = mean_ms(timelines.iter().filter_map(BatchTimeline::delay));
-        let diagnosis = if wait > delay {
-            "preprocessing-bound: the GPU starves while workers preprocess"
-        } else {
-            "GPU-bound: preprocessed batches queue up behind the training step"
-        };
+        let insights = analyze(&trace.records());
         println!(
-            "{:<4} {:>12.1} {:>12.1} {:>12.1}  {}",
+            "{:<4} {:>7.1}% {:>12.1} {:>12.1} {:>12.1}  {} ({})",
             kind.abbrev(),
-            wait,
-            delay,
+            insights.wait_fraction * 100.0,
+            insights.mean_wait_ms,
+            insights.mean_delay.as_millis_f64(),
             step.as_millis_f64(),
-            diagnosis
+            insights.verdict.as_str(),
+            insights.verdict.family()
         );
     }
     println!(

@@ -10,7 +10,7 @@
 //! Run with `cargo run --example tune_sweep`. Prints `TUNE OK` when all
 //! assertions hold.
 
-use lotus::core::tune::TuneVerdict;
+use lotus::core::trace::insights::Verdict;
 use lotus::tuning::{tune_experiment, TuneOptions};
 use lotus::workloads::{ExperimentConfig, PipelineKind};
 
@@ -35,7 +35,7 @@ fn main() -> Result<(), String> {
     assert!(
         matches!(
             rec.verdict,
-            Some(TuneVerdict::FetchBound | TuneVerdict::PreprocessingBound)
+            Some(Verdict::FetchBound | Verdict::PreprocessingBound)
         ),
         "IC stays input-bound even tuned: {:?}",
         rec.verdict
@@ -49,7 +49,7 @@ fn main() -> Result<(), String> {
     let rec = report.recommended_card();
     assert_eq!(
         rec.verdict,
-        Some(TuneVerdict::GpuBound),
+        Some(Verdict::GpuBound),
         "IS is GPU-bound; loader tuning cannot move it"
     );
     let speedup = report

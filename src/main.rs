@@ -16,15 +16,13 @@ use lotus::core::metrics::{
     MetricsSink, MultiSink,
 };
 use lotus::core::trace::chrome::{to_chrome_trace, ChromeTraceOptions};
-use lotus::core::trace::insights::analyze;
+use lotus::core::trace::insights::{analyze, Verdict};
 use lotus::core::trace::viz::{render_timeline, TimelineOptions};
 use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus::core::tune::{SearchSpace, Strategy};
 use lotus::dataflow::{FaultPlan, LoaderMutation, SchedulingPolicyKind};
 use lotus::profilers::ComparisonHarness;
-use lotus::running::{
-    bench_report, check_regression, run_experiment, verdict_family, BackendKind, RunOptions,
-};
+use lotus::running::{bench_report, check_regression, run_experiment, BackendKind, RunOptions};
 use lotus::sim::{FileLayout, Span};
 use lotus::tuning::{tune_experiment, TuneOptions};
 use lotus::uarch::{
@@ -41,11 +39,13 @@ USAGE:
                   [--access shuffled|sequential] [--policy POLICY]
                   [--out FILE.json] [--log FILE] [--timeline]
       Run one epoch under LotusTrace; print per-op stats, the automated
-      diagnosis, optionally an ASCII timeline, a Chrome trace file and a
-      lintable LotusTrace log. --storage routes every Dataset::get_item
-      through the simulated storage hierarchy (object store / local disk /
-      shared OS page cache), producing per-read [T0] fetch spans and a
-      per-tier attribution table: cold tiny-file epochs are typically
+      diagnosis (the main-process wait share and the bottleneck verdict,
+      by the same rule `run` and `tune` apply), optionally an ASCII
+      timeline, a Chrome trace file and a lintable LotusTrace log.
+      --storage routes every Dataset::get_item through the simulated
+      storage hierarchy (object store / local disk / shared OS page
+      cache), producing per-read [T0] fetch spans and a per-tier
+      attribution table: cold tiny-file epochs are typically
       storage-bound, warm or packed ones flip back to the CPU phases.
       --layout picks one-file-per-record (tiny) or packed shards;
       --access picks the sampler order (sequential lets readahead turn
@@ -201,6 +201,8 @@ USAGE:
   bake-off in EXPERIMENTS.md uses.
 
   lotus help
+
+  A flag the command does not read is a usage error (exit status 1).
 ";
 
 struct Args {
@@ -451,9 +453,8 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
         "\nthroughput {:.1} samples/s | main-process wait {:.1}% | verdict: {} ({})",
         card.throughput,
         card.wait_fraction * 100.0,
-        card.verdict
-            .map_or("failed", lotus::core::tune::TuneVerdict::as_str),
-        verdict_family(card)
+        card.verdict.map_or("failed", Verdict::as_str),
+        card.verdict.map_or("failed", Verdict::family)
     );
     if let Some(storage) = &outcome.storage {
         println!("\nstorage attribution:");
@@ -546,10 +547,7 @@ fn cmd_bench(args: &Args) -> Result<(), Box<dyn Error>> {
         println!(
             "{preset}: {:.1} samples/s, verdict {} -> {}",
             outcome.scorecard.throughput,
-            outcome
-                .scorecard
-                .verdict
-                .map_or("failed", lotus::core::tune::TuneVerdict::as_str),
+            outcome.scorecard.verdict.map_or("failed", Verdict::as_str),
             path.display()
         );
         if let Some(baseline_path) = baseline_path {
@@ -984,17 +982,7 @@ fn cmd_check(args: &Args) -> Result<(), Box<dyn Error>> {
     };
 
     if let Some(raw) = args.flags.get("replay") {
-        let schedule: Vec<usize> = if raw.trim().is_empty() || raw == "true" {
-            Vec::new()
-        } else {
-            raw.split(',')
-                .map(|tok| {
-                    tok.trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid choice in --replay: '{tok}'"))
-                })
-                .collect::<Result<_, _>>()?
-        };
+        let schedule = parse_schedule(raw)?;
         let scenario = lotus::checking::scenarios(kinds[0], &options)
             .into_iter()
             .next()
@@ -1357,35 +1345,122 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn Error>> {
     }
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), Box<dyn Error>>;
+
+/// The flags `apply_storage_flags`, `apply_run_flags` and
+/// `parse_fault_flags` read.
+const STORAGE_FLAGS: &str = "storage layout access";
+const RUN_FLAGS: &str = "no-gpu no-materialize status-check-ms profile";
+const FAULT_FLAGS: &str = "kill-worker kill-at-ms error-rate error-op slow-rate slow-factor";
+
+/// Every command with the flags it reads. `run` refuses any other flag
+/// before the command starts: a mistyped or unsupported flag would
+/// otherwise silently change what is measured.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    (
+        "trace",
+        cmd_trace,
+        &[
+            STORAGE_FLAGS,
+            "pipeline items batch workers gpus policy out log timeline",
+        ],
+    ),
+    (
+        "run",
+        cmd_run,
+        &[
+            STORAGE_FLAGS,
+            RUN_FLAGS,
+            FAULT_FLAGS,
+            "backend pipeline items batch workers gpus policy attribution storage-out out log",
+        ],
+    ),
+    (
+        "bench",
+        cmd_bench,
+        &[
+            RUN_FLAGS,
+            "backend presets items batch workers out-dir check-against tolerance",
+        ],
+    ),
+    (
+        "map",
+        cmd_map,
+        &[STORAGE_FLAGS, "backend vendor runs no-sleep-gap items out"],
+    ),
+    (
+        "attribute",
+        cmd_attribute,
+        &["items workers mix-aware functions"],
+    ),
+    ("compare", cmd_compare, &["items"]),
+    (
+        "top",
+        cmd_top,
+        &[
+            STORAGE_FLAGS,
+            RUN_FLAGS,
+            "backend pipeline items batch workers width policy prom json csv",
+        ],
+    ),
+    (
+        "tune",
+        cmd_tune,
+        &[
+            STORAGE_FLAGS,
+            FAULT_FLAGS,
+            "pipeline items batch strategy workers prefetch caps pin policy",
+            "json out jobs no-cache cache-dir",
+        ],
+    ),
+    (
+        "check",
+        cmd_check,
+        &[
+            "pipeline workers items batch policy no-faults mutate replay trace",
+            "schedules depth branch steps",
+        ],
+    ),
+    (
+        "audit",
+        cmd_audit,
+        &[
+            "pipeline policy items workers status-check-ms mutate trace json",
+            "model bug batches cap schedules depth branch replay",
+        ],
+    ),
+];
+
 fn run() -> Result<(), Box<dyn Error>> {
     let mut raw = std::env::args().skip(1);
     let Some(command) = raw.next() else {
         print!("{USAGE}");
         return Ok(());
     };
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        print!("{USAGE}");
+        return Ok(());
+    }
+    let Some(&(_, cmd, known)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown command '{command}'\n\n{USAGE}").into());
+    };
     let args = Args::parse(raw)?;
+    let reads = |flag: &String| {
+        known
+            .iter()
+            .flat_map(|group| group.split_whitespace())
+            .any(|name| name == flag)
+    };
+    if let Some(flag) = args.flags.keys().find(|flag| !reads(flag)) {
+        return Err(format!("unknown flag --{flag} for `lotus {command}` (see lotus help)").into());
+    }
     // Every command sizes its dataset from --items; an empty one has
     // nothing to load, trace or audit.
     if args.get("items", 1u64)? == 0 {
         return Err("--items must be at least 1".into());
     }
-    match command.as_str() {
-        "trace" => cmd_trace(&args),
-        "run" => cmd_run(&args),
-        "bench" => cmd_bench(&args),
-        "map" => cmd_map(&args),
-        "attribute" => cmd_attribute(&args),
-        "compare" => cmd_compare(&args),
-        "top" => cmd_top(&args),
-        "tune" => cmd_tune(&args),
-        "check" => cmd_check(&args),
-        "audit" => cmd_audit(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}").into()),
-    }
+    cmd(&args)
 }
 
 fn main() -> ExitCode {

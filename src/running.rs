@@ -1,14 +1,15 @@
 //! The concrete `lotus run` / `lotus bench` runner: one measured epoch of
 //! a workload pipeline on a chosen [`ExecutionBackend`].
 //!
-//! Both backends go through the identical zero-overhead measurement
-//! harness `lotus tune` uses (a [`LotusTrace`] with no per-record charge
-//! plus a free [`MetricsSink`]), fold into the same
-//! [`TrialMeasurement`]/[`Scorecard`], and are classified by the same
-//! bottleneck verdict — which is what makes sim-vs-native
-//! cross-validation a one-line comparison. The native path materializes
-//! real pixels for the image pipelines (IC, OD), so its trace measures
-//! the actual codec and transform kernels.
+//! Both backends, and every `lotus tune` trial, go through the one
+//! zero-overhead measurement harness (a [`LotusTrace`] with no
+//! per-record charge plus a free [`MetricsSink`]), fold into the same
+//! [`TrialMeasurement`]/[`Scorecard`], and are classified by the one
+//! bottleneck rule, [`Verdict::classify`]. Sim-vs-native
+//! cross-validation is therefore a one-line comparison of
+//! [`Verdict::family`]. The native path materializes real pixels for the
+//! image pipelines (IC, OD), so its trace measures the actual codec and
+//! transform kernels.
 
 use std::sync::Arc;
 
@@ -17,16 +18,20 @@ use lotus_core::map::{
 };
 use lotus_core::metrics::{names, MetricsRegistry, MetricsSink, MultiSink};
 use lotus_core::trace::analysis::op_class_totals;
+use lotus_core::trace::insights::Verdict;
 use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
-use lotus_core::tune::{Scorecard, TrialConfig, TrialMeasurement};
+use lotus_core::tune::{Scorecard, TrialMeasurement};
 use lotus_dataflow::{
-    ExecutionBackend, FaultPlan, JobReport, NativeBackend, NativeOptions, SimBackend,
+    DataLoaderConfig, ExecutionBackend, FaultPlan, JobReport, NativeBackend, NativeOptions,
+    SimBackend, TrainingJob,
 };
 use lotus_profilers::{NativeSampler, SamplerConfig};
 use lotus_sim::Span;
 use lotus_uarch::{Machine, MachineConfig};
 use lotus_workloads::{build_ic_mapping_for_batch, ExperimentConfig, PipelineKind};
 use serde_json::{Content, Value};
+
+use crate::tuning::baseline_trial;
 
 /// Which execution substrate to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,40 +211,15 @@ pub fn run_experiment(
                 .to_string(),
         );
     }
-    let machine = Machine::new(MachineConfig::cloudlab_c4130());
-    let trace = Arc::new(LotusTrace::with_config(LotusTraceConfig {
-        per_log_overhead: Span::ZERO,
-        op_mode: OpLogMode::Full,
-    }));
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = Arc::new(MetricsSink::with_overhead(
-        Arc::clone(&registry),
-        loader.num_workers,
-        Span::ZERO,
-    ));
-    let sinks = Arc::new(
-        MultiSink::new()
-            .with(Arc::clone(&trace) as _)
-            .with(Arc::clone(&metrics) as _),
-    );
-    let trial = TrialConfig {
-        num_workers: loader.num_workers,
-        prefetch_factor: loader.prefetch_factor,
-        data_queue_cap: loader.data_queue_cap,
-        pin_memory: loader.pin_memory,
-    };
+    let harness = Harness::new(loader.num_workers);
+    let machine = &harness.machine;
     let batch_size = loader.batch_size;
-    let job = if options.materialize {
-        experiment.build_materialized_with(
-            &machine,
-            sinks as _,
-            None,
-            loader,
-            options.faults.clone(),
-        )
-    } else {
-        experiment.build_with(&machine, sinks as _, None, loader, options.faults.clone())
-    };
+    let job = harness.job(
+        experiment,
+        loader,
+        options.faults.clone(),
+        options.materialize,
+    );
     let storage_handle = job.storage.clone();
     let mut sampler: Option<NativeSampler> = None;
     let (backend_name, report) = match options.backend {
@@ -265,13 +245,13 @@ pub fn run_experiment(
     // taken so the exporters and `lotus top` see them.
     let profile = sampler.map(|mut s| {
         s.stop();
-        s.gauges_into(&registry);
-        let per_op = s.feed().per_op_function_totals(&machine);
+        s.gauges_into(&harness.registry);
+        let per_op = s.feed().per_op_function_totals(machine);
         let attribution = mapping_from_native(&per_op);
         let agreement =
             matches!(experiment.pipeline, PipelineKind::ImageClassification).then(|| {
                 let sim = build_ic_mapping_for_batch(
-                    &machine,
+                    machine,
                     IsolationConfig {
                         runs_override: Some(60),
                         ..IsolationConfig::default()
@@ -297,44 +277,82 @@ pub fn run_experiment(
             agreement,
         }
     });
-    let storage =
-        storage_handle.map(|s| StorageAttribution::from_run(&s.counters(), &trace.records()));
-    let measurement = TrialMeasurement {
-        elapsed: report.elapsed,
-        batches: report.batches,
-        samples: report.samples,
-        snapshot: registry.snapshot(),
-        op_classes: op_class_totals(&trace.records()),
-    };
-    let scorecard = Scorecard::from_measurement(trial, &measurement);
+    let storage = storage_handle
+        .map(|s| StorageAttribution::from_run(&s.counters(), &harness.trace.records()));
+    let measurement = harness.measurement(&report);
+    let scorecard = Scorecard::from_measurement(baseline_trial(experiment), &measurement);
     Ok(RunOutcome {
         backend: backend_name,
         report,
         measurement,
         scorecard,
-        trace,
+        trace: harness.trace,
         profile,
         storage,
     })
 }
 
-/// The two bottleneck families sim-vs-native cross-validation compares:
-/// either the input pipeline starves the consumer (preprocessing-,
-/// fetch-, or collate-bound) or it does not (GPU-bound / balanced).
-/// Wall-clock noise moves a run between verdicts *within* a family, not
-/// across families, so the family is the stable prediction.
-#[must_use]
-pub fn verdict_family(scorecard: &Scorecard) -> &'static str {
-    use lotus_core::tune::TuneVerdict;
-    match scorecard.verdict {
-        Some(
-            TuneVerdict::PreprocessingBound
-            | TuneVerdict::FetchBound
-            | TuneVerdict::CollateBound
-            | TuneVerdict::StorageBound,
-        ) => "input-bound",
-        Some(TuneVerdict::GpuBound | TuneVerdict::Balanced) => "accelerator-bound",
-        None => "failed",
+/// The zero-overhead measurement harness every measured run goes
+/// through — `lotus run` on either backend and each `lotus tune` trial: a
+/// fresh machine, a [`LotusTrace`] with no per-record charge and a free
+/// [`MetricsSink`], so the numbers describe the pipeline, not the
+/// instrumentation.
+pub(crate) struct Harness {
+    /// The simulated machine the job's cost model runs on.
+    pub(crate) machine: Arc<Machine>,
+    /// The run's full trace.
+    pub(crate) trace: Arc<LotusTrace>,
+    /// The registry the metrics sink folds into.
+    pub(crate) registry: Arc<MetricsRegistry>,
+    sinks: Arc<MultiSink>,
+}
+
+impl Harness {
+    /// A harness for a loader with `num_workers` workers.
+    pub(crate) fn new(num_workers: usize) -> Harness {
+        let trace = Arc::new(LotusTrace::with_config(LotusTraceConfig {
+            per_log_overhead: Span::ZERO,
+            op_mode: OpLogMode::Full,
+        }));
+        let registry = Arc::new(MetricsRegistry::new());
+        let metrics = MetricsSink::with_overhead(Arc::clone(&registry), num_workers, Span::ZERO);
+        let sinks = MultiSink::new()
+            .with(Arc::clone(&trace) as _)
+            .with(Arc::new(metrics) as _);
+        Harness {
+            machine: Machine::new(MachineConfig::cloudlab_c4130()),
+            trace,
+            registry,
+            sinks: Arc::new(sinks),
+        }
+    }
+
+    /// Builds `experiment`'s job under `loader`, traced by this harness.
+    pub(crate) fn job(
+        &self,
+        experiment: &ExperimentConfig,
+        loader: DataLoaderConfig,
+        faults: FaultPlan,
+        materialize: bool,
+    ) -> TrainingJob {
+        let tracer = Arc::clone(&self.sinks) as _;
+        if materialize {
+            experiment.build_materialized_with(&self.machine, tracer, None, loader, faults)
+        } else {
+            experiment.build_with(&self.machine, tracer, None, loader, faults)
+        }
+    }
+
+    /// Folds a finished run into the measurement its scorecard is built
+    /// from.
+    pub(crate) fn measurement(&self, report: &JobReport) -> TrialMeasurement {
+        TrialMeasurement {
+            elapsed: report.elapsed,
+            batches: report.batches,
+            samples: report.samples,
+            snapshot: self.registry.snapshot(),
+            op_classes: op_class_totals(&self.trace.records()),
+        }
     }
 }
 
@@ -389,15 +407,11 @@ pub fn bench_report(preset: &str, experiment: &ExperimentConfig, outcome: &RunOu
         ("wait_fraction".into(), Content::F64(card.wait_fraction)),
         (
             "verdict".into(),
-            Content::Str(
-                card.verdict
-                    .map_or("failed", lotus_core::tune::TuneVerdict::as_str)
-                    .into(),
-            ),
+            Content::Str(card.verdict.map_or("failed", Verdict::as_str).into()),
         ),
         (
             "verdict_family".into(),
-            Content::Str(verdict_family(card).into()),
+            Content::Str(card.verdict.map_or("failed", Verdict::family).into()),
         ),
     ];
     // Storage-tier block, present only when the run modeled storage.

@@ -1,27 +1,23 @@
 //! The concrete `lotus tune` runner: binds the generic search engine in
 //! [`lotus_core::tune`] to the [`lotus_workloads`] pipelines.
 //!
-//! Each trial builds a fresh machine and runs one deterministic simulated
-//! epoch of the chosen pipeline under the candidate DataLoader
-//! configuration, with a **zero-overhead** measurement harness (a
-//! [`LotusTrace`] with no per-record charge plus a free
-//! [`MetricsSink`]) so the scorecards reflect the pipeline itself, not
-//! the instrumentation. A [`FaultPlan`] composes: a trial whose run
-//! degrades (worker kills, sample errors, deadlocks) becomes a failed
-//! scorecard instead of aborting the sweep.
+//! Each trial runs one deterministic simulated epoch of the chosen
+//! pipeline under the candidate DataLoader configuration, through the
+//! same **zero-overhead** measurement harness as `lotus run`, so the
+//! scorecards reflect the pipeline itself, not the instrumentation, and
+//! a trial scores exactly like `lotus run --backend sim` of the same
+//! configuration. A [`FaultPlan`] composes: a trial whose run degrades
+//! (worker kills, sample errors, deadlocks) becomes a failed scorecard
+//! instead of aborting the sweep.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use lotus_core::exec::{self, TrialCache};
-use lotus_core::metrics::{MetricsRegistry, MetricsSink, MultiSink};
-use lotus_core::trace::analysis::op_class_totals;
-use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus_core::tune::{SearchSpace, Strategy, TrialConfig, TrialMeasurement, TuneReport, Tuner};
 use lotus_dataflow::FaultPlan;
-use lotus_sim::Span;
-use lotus_uarch::{Machine, MachineConfig};
 use lotus_workloads::ExperimentConfig;
+
+use crate::running::Harness;
 
 /// Options for one tuning run.
 ///
@@ -127,8 +123,8 @@ pub fn trial_context(experiment: &ExperimentConfig, faults: &FaultPlan) -> Strin
     )
 }
 
-/// Runs one candidate configuration: a fresh machine, a zero-overhead
-/// measurement harness, one simulated epoch.
+/// Runs one candidate configuration: one simulated epoch under the
+/// zero-overhead measurement harness.
 ///
 /// # Errors
 ///
@@ -141,33 +137,12 @@ pub fn run_trial(
 ) -> Result<TrialMeasurement, String> {
     let loader = trial.apply(experiment.loader_defaults());
     loader.validate()?;
-    let machine = Machine::new(MachineConfig::cloudlab_c4130());
-    let trace = Arc::new(LotusTrace::with_config(LotusTraceConfig {
-        per_log_overhead: Span::ZERO,
-        op_mode: OpLogMode::Full,
-    }));
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = Arc::new(MetricsSink::with_overhead(
-        Arc::clone(&registry),
-        loader.num_workers,
-        Span::ZERO,
-    ));
-    let sinks = Arc::new(
-        MultiSink::new()
-            .with(Arc::clone(&trace) as _)
-            .with(Arc::clone(&metrics) as _),
-    );
-    let report = experiment
-        .build_with(&machine, sinks as _, None, loader, faults.clone())
+    let harness = Harness::new(loader.num_workers);
+    let report = harness
+        .job(experiment, loader, faults.clone(), false)
         .run()
         .map_err(|e| e.to_string())?;
-    Ok(TrialMeasurement {
-        elapsed: report.elapsed,
-        batches: report.batches,
-        samples: report.samples,
-        snapshot: registry.snapshot(),
-        op_classes: op_class_totals(&trace.records()),
-    })
+    Ok(harness.measurement(&report))
 }
 
 #[cfg(test)]

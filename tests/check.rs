@@ -7,9 +7,9 @@ use std::sync::Arc;
 
 use lotus::checking::{check_scenario, run_scheduled, scenarios, CheckOptions};
 use lotus::core::check::{
-    lint_gauges, lint_records, GaugeLimits, LintFinding, ReportFacts, Violation,
+    lint_records, verify, ProtocolSpec, RecordingObserver, ReportFacts, RunEnding, Violation,
 };
-use lotus::core::metrics::{MetricsRegistry, MetricsSink, MultiSink};
+use lotus::core::metrics::MultiSink;
 use lotus::core::trace::chrome::{from_chrome_trace, to_chrome_trace, ChromeTraceOptions};
 use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus::dataflow::{FaultPlan, LoaderMutation, SchedulingPolicyKind};
@@ -207,7 +207,8 @@ fn explorer_is_clean_unmutated_and_counterexamples_replay() {
 }
 
 /// A fresh LotusTrace of a faulty run lints clean, directly and after a
-/// Chrome-trace round trip; the live gauge series stay within bounds.
+/// Chrome-trace round trip; the same run's live event stream, gauges
+/// included, satisfies the invariant catalog.
 #[test]
 fn fresh_traces_and_chrome_round_trips_lint_clean() {
     // A mid-epoch kill is survivable with >= 2 workers and exercises the
@@ -222,18 +223,13 @@ fn fresh_traces_and_chrome_round_trips_lint_clean() {
         per_log_overhead: Span::ZERO,
         op_mode: OpLogMode::Full,
     }));
-    let registry = Arc::new(MetricsRegistry::new());
     let mut loader = experiment.loader_defaults();
     loader.data_queue_cap = Some(8);
-    let metrics = Arc::new(MetricsSink::with_overhead(
-        Arc::clone(&registry),
-        loader.num_workers,
-        Span::ZERO,
-    ));
+    let observer = Arc::new(RecordingObserver::new());
     let sinks = Arc::new(
         MultiSink::new()
             .with(Arc::clone(&trace) as _)
-            .with(Arc::clone(&metrics) as _),
+            .with(Arc::clone(&observer) as _),
     );
     let faults = FaultPlan::new(experiment.seed)
         .kill_process("dataloader0", Time::ZERO + Span::from_millis(5));
@@ -262,12 +258,19 @@ fn fresh_traces_and_chrome_round_trips_lint_clean() {
     let findings = lint_records(&reimported, Some(&facts));
     assert!(findings.is_empty(), "chrome round trip: {findings:#?}");
 
-    let limits = GaugeLimits {
+    let spec = ProtocolSpec {
+        num_workers: loader.num_workers,
+        prefetch_factor: loader.prefetch_factor,
         data_queue_cap: loader.data_queue_cap,
-        in_flight_bound: loader.prefetch_factor * loader.num_workers,
+        expected_batches: 8,
+        expected_samples: 64,
     };
-    let gauge_findings: Vec<LintFinding> = lint_gauges(&registry.snapshot(), &limits);
-    assert!(gauge_findings.is_empty(), "gauges: {gauge_findings:#?}");
+    let ending = RunEnding::Completed {
+        batches: report.batches,
+        samples: report.samples,
+    };
+    let violations = verify(&spec, &observer.events(), &ending);
+    assert!(violations.is_empty(), "live events: {violations:#?}");
 }
 
 /// The linter catches seeded corruption: a duplicated delivery, a broken

@@ -27,6 +27,31 @@ fn zero_items_is_a_usage_error_for_every_command() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors_for_every_command() {
+    for command in [
+        "trace",
+        "run",
+        "bench",
+        "map",
+        "attribute",
+        "compare",
+        "top",
+        "tune",
+        "check",
+        "audit",
+    ] {
+        assert_usage_error(&[command, "--worker", "4"], "unknown flag --worker");
+    }
+    // A misspelling, and a real flag of another command: `trace` always
+    // runs on the simulated backend.
+    assert_usage_error(&["top", "--pipline", "od"], "unknown flag --pipline");
+    assert_usage_error(
+        &["trace", "--items", "256", "--backend", "native"],
+        "unknown flag --backend",
+    );
+}
+
+#[test]
 fn degenerate_model_shapes_are_usage_errors() {
     for (flag, field) in [
         ("--workers", "workers"),

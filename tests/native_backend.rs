@@ -14,11 +14,12 @@ use lotus::core::check::{
     lint_records, verify, ProtocolSpec, RecordingObserver, ReportFacts, RunEnding,
 };
 use lotus::core::metrics::names;
+use lotus::core::trace::insights::Verdict;
 use lotus::core::trace::SpanKind;
 use lotus::dataflow::{
     ExecutionBackend, FaultPlan, NativeBackend, NativeOptions, SchedulingPolicyKind,
 };
-use lotus::running::{run_experiment, verdict_family, RunOptions, RunOutcome};
+use lotus::running::{run_experiment, RunOptions, RunOutcome};
 use lotus::sim::{Span, Time};
 use lotus::uarch::{Machine, MachineConfig};
 use lotus::workloads::{ExperimentConfig, PipelineKind};
@@ -144,16 +145,14 @@ fn simulated_verdict_family_predicts_the_native_one() {
 
     assert_eq!(sim.report.batches, native.report.batches);
     assert_eq!(sim.report.samples, native.report.samples);
-    let (sim_family, native_family) = (
-        verdict_family(&sim.scorecard),
-        verdict_family(&native.scorecard),
-    );
+    let family = |outcome: &RunOutcome| outcome.scorecard.verdict.map(Verdict::family);
+    let (sim_family, native_family) = (family(&sim), family(&native));
     assert_eq!(
         sim_family, native_family,
         "sim verdict {:?} vs native verdict {:?}",
         sim.scorecard.verdict, native.scorecard.verdict
     );
-    assert_eq!(sim_family, "input-bound");
+    assert_eq!(sim_family, Some("input-bound"));
 }
 
 #[test]

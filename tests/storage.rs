@@ -9,8 +9,7 @@ use lotus::core::metrics::{render_dashboard, DashboardOptions};
 use lotus::core::trace::analysis::op_class_totals;
 use lotus::core::trace::insights::{analyze, Verdict};
 use lotus::core::trace::SpanKind;
-use lotus::core::tune::TuneVerdict;
-use lotus::running::{run_experiment, verdict_family, RunOptions};
+use lotus::running::{run_experiment, RunOptions};
 use lotus::sim::{FileLayout, StorageConfig};
 use lotus::workloads::{ExperimentConfig, PipelineKind};
 
@@ -33,8 +32,11 @@ fn cold_ic_is_storage_bound_and_warm_flips_back() {
 
     // Cold tiny files on an object store: the tune verdict, its family,
     // and the trace-analysis verdict all call it storage-bound.
-    assert_eq!(cold.scorecard.verdict, Some(TuneVerdict::StorageBound));
-    assert_eq!(verdict_family(&cold.scorecard), "input-bound");
+    assert_eq!(cold.scorecard.verdict, Some(Verdict::StorageBound));
+    assert_eq!(
+        cold.scorecard.verdict.map(Verdict::family),
+        Some("input-bound")
+    );
     let cold_insights = analyze(&cold.trace.records());
     assert_eq!(cold_insights.verdict, Verdict::StorageBound);
     assert!(
@@ -45,7 +47,7 @@ fn cold_ic_is_storage_bound_and_warm_flips_back() {
 
     // A warm page cache flips the bottleneck back to the CPU phases.
     let warm_insights = analyze(&warm.trace.records());
-    assert_ne!(warm.scorecard.verdict, Some(TuneVerdict::StorageBound));
+    assert_ne!(warm.scorecard.verdict, Some(Verdict::StorageBound));
     assert_ne!(warm_insights.verdict, Verdict::StorageBound);
     assert!(
         warm_insights.t0_fraction < 0.05,

@@ -2,7 +2,8 @@
 //! byte-deterministic JSON, fault-plan composition, and the bounded
 //! data-queue memory/throughput trade-off.
 
-use lotus::core::tune::{SearchSpace, Strategy, TuneVerdict};
+use lotus::core::trace::insights::Verdict;
+use lotus::core::tune::{SearchSpace, Strategy};
 use lotus::dataflow::FaultPlan;
 use lotus::sim::{Span, Time};
 use lotus::tuning::{baseline_trial, tune_experiment, TuneOptions};
@@ -25,7 +26,7 @@ fn ground_truth_preprocessing_bound_pipeline_wants_more_workers() {
     // The baseline (1 worker) must be diagnosed as preprocessing-bound.
     assert_eq!(
         report.baseline.verdict,
-        Some(TuneVerdict::PreprocessingBound),
+        Some(Verdict::PreprocessingBound),
         "1-worker AC starves the consumer on transforms"
     );
 
