@@ -13,16 +13,37 @@ use crate::dct::{
 use crate::entropy::{decode_blocks, encode_blocks};
 use crate::kernels::CodecKernels;
 
-/// Size of the SJPG header in bytes (magic + dims + quality), counted into
-/// [`EncodedImage::file_bytes`].
-pub const HEADER_BYTES: u64 = 16;
+/// Size of the SJPG header in bytes, counted into
+/// [`EncodedImage::file_bytes`]: the magic `SJPG`, the format revision,
+/// the quality, two zero bytes, then the width and the height as
+/// little-endian `u32`s.
+pub const HEADER_BYTES: u64 = HEADER_LEN as u64;
 
-/// Errors from decoding an [`EncodedImage`].
+const HEADER_LEN: usize = 16;
+
+const MAGIC: [u8; 4] = *b"SJPG";
+
+/// Revision of the byte layout [`EncodedImage::to_bytes`] writes;
+/// [`EncodedImage::from_bytes`] reads no other.
+const FORMAT_REVISION: u8 = 1;
+
+/// The largest width or height SJPG accepts: JPEG's 16-bit limit.
+pub const MAX_SIDE: u32 = 65_535;
+
+/// Errors from parsing or decoding an [`EncodedImage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// The entropy bitstream ended before all blocks were decoded.
     Truncated,
-    /// The header declares a zero-sized image.
+    /// The file is shorter than the header, or its magic or zero bytes
+    /// are wrong.
+    BadHeader,
+    /// The header names a format revision that
+    /// [`EncodedImage::to_bytes`] does not write.
+    UnsupportedRevision(u8),
+    /// The header declares a quality outside 1–100.
+    InvalidQuality(u8),
+    /// The header declares a zero side, or one above [`MAX_SIDE`].
     InvalidDimensions {
         /// Declared width.
         width: u32,
@@ -35,6 +56,11 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::Truncated => f.write_str("truncated sjpg bitstream"),
+            CodecError::BadHeader => f.write_str("not an sjpg file"),
+            CodecError::UnsupportedRevision(rev) => {
+                write!(f, "unsupported sjpg format revision {rev}")
+            }
+            CodecError::InvalidQuality(q) => write!(f, "invalid sjpg quality {q}"),
             CodecError::InvalidDimensions { width, height } => {
                 write!(f, "invalid sjpg dimensions {width}x{height}")
             }
@@ -57,7 +83,7 @@ pub struct EncodedImage {
 }
 
 impl EncodedImage {
-    /// Total simulated file size (header + entropy data).
+    /// Total file size (header + entropy data).
     #[must_use]
     pub fn file_bytes(&self) -> u64 {
         HEADER_BYTES + self.data.len() as u64
@@ -74,6 +100,65 @@ impl EncodedImage {
     /// corrupt files.
     pub fn truncate_payload(&mut self, len: usize) {
         self.data.truncate(len);
+    }
+
+    /// The file's bytes: the [`HEADER_BYTES`] header, then the payload,
+    /// so `to_bytes().len() == file_bytes()`.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(HEADER_LEN + self.data.len());
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&[FORMAT_REVISION, self.quality, 0, 0]);
+        bytes.extend_from_slice(&self.width.to_le_bytes());
+        bytes.extend_from_slice(&self.height.to_le_bytes());
+        bytes.extend_from_slice(&self.data);
+        bytes
+    }
+
+    /// Parses a file written by [`to_bytes`](Self::to_bytes). Whatever
+    /// follows the header is the payload; [`Codec::decode`] finds out
+    /// whether it holds enough blocks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] for a short file, a wrong magic or zero
+    /// byte, another format revision, or a quality or side out of range.
+    pub fn from_bytes(bytes: &[u8]) -> Result<EncodedImage, CodecError> {
+        let Some((header, payload)) = bytes.split_first_chunk::<HEADER_LEN>() else {
+            return Err(CodecError::BadHeader);
+        };
+        if header[..4] != MAGIC || header[6..8] != [0, 0] {
+            return Err(CodecError::BadHeader);
+        }
+        if header[4] != FORMAT_REVISION {
+            return Err(CodecError::UnsupportedRevision(header[4]));
+        }
+        let le_u32 = |at: usize| {
+            u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+        };
+        let encoded = EncodedImage {
+            width: le_u32(8),
+            height: le_u32(12),
+            quality: header[5],
+            data: payload.to_vec(),
+        };
+        encoded.check_header()?;
+        Ok(encoded)
+    }
+
+    /// Checks the header fields every decode sizes its work by.
+    fn check_header(&self) -> Result<(), CodecError> {
+        if !(1..=100).contains(&self.quality) {
+            return Err(CodecError::InvalidQuality(self.quality));
+        }
+        let side_ok = |side: u32| (1..=MAX_SIDE).contains(&side);
+        if !side_ok(self.width) || !side_ok(self.height) {
+            return Err(CodecError::InvalidDimensions {
+                width: self.width,
+                height: self.height,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -199,14 +284,10 @@ impl Codec {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] for truncated or malformed input.
+    /// Returns [`CodecError`] for truncated or malformed input, and for a
+    /// quality or side out of range.
     pub fn decode(&self, encoded: &EncodedImage, cpu: &mut CpuThread) -> Result<Image, CodecError> {
-        if encoded.width == 0 || encoded.height == 0 {
-            return Err(CodecError::InvalidDimensions {
-                width: encoded.width,
-                height: encoded.height,
-            });
-        }
+        encoded.check_header()?;
         self.charge_decode(encoded.width, encoded.height, encoded.file_bytes(), cpu);
 
         let geo = geometry(encoded.width, encoded.height);
@@ -478,6 +559,88 @@ mod tests {
             codec.decode(&bogus, &mut cpu),
             Err(CodecError::InvalidDimensions { .. })
         ));
+    }
+
+    #[test]
+    fn quality_outside_1_to_100_is_an_error() {
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(16, 16, &mut StdRng::seed_from_u64(6));
+        let mut encoded = codec.encode(&original, 80, &mut cpu);
+        for quality in [0, 101, u8::MAX] {
+            encoded.quality = quality;
+            assert_eq!(
+                codec.decode(&encoded, &mut cpu),
+                Err(CodecError::InvalidQuality(quality))
+            );
+        }
+    }
+
+    #[test]
+    fn sides_above_the_16_bit_limit_are_an_error() {
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(16, 16, &mut StdRng::seed_from_u64(7));
+        let mut encoded = codec.encode(&original, 80, &mut cpu);
+        for (width, height) in [(u32::MAX, u32::MAX), (MAX_SIDE + 1, 16), (16, MAX_SIDE + 1)] {
+            encoded.width = width;
+            encoded.height = height;
+            assert_eq!(
+                codec.decode(&encoded, &mut cpu),
+                Err(CodecError::InvalidDimensions { width, height })
+            );
+        }
+    }
+
+    #[test]
+    fn bytes_round_trip_and_count_as_the_file_size() {
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(20, 28, &mut StdRng::seed_from_u64(12));
+        let encoded = codec.encode(&original, 85, &mut cpu);
+        let bytes = encoded.to_bytes();
+        assert_eq!(bytes.len() as u64, encoded.file_bytes());
+        assert_eq!(&bytes[..4], b"SJPG");
+        assert_eq!(EncodedImage::from_bytes(&bytes), Ok(encoded));
+    }
+
+    #[test]
+    fn malformed_headers_are_errors() {
+        let (_m, codec, mut cpu) = setup();
+        let original = Image::synthetic(16, 24, &mut StdRng::seed_from_u64(13));
+        let good = codec.encode(&original, 85, &mut cpu).to_bytes();
+        let edited = |at: usize, value: &[u8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + value.len()].copy_from_slice(value);
+            EncodedImage::from_bytes(&bytes)
+        };
+        assert_eq!(
+            EncodedImage::from_bytes(&good[..15]),
+            Err(CodecError::BadHeader)
+        );
+        assert_eq!(EncodedImage::from_bytes(&[]), Err(CodecError::BadHeader));
+        assert_eq!(edited(0, b"JPEG"), Err(CodecError::BadHeader));
+        assert_eq!(edited(7, &[1]), Err(CodecError::BadHeader));
+        assert_eq!(edited(4, &[2]), Err(CodecError::UnsupportedRevision(2)));
+        assert_eq!(edited(5, &[0]), Err(CodecError::InvalidQuality(0)));
+        assert_eq!(
+            edited(8, &0u32.to_le_bytes()),
+            Err(CodecError::InvalidDimensions {
+                width: 0,
+                height: 16
+            })
+        );
+        assert_eq!(
+            edited(12, &(MAX_SIDE + 1).to_le_bytes()),
+            Err(CodecError::InvalidDimensions {
+                width: 24,
+                height: MAX_SIDE + 1
+            })
+        );
+        // A bare header is a well-formed file whose payload is empty.
+        let header_only = EncodedImage::from_bytes(&good[..16]).unwrap();
+        assert_eq!(header_only.payload(), &[] as &[u8]);
+        assert_eq!(
+            codec.decode(&header_only, &mut cpu),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]

@@ -29,5 +29,5 @@ pub mod entropy;
 mod codec;
 mod kernels;
 
-pub use codec::{Codec, CodecError, EncodedImage, HEADER_BYTES};
+pub use codec::{Codec, CodecError, EncodedImage, HEADER_BYTES, MAX_SIDE};
 pub use kernels::{libs, CodecKernels};

@@ -1,9 +1,10 @@
 //! Property-based tests for the SJPG codec: round trips at arbitrary
-//! geometry, cost/real-path agreement, and quality monotonicity.
+//! geometry, cost/real-path agreement, quality monotonicity, and files
+//! mutated every way a disk or a hostile writer can.
 
 use std::sync::Arc;
 
-use lotus_codec::Codec;
+use lotus_codec::{Codec, EncodedImage, MAX_SIDE};
 use lotus_data::Image;
 use lotus_uarch::{CpuThread, Machine, MachineConfig};
 use proptest::prelude::*;
@@ -77,4 +78,112 @@ proptest! {
         };
         let _ = codec.decode(&truncated, &mut cpu); // must not panic
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A stored file with flipped bits, overwritten bytes, a cut, edited
+    /// header fields or appended junk never panics the parser or the
+    /// decoder: it is an error, or an image of the header's dimensions.
+    #[test]
+    fn mutated_files_parse_and_decode_totally(
+        seed in 0u64..3,
+        edits in prop::collection::vec(edit(), 1..4),
+    ) {
+        let machine = Machine::new(MachineConfig::cloudlab_c4130());
+        let codec = Codec::new(&machine);
+        let mut cpu = CpuThread::new(Arc::clone(&machine));
+        let original = Image::synthetic(
+            12 + 5 * seed as usize,
+            20 - 3 * seed as usize,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let mut bytes = codec.encode(&original, 85, &mut cpu).to_bytes();
+        for e in &edits {
+            e.apply(&mut bytes);
+        }
+        if let Ok(encoded) = EncodedImage::from_bytes(&bytes) {
+            if let Ok(image) = codec.decode(&encoded, &mut cpu) {
+                prop_assert_eq!(image.width(), encoded.width as usize);
+                prop_assert_eq!(image.height(), encoded.height as usize);
+            }
+        }
+    }
+}
+
+/// One edit of a valid SJPG file. Positions are taken modulo the file's
+/// length when applied.
+#[derive(Debug, Clone)]
+enum Edit {
+    FlipBit {
+        at: usize,
+        bit: u8,
+    },
+    Overwrite {
+        at: usize,
+        byte: u8,
+    },
+    Truncate {
+        at: usize,
+    },
+    /// Writes `value` over one header field: 0 the format revision, 1 the
+    /// quality, 2 the width, 3 the height.
+    HeaderField {
+        field: u8,
+        value: u32,
+    },
+    Append {
+        junk: Vec<u8>,
+    },
+}
+
+impl Edit {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        let len = bytes.len().max(1);
+        match self {
+            Edit::FlipBit { at, bit } => {
+                if let Some(b) = bytes.get_mut(at % len) {
+                    *b ^= 1 << bit;
+                }
+            }
+            Edit::Overwrite { at, byte } => {
+                if let Some(b) = bytes.get_mut(at % len) {
+                    *b = *byte;
+                }
+            }
+            Edit::Truncate { at } => bytes.truncate(at % len),
+            Edit::HeaderField { field, value } => {
+                let (at, le) = match field {
+                    0 => (4, vec![*value as u8]),
+                    1 => (5, vec![*value as u8]),
+                    2 => (8, value.to_le_bytes().to_vec()),
+                    _ => (12, value.to_le_bytes().to_vec()),
+                };
+                if let Some(dst) = bytes.get_mut(at..at + le.len()) {
+                    dst.copy_from_slice(&le);
+                }
+            }
+            Edit::Append { junk } => bytes.extend_from_slice(junk),
+        }
+    }
+}
+
+fn edit() -> impl Strategy<Value = Edit> {
+    let side = prop_oneof![
+        Just(0u32),
+        Just(1),
+        Just(MAX_SIDE),
+        Just(MAX_SIDE + 1),
+        Just(u32::MAX),
+        0u32..64,
+    ];
+    prop_oneof![
+        (0usize..4_096, 0u8..8).prop_map(|(at, bit)| Edit::FlipBit { at, bit }),
+        (0usize..4_096, any::<u8>()).prop_map(|(at, byte)| Edit::Overwrite { at, byte }),
+        (0usize..4_096).prop_map(|at| Edit::Truncate { at }),
+        (0u8..2, 0u32..256).prop_map(|(field, value)| Edit::HeaderField { field, value }),
+        (2u8..4, side).prop_map(|(field, value)| Edit::HeaderField { field, value }),
+        prop::collection::vec(any::<u8>(), 1..64).prop_map(|junk| Edit::Append { junk }),
+    ]
 }

@@ -13,6 +13,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde_json::{Content, Value};
 
@@ -25,7 +26,8 @@ pub const CACHE_FORMAT_VERSION: u32 = 1;
 
 /// Conventional cache root directory name, relative to the working
 /// directory (`lotus tune` and the bench binaries use this unless told
-/// otherwise).
+/// otherwise). The materialized image datasets keep their stored SJPG
+/// files under it too, in `sjpg/`.
 pub const DEFAULT_CACHE_DIR: &str = ".lotus-cache";
 
 /// 64-bit FNV-1a — a stable, dependency-free content hash. Not
@@ -44,9 +46,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// A generic JSON blob store addressed by `(context, key)` content
 /// hashes. `context` names the fixed surroundings of a sweep (workload,
 /// machine, fault plan, seed); `key` names one point inside it (a trial
-/// configuration, a mapping batch size). Writes are atomic
-/// (temp-file + rename), so concurrent producers of the same entry
-/// race benignly — both write identical bytes.
+/// configuration, a mapping batch size). Writes go through
+/// [`write_atomic`], so concurrent producers of the same entry race
+/// benignly — both write identical bytes.
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     dir: PathBuf,
@@ -104,11 +106,30 @@ impl DiskCache {
             ("payload".to_string(), payload),
         ]));
         let text = serde_json::to_string_pretty(&doc).expect("cache entry serializes");
-        let path = self.path_of(context, key);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, &path)
+        write_atomic(&self.path_of(context, key), text.as_bytes())
     }
+}
+
+/// Writes `bytes` to `path` atomically: to a temp file next to it, named
+/// uniquely per process and call, then renamed over `path`. Readers see
+/// the old entry or the new one, never a partial file, and concurrent
+/// writers of the same entry race benignly: the last rename wins. A
+/// failed write removes its temp file. Nothing is synced, so a crash can
+/// leave an entry missing or torn; both callers, [`DiskCache`] and the
+/// image datasets' SJPG store, read such an entry as a miss.
+///
+/// # Errors
+///
+/// Returns the I/O error if the temp file cannot be written or renamed.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{n}", std::process::id()));
+    fs::write(&tmp, bytes)
+        .and_then(|()| fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })
 }
 
 /// The tuner's trial cache: [`DiskCache`] specialized to

@@ -16,5 +16,7 @@
 mod cache;
 mod pool;
 
-pub use cache::{fnv1a64, DiskCache, TrialCache, CACHE_FORMAT_VERSION, DEFAULT_CACHE_DIR};
+pub use cache::{
+    fnv1a64, write_atomic, DiskCache, TrialCache, CACHE_FORMAT_VERSION, DEFAULT_CACHE_DIR,
+};
 pub use pool::{default_jobs, run_jobs};

@@ -640,6 +640,14 @@ impl WorkerSubstrate for NativeWorker<'_> {
         None
     }
 
+    /// A real read ended just now, after the previous op: it nests in
+    /// the op that issued it.
+    fn file_read_span(&self, elapsed: Span, mark: Time) -> Option<(Time, Span)> {
+        let now = self.clock.now();
+        let span = elapsed.min(now.since(mark));
+        Some((now - span, span))
+    }
+
     /// A panicking dataset (the native analog of a crashing Python
     /// worker) ships an in-band `WorkerPanic`, PyTorch's
     /// `ExceptionWrapper` protocol, instead of tearing down this thread

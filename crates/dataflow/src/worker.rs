@@ -11,7 +11,7 @@
 //! panic guard and hand-off, which emits the \[T1\] fetch record.
 
 use lotus_data::mix_seed;
-use lotus_sim::{ReadOutcome, Span, Time};
+use lotus_sim::{ReadOutcome, Span, StorageTier, Time};
 use lotus_transforms::{Batch, Collate, PipelineError, TransformCtx, TransformObserver};
 use lotus_uarch::CpuThread;
 use rand::rngs::StdRng;
@@ -71,6 +71,13 @@ pub(crate) trait WorkerSubstrate {
         Some(issued)
     }
 
+    /// The traced span of a real file read that took `elapsed` of wall
+    /// time and has just ended, if it has a place on this engine's
+    /// clock; `mark` is where the previous op ended.
+    fn file_read_span(&self, _elapsed: Span, _mark: Time) -> Option<(Time, Span)> {
+        None
+    }
+
     /// Runs `fetch`, turning a panic into an in-band error if it can.
     fn guard(
         &self,
@@ -120,6 +127,24 @@ impl<S: WorkerSubstrate> TransformObserver for FetchOps<'_, S> {
             self.overhead += self
                 .tracer
                 .on_storage_read(self.pid, self.batch_id, start, read);
+        }
+    }
+
+    /// A read of the local filesystem, traced as a \[T0\] read that the
+    /// local disk served. Whether the OS page cache held the file, or
+    /// what else was queued on the device, is not observed.
+    fn on_file_read(&mut self, bytes: u64, elapsed: Span) {
+        if let Some((start, span)) = self.sub.file_read_span(elapsed, self.mark) {
+            let read = ReadOutcome {
+                tier: StorageTier::LocalDisk,
+                span,
+                bytes,
+                seek: false,
+                queue_depth: 1,
+            };
+            self.overhead += self
+                .tracer
+                .on_storage_read(self.pid, self.batch_id, start, &read);
         }
     }
 }

@@ -53,6 +53,15 @@ pub trait TransformObserver {
     fn on_storage_read(&mut self, start: Time, read: &ReadOutcome) {
         let _ = (start, read);
     }
+
+    /// Called right after the dataset read a stored file of `bytes` from
+    /// the real filesystem, which took `elapsed` of wall time (the
+    /// native \[T0\] hook). Like a storage read, it happens inside the
+    /// "Loader" span. Defaults to ignoring the event; a virtual-time
+    /// engine has no place for wall time.
+    fn on_file_read(&mut self, bytes: u64, elapsed: Span) {
+        let _ = (bytes, elapsed);
+    }
 }
 
 /// A no-op observer.

@@ -2,9 +2,11 @@
 //! numpy-volume datasets, both reporting their `Loader` step to the
 //! LotusTrace observer.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use lotus_codec::Codec;
+use lotus_core::exec::DEFAULT_CACHE_DIR;
 use lotus_data::{AudioDatasetModel, DType, ImageDatasetModel, VolumeDatasetModel};
 use lotus_dataflow::Dataset;
 use lotus_sim::{Storage, Time};
@@ -14,6 +16,7 @@ use lotus_transforms::{
 use lotus_uarch::{CostCoeffs, KernelId, Machine};
 
 use crate::io::IoModel;
+use crate::store::ImageStore;
 
 /// The shared fetch stage every dataset's `get_item` starts with: the
 /// Python-level dispatch overhead (dataset `__getitem__`, file open),
@@ -74,9 +77,9 @@ pub struct ImageFolderDataset {
     codec: Codec,
     fetch: FetchStage,
     transforms: Compose,
-    /// When true, real pixels are synthesized, encoded and decoded (for
-    /// examples and small runs exercising the full compute path).
-    materialize: bool,
+    /// The SJPG files real pixels are decoded from; `None` in cost-only
+    /// mode.
+    store: Option<ImageStore>,
 }
 
 impl std::fmt::Debug for ImageFolderDataset {
@@ -84,7 +87,7 @@ impl std::fmt::Debug for ImageFolderDataset {
         f.debug_struct("ImageFolderDataset")
             .field("dataset", &self.model.name())
             .field("len", &self.model.len())
-            .field("materialize", &self.materialize)
+            .field("store", &self.store.as_ref().map(ImageStore::dir))
             .finish()
     }
 }
@@ -104,7 +107,7 @@ impl ImageFolderDataset {
             codec: Codec::new(machine),
             fetch: FetchStage::new(machine, io),
             transforms,
-            materialize: false,
+            store: None,
         }
     }
 
@@ -117,12 +120,23 @@ impl ImageFolderDataset {
         self
     }
 
-    /// Switches on real pixel materialization (encode + decode real
-    /// content). Orders of magnitude slower; meant for examples and
+    /// Switches on real pixels: `get_item` reads each record's SJPG file
+    /// from `.lotus-cache/sjpg/` in the working directory and decodes
+    /// it, as torchvision's `ImageFolder` reads a stored JPEG. A record's
+    /// first use synthesizes and encodes it and stores the file;
+    /// deleting the directory is always safe. Orders of magnitude slower
+    /// than cost-only mode; meant for native runs, examples and
     /// correctness tests.
     #[must_use]
-    pub fn materialized(mut self) -> ImageFolderDataset {
-        self.materialize = true;
+    pub fn materialized(self) -> ImageFolderDataset {
+        self.materialized_in(DEFAULT_CACHE_DIR)
+    }
+
+    /// Like [`materialized`](Self::materialized), with the store under
+    /// `root`. Nothing is created there until the first `get_item`.
+    #[must_use]
+    pub fn materialized_in(mut self, root: impl Into<PathBuf>) -> ImageFolderDataset {
+        self.store = Some(ImageStore::new(root));
         self
     }
 
@@ -148,25 +162,21 @@ impl Dataset for ImageFolderDataset {
         let start = self.fetch.fetch(index, record.file_bytes, ctx, observer);
         // Native kernel spans inside the decode attribute to the Loader op.
         ctx.cpu.set_op_context("Loader");
-        let sample = if self.materialize {
-            // Real path: synthesize content, encode, decode. Encoding is
-            // performed on a scratch thread so only decode cost lands in
-            // the Loader span (the stored file was encoded offline).
-            let image = record.materialize();
-            let mut scratch = lotus_uarch::CpuThread::new(std::sync::Arc::clone(ctx.cpu.machine()));
-            let encoded = self.codec.encode(&image, 85, &mut scratch);
-            let decoded =
-                self.codec
-                    .decode(&encoded, ctx.cpu)
+        let sample = match &self.store {
+            Some(store) => {
+                let decoded = store
+                    .decode(&record, &self.codec, ctx.cpu, observer)
                     .map_err(|e| PipelineError::Decode {
                         index,
                         reason: e.to_string(),
                     })?;
-            Sample::image(decoded)
-        } else {
-            self.codec
-                .charge_decode(record.width, record.height, record.file_bytes, ctx.cpu);
-            Sample::image_meta(record.height as usize, record.width as usize)
+                Sample::image(decoded)
+            }
+            None => {
+                self.codec
+                    .charge_decode(record.width, record.height, record.file_bytes, ctx.cpu);
+                Sample::image_meta(record.height as usize, record.width as usize)
+            }
         };
         observer.on_transform("Loader", start, ctx.cpu.cursor().since(start));
         self.transforms.apply_observed(sample, ctx, observer)
@@ -369,5 +379,50 @@ impl TransformObserver for MonotonicObserver {
             assert!(start >= prev, "op starts must be monotonic within a worker");
         }
         self.last_start = Some(start);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lotus_data::dist::LogNormal;
+    use lotus_transforms::NullObserver;
+    use lotus_uarch::{CpuThread, MachineConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn the_store_root_appears_at_the_first_get_item_not_at_construction() {
+        let root = std::env::temp_dir().join(format!("lotus-dataset-root-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let machine = Machine::new(MachineConfig::cloudlab_c4130());
+        let model = ImageDatasetModel::custom(
+            "tiny",
+            4,
+            9,
+            LogNormal::from_mean_std(2_000.0, 500.0),
+            (24, 48),
+            0.55,
+        );
+        let dataset = ImageFolderDataset::new(
+            &machine,
+            model,
+            IoModel::local_nvme(),
+            Compose::new(&machine, vec![]),
+        )
+        .materialized_in(&root);
+        assert!(!root.exists(), "construction touches no file");
+
+        let mut cpu = CpuThread::new(Arc::clone(&machine));
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = TransformCtx {
+            cpu: &mut cpu,
+            rng: &mut rng,
+        };
+        let sample = dataset.get_item(2, &mut ctx, &mut NullObserver).unwrap();
+        assert!(sample.is_materialized());
+        let record = dataset.model().record(2);
+        assert!(ImageStore::new(&root).path_of(&record).is_file());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -31,6 +31,7 @@ mod datasets;
 mod io;
 mod mapping;
 mod pipelines;
+mod store;
 
 pub use datasets::{AudioClipDataset, ImageFolderDataset, MonotonicObserver, VolumeDataset};
 pub use io::IoModel;

@@ -279,9 +279,11 @@ impl ExperimentConfig {
     }
 
     /// Like [`build_with`](Self::build_with), but the image pipelines
-    /// (IC, OD) materialize real pixels — synthesize, JPEG-encode, and
-    /// decode actual image content — so the codec and transform kernels
-    /// do real work. This is what the native execution backend profiles;
+    /// (IC, OD) materialize real pixels — each record's SJPG file is read
+    /// from the store under `.lotus-cache/` and decoded, after being
+    /// synthesized and encoded on its first use — so the codec and
+    /// transform kernels do real work. Building touches no file. This is
+    /// what the native execution backend profiles;
     /// IS and AC remain cost-only (their volume/audio loaders model cost
     /// without materializing content).
     #[must_use]

@@ -1,6 +1,8 @@
-//! The real-compute path: a small epoch where every image is actually
-//! synthesized, SJPG-encoded, decoded and transformed — pixels and all —
+//! The real-compute path: a small epoch where every image is read from
+//! its stored SJPG file, decoded and transformed — pixels and all —
 //! through exactly the same public API the cost-only simulations use.
+//! The first run encodes each image once into `.lotus-cache/sjpg/` in the
+//! working directory; later runs only read and decode.
 //!
 //! ```sh
 //! cargo run --release --example real_decode
@@ -41,7 +43,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         ],
     );
     let dataset =
-        ImageFolderDataset::new(&machine, model, IoModel::local_nvme(), transforms).materialized(); // ← real pixels: synthesize → encode → decode
+        ImageFolderDataset::new(&machine, model, IoModel::local_nvme(), transforms).materialized(); // ← real pixels: read the stored file → decode
 
     let trace = Arc::new(LotusTrace::new());
     let report = TrainingJob {

@@ -12,18 +12,20 @@ use lotus::core::map::{
     split_metrics, split_metrics_mix_aware, IsolationConfig, Mapping, StorageAttribution,
 };
 use lotus::core::metrics::{
-    render_dashboard, to_csv, to_json, to_prometheus, DashboardOptions, MetricsRegistry,
+    names, render_dashboard, to_csv, to_json, to_prometheus, DashboardOptions, MetricsRegistry,
     MetricsSink, MultiSink,
 };
 use lotus::core::trace::chrome::{to_chrome_trace, ChromeTraceOptions};
 use lotus::core::trace::insights::{analyze, Verdict};
 use lotus::core::trace::viz::{render_timeline, TimelineOptions};
-use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
+use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode, SpanKind};
 use lotus::core::tune::{SearchSpace, Strategy};
 use lotus::dataflow::{FaultPlan, LoaderMutation, SchedulingPolicyKind};
 use lotus::profilers::ComparisonHarness;
-use lotus::running::{bench_report, check_regression, run_experiment, BackendKind, RunOptions};
-use lotus::sim::{FileLayout, Span};
+use lotus::running::{
+    bench_report, check_regression, run_experiment, BackendKind, RunOptions, RunOutcome,
+};
+use lotus::sim::{FileLayout, Span, StorageTier};
 use lotus::tuning::{tune_experiment, TuneOptions};
 use lotus::uarch::{
     format_report, CollectionMode, HwProfiler, Machine, MachineConfig, ProfilerConfig,
@@ -65,7 +67,10 @@ USAGE:
       with real bounded queues against real pixels, emitting a
       wall-clock LotusTrace; `sim` replays it in deterministic virtual
       time. Prints per-op stats plus the tune-style scorecard and
-      bottleneck verdict. --no-gpu skips the emulated GPU consumer,
+      bottleneck verdict. A native image run decodes each record's SJPG
+      file from .lotus-cache/sjpg/ in the working directory, encoding and
+      storing it on first use, and prints its [T0] file reads (`t0
+      reads:` count, MB, p50). --no-gpu skips the emulated GPU consumer,
       --no-materialize keeps image pipelines cost-only. --profile (native
       only) attaches the OS-level sampling profiler: per-thread CPU time,
       RSS and context switches from /proc plus per-op native-kernel
@@ -456,6 +461,9 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
         card.verdict.map_or("failed", Verdict::as_str),
         card.verdict.map_or("failed", Verdict::family)
     );
+    if backend == BackendKind::Native {
+        println!("{}", t0_reads_line(&outcome));
+    }
     if let Some(storage) = &outcome.storage {
         println!("\nstorage attribution:");
         print!("{}", storage.to_table_string());
@@ -507,6 +515,34 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
         println!("trace log written to {path} (lint it with: lotus check --trace {path})");
     }
     Ok(())
+}
+
+/// `t0 reads: N files, M MB, p50 T ms`: a native run's \[T0\] records,
+/// one per stored file read, with the bytes its metrics counted.
+fn t0_reads_line(outcome: &RunOutcome) -> String {
+    let mut reads: Vec<Span> = outcome
+        .trace
+        .records()
+        .iter()
+        .filter(|r| matches!(r.kind, SpanKind::StorageRead(_)))
+        .map(|r| r.duration)
+        .collect();
+    reads.sort_unstable();
+    let p50_ms = reads
+        .get(reads.len() / 2)
+        .map_or(0.0, |s| s.as_secs_f64() * 1e3);
+    let bytes = outcome
+        .measurement
+        .snapshot
+        .counters
+        .get(&names::storage_bytes(StorageTier::LocalDisk.as_str()))
+        .copied()
+        .unwrap_or(0);
+    format!(
+        "t0 reads: {} files, {:.1} MB, p50 {p50_ms:.3} ms",
+        reads.len(),
+        bytes as f64 / 1e6
+    )
 }
 
 fn cmd_bench(args: &Args) -> Result<(), Box<dyn Error>> {

@@ -8,7 +8,8 @@
 //! bottleneck rule, [`Verdict::classify`]. Sim-vs-native
 //! cross-validation is therefore a one-line comparison of
 //! [`Verdict::family`]. The native path materializes real pixels for the
-//! image pipelines (IC, OD), so its trace measures the actual codec and
+//! image pipelines (IC, OD), decoding each record from its stored SJPG
+//! file, so its trace measures the actual file reads (\[T0\]), codec and
 //! transform kernels.
 
 use std::sync::Arc;
