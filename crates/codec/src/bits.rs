@@ -101,12 +101,6 @@ impl<'a> BitReader<'a> {
         Ok(value)
     }
 
-    /// Bits consumed so far.
-    #[must_use]
-    pub fn bits_read(&self) -> usize {
-        self.pos_bits
-    }
-
     /// Bits not yet consumed.
     #[must_use]
     pub fn bits_left(&self) -> usize {

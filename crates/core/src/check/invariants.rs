@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use lotus_dataflow::TraceEvent;
+use lotus_dataflow::{TraceEvent, DATA_QUEUE_DEPTH_GAUGE, IN_FLIGHT_GAUGE, PINNED_CACHE_GAUGE};
 
 /// Static facts about the configuration under check, against which the
 /// invariants are judged.
@@ -506,18 +506,18 @@ pub fn verify(
                         value: *value,
                     });
                 }
-                if name == "queue_depth.data_queue" {
+                if name == DATA_QUEUE_DEPTH_GAUGE {
                     if let Some(cap) = spec.data_queue_cap {
                         if *value > cap as f64 {
                             violations.push(Violation::QueueCapExceeded { cap, depth: *value });
                         }
                     }
-                } else if name == "pinned_cache_batches" && *value > in_flight_bound as f64 {
+                } else if name == PINNED_CACHE_GAUGE && *value > in_flight_bound as f64 {
                     violations.push(Violation::ReorderBufferOverflow {
                         bound: in_flight_bound,
                         depth: *value,
                     });
-                } else if name == "in_flight_batches" && *value > in_flight_bound as f64 {
+                } else if name == IN_FLIGHT_GAUGE && *value > in_flight_bound as f64 {
                     violations.push(Violation::InFlightOverflow {
                         bound: in_flight_bound,
                         depth: *value,

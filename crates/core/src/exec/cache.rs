@@ -105,6 +105,9 @@ impl DiskCache {
             ("key".to_string(), Content::Str(key.to_string())),
             ("payload".to_string(), payload),
         ]));
+        // Writing an in-memory document to a string has no failure mode:
+        // every map key is a string.
+        #[allow(clippy::expect_used)]
         let text = serde_json::to_string_pretty(&doc).expect("cache entry serializes");
         write_atomic(&self.path_of(context, key), text.as_bytes())
     }

@@ -9,7 +9,7 @@
 //! jobs may borrow from the caller's stack.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The default fan-out width: the machine's available parallelism, or 1
 /// when it cannot be queried.
@@ -66,25 +66,31 @@ where
             scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 let Some(slot) = slots.get(index) else { break };
-                let Slot::Pending(task) =
-                    std::mem::replace(&mut *slot.lock().expect("job slot"), Slot::Claimed)
-                else {
+                let Slot::Pending(task) = std::mem::replace(&mut *lock(slot), Slot::Claimed) else {
                     unreachable!("slot {index} claimed twice");
                 };
                 // The lock is dropped while the task runs: claiming and
                 // publishing are the only critical sections.
                 let result = task();
-                *slot.lock().expect("job slot") = Slot::Done(result);
+                *lock(slot) = Slot::Done(result);
             });
         }
     });
     slots
         .into_iter()
-        .map(|slot| match slot.into_inner().expect("job slot") {
-            Slot::Done(result) => result,
-            _ => unreachable!("scope joined with an unfinished slot"),
-        })
+        .map(
+            |slot| match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                Slot::Done(result) => result,
+                _ => unreachable!("scope joined with an unfinished slot"),
+            },
+        )
         .collect()
+}
+
+/// A slot's lock is held only to swap its state, which cannot panic, so
+/// a poisoned slot still holds a whole state.
+fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -251,6 +251,7 @@ impl Mapping {
     /// Panics only if JSON serialization fails, which cannot happen for
     /// this type.
     #[must_use]
+    #[allow(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("mapping serialization cannot fail")
     }

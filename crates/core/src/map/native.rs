@@ -79,6 +79,8 @@ pub fn top_k_agreement(sim: &Mapping, native: &Mapping, k: usize) -> Vec<OpAgree
         let Some(sim_bucket) = sim.functions_for(op) else {
             continue;
         };
+        // `op` came from `native.ops()` just above.
+        #[allow(clippy::expect_used)]
         let native_bucket = native.functions_for(op).expect("op listed by its mapping");
         let native_top: Vec<String> = native_bucket
             .functions

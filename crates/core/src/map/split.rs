@@ -69,6 +69,8 @@ pub fn split_metrics(
                 continue;
             };
             let weight = op_time.as_nanos() as f64 / total;
+            // `out` holds every op of `op_times`, and `op` has a time.
+            #[allow(clippy::expect_used)]
             let entry = out.get_mut(op).expect("op pre-seeded");
             entry.cpu_time += row.stats.cpu_time.mul_f64(weight);
             entry.events += row.stats.events * weight;
@@ -163,6 +165,8 @@ pub fn split_metrics_mix_aware(
         }
         for (op, w) in raw {
             let weight = w / total;
+            // `raw` kept only ops with a time, and `out` holds all of them.
+            #[allow(clippy::expect_used)]
             let entry = out.get_mut(op).expect("op pre-seeded");
             entry.cpu_time += row.stats.cpu_time.mul_f64(weight);
             entry.events += row.stats.events * weight;

@@ -144,6 +144,7 @@ impl StorageAttribution {
     /// Panics only if JSON serialization fails, which cannot happen for
     /// this type.
     #[must_use]
+    #[allow(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("storage attribution serialization cannot fail")
     }

@@ -164,6 +164,9 @@ pub fn to_json(snapshot: &MetricsSnapshot) -> String {
         ("gauges".to_string(), gauges),
         ("histograms".to_string(), histograms),
     ]));
+    // Writing an in-memory document to a string has no failure mode:
+    // every map key is a string.
+    #[allow(clippy::expect_used)]
     let mut text = serde_json::to_string_pretty(&doc).expect("metrics snapshot serializes");
     text.push('\n');
     text

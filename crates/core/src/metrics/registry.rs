@@ -7,7 +7,7 @@
 //! produce **bit-identical** registries, and bit-identical exports.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lotus_data::stats::Summary;
 use lotus_sim::{Span, Time};
@@ -151,22 +151,28 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The maps. Every update under the lock is one insert or increment,
+    /// so a panic elsewhere cannot leave them half-written.
+    fn inner(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Adds `delta` to the named counter, creating it at zero.
     pub fn inc_counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner();
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Current value of a counter (zero if never incremented).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner();
         inner.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Records a gauge sample at virtual time `at`.
     pub fn set_gauge(&self, name: &str, at: Time, value: f64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner();
         inner
             .gauges
             .entry(name.to_string())
@@ -177,7 +183,7 @@ impl MetricsRegistry {
     /// A copy of the named gauge series, if it exists.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<GaugeSeries> {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner();
         inner.gauges.get(name).cloned()
     }
 
@@ -186,13 +192,13 @@ impl MetricsRegistry {
     /// sample.
     #[must_use]
     pub fn gauge_at(&self, name: &str, at: Time) -> Option<f64> {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner();
         inner.gauges.get(name).and_then(|g| g.value_at(at))
     }
 
     /// Records one duration into the named latency histogram.
     pub fn record_latency(&self, name: &str, dur: Span) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
+        let mut inner = self.inner();
         inner
             .histograms
             .entry(name.to_string())
@@ -204,7 +210,7 @@ impl MetricsRegistry {
     /// histogram is missing or empty — an all-faulted run still exports).
     #[must_use]
     pub fn latency_summary_ms(&self, name: &str) -> Summary {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner();
         inner
             .histograms
             .get(name)
@@ -215,7 +221,7 @@ impl MetricsRegistry {
     /// Takes a consistent, deterministic snapshot of everything.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.inner();
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),

@@ -1,29 +1,25 @@
-//! Streaming trace sinks: incremental event delivery with per-sink
-//! virtual-time overhead accounting.
+//! Streaming trace sinks: incremental event delivery, with each sink's
+//! virtual-time overhead accounted once, by the fan-out.
 //!
-//! The pre-metrics design buffered a `Vec<TraceRecord>` and analyzed it
-//! after the run. Here the data flow is inverted: every engine hook
-//! reaches a sink as one [`TraceEvent`] (the blanket
+//! Every engine hook reaches a sink as one [`TraceEvent`] (the blanket
 //! [`Tracer`](lotus_dataflow::Tracer) impl over [`TraceSink`]), and a
 //! [`MultiSink`] fans it out to any number of sinks, each of which
-//! consumes events *as they happen* — the log backend keeps recording,
-//! the Chrome/viz backends stream into their buffers, and the
-//! [`MetricsSink`] folds events into live counters, gauge time-series
-//! and latency histograms.
+//! consumes events *as they happen*: the LotusTrace log keeps recording,
+//! and the [`MetricsSink`] folds events into live counters, gauge
+//! time-series and latency histograms.
 //!
-//! Every sink self-accounts the virtual-time overhead it charges to the
-//! traced program ([`TraceSink::overhead`]), so Table III-style
+//! A sink only returns its per-event charge. [`MultiSink`] totals the
+//! charges of each member ([`MultiSink::overheads`]), so Table III-style
 //! profiler-overhead comparisons can attribute cost sink by sink, and a
 //! run with **no** sinks charges exactly zero (NullTracer parity).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use lotus_dataflow::{TraceEvent, TraceSink};
 use lotus_sim::{Span, Time};
 
 use super::registry::MetricsRegistry;
-use crate::trace::TraceRecord;
 
 /// Well-known metric names recorded by [`MetricsSink`].
 pub mod names {
@@ -51,17 +47,14 @@ pub mod names {
     /// Gauge: fraction of elapsed virtual time the main process spent
     /// blocked waiting for a batch.
     pub const MAIN_WAIT_FRACTION: &str = "main_wait_fraction";
-    /// Gauge: dispatched-but-unreturned batches (fed by the engine).
-    pub const IN_FLIGHT: &str = "in_flight_batches";
-    /// Gauge: out-of-order batches pinned in the main-process cache
-    /// (fed by the engine).
-    pub const PINNED_CACHE: &str = "pinned_cache_batches";
     /// Gauge: cumulative consumed batches over virtual time (the
     /// dashboard differentiates this series into throughput).
     pub const BATCHES_CONSUMED_SERIES: &str = "batches_consumed";
-    /// Prefix of the per-queue depth gauges fed by the engine
-    /// (`queue_depth.data_queue`, `queue_depth.index_queue_0`, …).
-    pub const QUEUE_DEPTH_PREFIX: &str = "queue_depth.";
+    /// The engine's own gauges, named once in `lotus-dataflow`.
+    pub use lotus_dataflow::{
+        DATA_QUEUE_DEPTH_GAUGE as DATA_QUEUE_DEPTH, IN_FLIGHT_GAUGE as IN_FLIGHT,
+        PINNED_CACHE_GAUGE as PINNED_CACHE, QUEUE_DEPTH_PREFIX,
+    };
 
     /// Histogram: per-read storage fetch latency (\[T0\]).
     pub const T0_STORAGE: &str = "t0_storage_read_ns";
@@ -121,14 +114,6 @@ pub mod names {
 pub struct MetricsSink {
     registry: Arc<MetricsRegistry>,
     per_event_overhead: Span,
-    charged_ns: AtomicU64,
-    state: Mutex<MetricsState>,
-}
-
-#[derive(Debug)]
-struct MetricsState {
-    live_workers: usize,
-    wait_ns_total: u64,
 }
 
 impl MetricsSink {
@@ -155,24 +140,7 @@ impl MetricsSink {
         MetricsSink {
             registry,
             per_event_overhead,
-            charged_ns: AtomicU64::new(0),
-            state: Mutex::new(MetricsState {
-                live_workers: workers,
-                wait_ns_total: 0,
-            }),
         }
-    }
-
-    /// The registry this sink feeds.
-    #[must_use]
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    fn charge(&self) -> Span {
-        self.charged_ns
-            .fetch_add(self.per_event_overhead.as_nanos(), Ordering::Relaxed);
-        self.per_event_overhead
     }
 }
 
@@ -222,14 +190,13 @@ impl TraceSink for MetricsSink {
                 if out_of_order {
                     r.inc_counter(names::OOO_CACHE_HITS, 1);
                 }
-                let mut state = self.state.lock().expect("metrics sink poisoned");
-                state.wait_ns_total += dur.as_nanos();
                 let now = start + dur;
                 // A zero-duration wait completing at t=0 would divide by
                 // zero; always publish a finite fraction in [0, 1] so the
                 // dashboard never renders NaN.
                 let fraction = if now > Time::ZERO {
-                    (state.wait_ns_total as f64 / now.as_nanos() as f64).clamp(0.0, 1.0)
+                    let waited = r.counter(names::MAIN_WAIT_NS);
+                    (waited as f64 / now.as_nanos() as f64).clamp(0.0, 1.0)
                 } else {
                     0.0
                 };
@@ -252,9 +219,11 @@ impl TraceSink for MetricsSink {
             TraceEvent::FaultInjected { .. } => r.inc_counter(names::FAULTS_INJECTED, 1),
             TraceEvent::WorkerDied { at, .. } => {
                 r.inc_counter(names::WORKER_DEATHS, 1);
-                let mut state = self.state.lock().expect("metrics sink poisoned");
-                state.live_workers = state.live_workers.saturating_sub(1);
-                r.set_gauge(names::LIVE_WORKERS, at, state.live_workers as f64);
+                // The gauge was seeded with the crew size; each death
+                // steps it down from its last level.
+                let live = r.gauge(names::LIVE_WORKERS).and_then(|g| g.last());
+                let left = (live.unwrap_or(0.0) - 1.0).max(0.0);
+                r.set_gauge(names::LIVE_WORKERS, at, left);
             }
             TraceEvent::BatchRedispatched { .. } => r.inc_counter(names::REDISPATCHES, 1),
             TraceEvent::BatchStolen { .. } => r.inc_counter(names::STEALS, 1),
@@ -281,143 +250,21 @@ impl TraceSink for MetricsSink {
             // Dispatches feed the model checker's ledger, not a metric.
             TraceEvent::Dispatched { .. } => return Span::ZERO,
         }
-        self.charge()
-    }
-
-    fn overhead(&self) -> Span {
-        Span::from_nanos(self.charged_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// A record-buffering sink core shared by the Chrome and viz backends.
-#[derive(Debug, Default)]
-struct RecordBuffer {
-    records: Mutex<Vec<TraceRecord>>,
-    charged_ns: AtomicU64,
-}
-
-impl RecordBuffer {
-    fn consume(&self, event: &TraceEvent<'_>, per_event: Span) -> Span {
-        let Some(record) = TraceRecord::from_event(event) else {
-            return Span::ZERO; // dispatches and gauges have no record form
-        };
-        self.records.lock().expect("sink poisoned").push(record);
-        self.charged_ns
-            .fetch_add(per_event.as_nanos(), Ordering::Relaxed);
-        per_event
-    }
-
-    fn records(&self) -> Vec<TraceRecord> {
-        self.records.lock().expect("sink poisoned").clone()
-    }
-
-    fn overhead(&self) -> Span {
-        Span::from_nanos(self.charged_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// Streams events into a buffer for Chrome-trace export
-/// ([`crate::trace::chrome::to_chrome_trace`]). Charges a heavier
-/// per-event cost than the plain log: each event is held as a structured
-/// JSON candidate, the torch-profiler failure mode of Table III.
-#[derive(Debug, Default)]
-pub struct ChromeSink {
-    buffer: RecordBuffer,
-}
-
-impl ChromeSink {
-    /// Per-event virtual-time cost of structured-trace collection.
-    pub const PER_EVENT_OVERHEAD: Span = Span::from_nanos(2_500);
-
-    /// Creates an empty Chrome sink.
-    #[must_use]
-    pub fn new() -> ChromeSink {
-        ChromeSink::default()
-    }
-
-    /// The records collected so far.
-    #[must_use]
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.buffer.records()
-    }
-
-    /// Exports the collected stream as a Chrome Trace Viewer document.
-    #[must_use]
-    pub fn to_chrome_trace(
-        &self,
-        options: crate::trace::chrome::ChromeTraceOptions,
-    ) -> serde_json::Value {
-        crate::trace::chrome::to_chrome_trace(&self.records(), options)
-    }
-}
-
-impl TraceSink for ChromeSink {
-    fn name(&self) -> &str {
-        "chrome"
-    }
-
-    fn on_event(&self, event: &TraceEvent<'_>) -> Span {
-        self.buffer.consume(event, ChromeSink::PER_EVENT_OVERHEAD)
-    }
-
-    fn overhead(&self) -> Span {
-        self.buffer.overhead()
-    }
-}
-
-/// Streams events into a buffer for ASCII-timeline rendering
-/// ([`crate::trace::viz::render_timeline`]).
-#[derive(Debug, Default)]
-pub struct VizSink {
-    buffer: RecordBuffer,
-}
-
-impl VizSink {
-    /// Per-event virtual-time cost of timeline collection.
-    pub const PER_EVENT_OVERHEAD: Span = Span::from_nanos(500);
-
-    /// Creates an empty viz sink.
-    #[must_use]
-    pub fn new() -> VizSink {
-        VizSink::default()
-    }
-
-    /// The records collected so far.
-    #[must_use]
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.buffer.records()
-    }
-
-    /// Renders the collected stream as an ASCII timeline.
-    #[must_use]
-    pub fn render(&self, options: crate::trace::viz::TimelineOptions) -> String {
-        crate::trace::viz::render_timeline(&self.records(), options)
-    }
-}
-
-impl TraceSink for VizSink {
-    fn name(&self) -> &str {
-        "viz"
-    }
-
-    fn on_event(&self, event: &TraceEvent<'_>) -> Span {
-        self.buffer.consume(event, VizSink::PER_EVENT_OVERHEAD)
-    }
-
-    fn overhead(&self) -> Span {
-        self.buffer.overhead()
+        self.per_event_overhead
     }
 }
 
 /// Fan-out sink: delivers every [`TraceEvent`] to each registered sink in
-/// registration order, charging the traced program the *sum* of the
-/// sinks' overheads.
+/// registration order, charging the traced program the *sum* of their
+/// charges, and keeps each member's running total for
+/// [`MultiSink::overheads`].
 ///
 /// An empty `MultiSink` is the no-sink configuration and charges exactly
 /// zero everywhere — identical to [`lotus_dataflow::NullTracer`].
 #[derive(Default)]
 pub struct MultiSink {
-    sinks: Vec<Arc<dyn TraceSink>>,
+    /// Each member with the nanoseconds it has charged so far.
+    sinks: Vec<(Arc<dyn TraceSink>, AtomicU64)>,
 }
 
 impl MultiSink {
@@ -430,27 +277,19 @@ impl MultiSink {
     /// Adds a sink (builder style).
     #[must_use]
     pub fn with(mut self, sink: Arc<dyn TraceSink>) -> MultiSink {
-        self.sinks.push(sink);
+        self.sinks.push((sink, AtomicU64::new(0)));
         self
     }
 
-    /// Adds a sink.
-    pub fn push(&mut self, sink: Arc<dyn TraceSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// The registered sinks, in delivery order.
-    #[must_use]
-    pub fn sinks(&self) -> &[Arc<dyn TraceSink>] {
-        &self.sinks
-    }
-
-    /// Per-sink self-accounted overhead totals, in delivery order.
+    /// What each sink has charged so far, by name, in delivery order.
     #[must_use]
     pub fn overheads(&self) -> Vec<(String, Span)> {
         self.sinks
             .iter()
-            .map(|s| (s.name().to_string(), s.overhead()))
+            .map(|(sink, charged)| {
+                let charged = Span::from_nanos(charged.load(Ordering::Relaxed));
+                (sink.name().to_string(), charged)
+            })
             .collect()
     }
 }
@@ -460,7 +299,7 @@ impl std::fmt::Debug for MultiSink {
         f.debug_struct("MultiSink")
             .field(
                 "sinks",
-                &self.sinks.iter().map(|s| s.name()).collect::<Vec<_>>(),
+                &self.sinks.iter().map(|(s, _)| s.name()).collect::<Vec<_>>(),
             )
             .finish()
     }
@@ -472,11 +311,17 @@ impl TraceSink for MultiSink {
     }
 
     fn on_event(&self, event: &TraceEvent<'_>) -> Span {
-        self.sinks.iter().map(|s| s.on_event(event)).sum()
-    }
-
-    fn overhead(&self) -> Span {
-        self.sinks.iter().map(|s| s.overhead()).sum()
+        let mut total = Span::ZERO;
+        for (sink, charged) in &self.sinks {
+            let charge = sink.on_event(event);
+            // Zero-overhead sinks (the measurement harness) skip the
+            // shared counter entirely.
+            if !charge.is_zero() {
+                charged.fetch_add(charge.as_nanos(), Ordering::Relaxed);
+                total += charge;
+            }
+        }
+        total
     }
 }
 
@@ -484,7 +329,7 @@ impl TraceSink for MultiSink {
 mod tests {
     use super::*;
     use crate::check::RecordingObserver;
-    use crate::trace::{LotusTrace, SpanKind};
+    use crate::trace::{LotusTrace, LotusTraceConfig, SpanKind, TraceRecord};
     use lotus_dataflow::Tracer;
     use lotus_sim::ReadOutcome;
 
@@ -615,19 +460,25 @@ mod tests {
 
     #[test]
     fn lotus_trace_sink_matches_direct_tracer_wiring() {
+        let per_record = LotusTraceConfig::default().per_log_overhead;
         for (hook, call, keeps_record) in hooks() {
             // A bare LotusTrace and one inside a MultiSink keep the same
-            // records and charge the same.
+            // records and charge the same: one per-record charge for each
+            // record kept, which the fan-out totals under the sink's name.
             let bare = LotusTrace::new();
             let inner = Arc::new(LotusTrace::new());
             let multi = MultiSink::new().with(Arc::clone(&inner) as Arc<dyn TraceSink>);
             let charged = call(&bare);
             assert_eq!(call(&multi), charged, "{hook}");
             assert_eq!(inner.records(), bare.records(), "{hook}");
-            assert_eq!(inner.charged_overhead(), charged, "{hook}");
-            assert_eq!(bare.charged_overhead(), charged, "{hook}");
+            assert_eq!(
+                multi.overheads(),
+                [("lotus-trace".to_string(), charged)],
+                "{hook}"
+            );
             assert_eq!(bare.len(), usize::from(keeps_record), "{hook}");
-            assert_eq!(charged.is_zero(), !keeps_record, "{hook}");
+            let expected = if keeps_record { per_record } else { Span::ZERO };
+            assert_eq!(charged, expected, "{hook}");
 
             // A RecordingObserver sees the same events inside a MultiSink
             // as attached alone.
@@ -640,17 +491,17 @@ mod tests {
 
         // Dispatches and gauge samples record nothing and charge zero in
         // every sink.
-        let trace = LotusTrace::new();
+        let trace = Arc::new(LotusTrace::new());
         let registry = Arc::new(MetricsRegistry::new());
-        let metrics = MetricsSink::new(Arc::clone(&registry), 2);
-        let (chrome, viz) = (ChromeSink::new(), VizSink::new());
+        let metrics = Arc::new(MetricsSink::new(Arc::clone(&registry), 2));
+        let multi = MultiSink::new()
+            .with(Arc::clone(&trace) as Arc<dyn TraceSink>)
+            .with(metrics as Arc<dyn TraceSink>);
         for (hook, call, _) in hooks().into_iter().filter(|(_, _, keeps)| !keeps) {
-            for sink in [&trace as &dyn TraceSink, &metrics, &chrome, &viz] {
-                assert_eq!(call(sink), Span::ZERO, "{hook} on {}", sink.name());
-                assert_eq!(sink.overhead(), Span::ZERO, "{hook} on {}", sink.name());
-            }
+            assert_eq!(call(&multi), Span::ZERO, "{hook}");
         }
-        assert!(trace.is_empty() && chrome.records().is_empty() && viz.records().is_empty());
+        assert!(multi.overheads().iter().all(|(_, oh)| oh.is_zero()));
+        assert!(trace.is_empty());
         assert!(registry.snapshot().counters.is_empty());
     }
 
@@ -678,9 +529,8 @@ mod tests {
             Some(4.0)
         );
         // 4 span events at the default per-event cost (the gauge sample
-        // is free), all self-accounted.
+        // is free).
         assert_eq!(charged, MetricsSink::DEFAULT_PER_EVENT_OVERHEAD * 4);
-        assert_eq!(sink.overhead(), charged);
     }
 
     #[test]
@@ -766,25 +616,23 @@ mod tests {
             live.samples(),
             &[(Time::ZERO, 2.0), (Time::from_nanos(50), 1.0)]
         );
-    }
 
-    #[test]
-    fn chrome_and_viz_sinks_buffer_spans_but_not_gauges() {
-        let chrome = ChromeSink::new();
-        let viz = VizSink::new();
-        let chrome_charge = feed(&chrome);
-        let viz_charge = feed(&viz);
-        // 4 span events, 1 gauge: the gauge is dropped and costs nothing.
-        assert_eq!(chrome.records().len(), 4);
-        assert_eq!(viz.records().len(), 4);
-        assert_eq!(chrome_charge, ChromeSink::PER_EVENT_OVERHEAD * 4);
-        assert_eq!(viz_charge, VizSink::PER_EVENT_OVERHEAD * 4);
-        assert_eq!(chrome.overhead(), chrome_charge);
-        assert_eq!(viz.overhead(), viz_charge);
-        let doc = chrome.to_chrome_trace(crate::trace::chrome::ChromeTraceOptions { coarse: true });
-        assert!(doc["traceEvents"].as_array().is_some());
-        let timeline = viz.render(crate::trace::viz::TimelineOptions::default());
-        assert!(timeline.contains("main 4242"));
+        // The gauge never drops below zero.
+        for at in [80, 90] {
+            let _ = sink.on_event(&TraceEvent::WorkerDied {
+                pid: 4243,
+                at: Time::from_nanos(at),
+            });
+        }
+        assert_eq!(registry.counter(names::WORKER_DEATHS), 3);
+        assert_eq!(
+            registry.gauge(names::LIVE_WORKERS).unwrap().samples(),
+            &[
+                (Time::ZERO, 2.0),
+                (Time::from_nanos(50), 1.0),
+                (Time::from_nanos(80), 0.0)
+            ]
+        );
     }
 
     #[test]
@@ -807,16 +655,29 @@ mod tests {
             .with(Arc::clone(&trace) as Arc<dyn TraceSink>)
             .with(Arc::clone(&metrics) as Arc<dyn TraceSink>);
         let oh = multi.on_batch_preprocessed(4243, 0, Time::ZERO, Span::from_millis(1));
+        let _ = multi.on_gauge("queue_depth.data_queue", 1.0, Time::ZERO);
+        let _ = multi.on_batch_preprocessed(4243, 1, Time::ZERO, Span::from_millis(1));
+        let per_record = LotusTraceConfig::default().per_log_overhead;
+        let per_event = MetricsSink::DEFAULT_PER_EVENT_OVERHEAD;
+        assert_eq!(oh, per_record + per_event, "fan-out charges the sum");
+        assert_eq!(trace.len(), 2);
+        assert_eq!(registry.counter(names::BATCHES_PRODUCED), 2);
+        // Each member's total is what it charged, event by event.
         assert_eq!(
-            oh,
-            trace.charged_overhead() + metrics.overhead(),
-            "fan-out charges the sum of sink overheads"
+            multi.overheads(),
+            [
+                ("lotus-trace".to_string(), per_record * 2),
+                ("metrics".to_string(), per_event * 2),
+            ]
         );
-        assert_eq!(trace.len(), 1);
-        assert_eq!(registry.counter(names::BATCHES_PRODUCED), 1);
-        let overheads = multi.overheads();
-        assert_eq!(overheads[0].0, "lotus-trace");
-        assert_eq!(overheads[1].0, "metrics");
+
+        // A nested fan-out is one member of its parent.
+        let outer = MultiSink::new().with(Arc::new(multi) as Arc<dyn TraceSink>);
+        let _ = outer.on_batch_preprocessed(4243, 2, Time::ZERO, Span::from_millis(1));
+        assert_eq!(
+            outer.overheads(),
+            [("multi".to_string(), per_record + per_event)]
+        );
     }
 
     #[test]

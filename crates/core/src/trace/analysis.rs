@@ -219,7 +219,7 @@ pub fn fault_forensics(
                 out.deaths.push(WorkerDeathContext {
                     pid: r.pid,
                     at: r.start,
-                    data_queue_depth: gauge_at("queue_depth.data_queue", r.start),
+                    data_queue_depth: gauge_at(names::DATA_QUEUE_DEPTH, r.start),
                     in_flight: gauge_at(names::IN_FLIGHT, r.start),
                     live_workers_after: gauge_at(names::LIVE_WORKERS, r.start),
                 });

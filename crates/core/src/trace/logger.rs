@@ -1,9 +1,7 @@
 //! The LotusTrace tracer: low-overhead instrumented tracing of the
 //! DataLoader data flow.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lotus_dataflow::{TraceEvent, TraceSink};
 use lotus_sim::Span;
@@ -57,18 +55,31 @@ impl Default for LotusTraceConfig {
 #[derive(Debug, Default)]
 pub struct LotusTrace {
     config: LotusTraceConfig,
-    records: Mutex<Vec<TraceRecord>>,
-    op_aggregates: Mutex<OpAggregates>,
-    log_bytes: AtomicU64,
-    /// Cumulative virtual-time overhead this tracer has charged to the
-    /// traced program (per-sink accounting for Table III comparisons).
-    charged_ns: AtomicU64,
+    log: Mutex<Log>,
 }
 
+/// Everything the tracer has logged, under one lock.
 #[derive(Debug, Default)]
-struct OpAggregates {
-    order: Vec<String>,
-    by_name: HashMap<String, LogHistogram>,
+struct Log {
+    /// Retained records, in emission order.
+    records: Vec<TraceRecord>,
+    /// [`OpLogMode::Aggregate`] per-op histograms, in first-seen order.
+    op_histograms: Vec<(String, LogHistogram)>,
+    /// Log bytes of every record written or folded.
+    bytes: u64,
+}
+
+impl Log {
+    /// Folds one op duration into the op's histogram.
+    fn fold(&mut self, name: &str, dur: Span) {
+        if let Some((_, hist)) = self.op_histograms.iter_mut().find(|(n, _)| n == name) {
+            hist.record(dur);
+        } else {
+            let mut hist = LogHistogram::new();
+            hist.record(dur);
+            self.op_histograms.push((name.to_string(), hist));
+        }
+    }
 }
 
 impl LotusTrace {
@@ -83,60 +94,26 @@ impl LotusTrace {
     pub fn with_config(config: LotusTraceConfig) -> LotusTrace {
         LotusTrace {
             config,
-            records: Mutex::new(Vec::new()),
-            op_aggregates: Mutex::new(OpAggregates::default()),
-            log_bytes: AtomicU64::new(0),
-            charged_ns: AtomicU64::new(0),
+            log: Mutex::default(),
         }
     }
 
-    fn push(&self, record: TraceRecord) -> Span {
-        self.log_bytes
-            .fetch_add(record.log_bytes(), Ordering::Relaxed);
-        self.records.lock().expect("trace poisoned").push(record);
-        self.charge(self.config.per_log_overhead)
-    }
-
-    fn charge(&self, overhead: Span) -> Span {
-        self.charged_ns
-            .fetch_add(overhead.as_nanos(), Ordering::Relaxed);
-        overhead
-    }
-
-    /// [`OpLogMode::Aggregate`] path: account the record's bytes as if it
-    /// were written, then fold its duration into the named histogram.
-    fn fold_aggregate(&self, name: &str, record: &TraceRecord) -> Span {
-        self.log_bytes
-            .fetch_add(record.log_bytes(), Ordering::Relaxed);
-        let mut agg = self.op_aggregates.lock().expect("trace poisoned");
-        if !agg.by_name.contains_key(name) {
-            agg.order.push(name.to_string());
-            agg.by_name.insert(name.to_string(), LogHistogram::new());
-        }
-        agg.by_name
-            .get_mut(name)
-            .expect("just inserted")
-            .record(record.duration);
-        self.charge(self.config.per_log_overhead)
-    }
-
-    /// Total virtual-time overhead this tracer has charged to the traced
-    /// program so far (its own share of the Table III overhead column).
-    #[must_use]
-    pub fn charged_overhead(&self) -> Span {
-        Span::from_nanos(self.charged_ns.load(Ordering::Relaxed))
+    /// The log. Every update under the lock is one append or fold plus
+    /// its byte count, so a panic elsewhere cannot leave it half-written.
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A copy of all records collected so far.
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.lock().expect("trace poisoned").clone()
+        self.log().records.clone()
     }
 
     /// Number of records collected.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.lock().expect("trace poisoned").len()
+        self.log().records.len()
     }
 
     /// True if nothing was recorded.
@@ -149,41 +126,36 @@ impl LotusTrace {
     /// [`OpLogMode::Full`], histogram-backed in [`OpLogMode::Aggregate`].
     #[must_use]
     pub fn op_stats(&self) -> Vec<OpStats> {
+        let log = self.log();
         match self.config.op_mode {
             OpLogMode::Off => Vec::new(),
-            OpLogMode::Full => super::analysis::per_op_stats(&self.records()),
-            OpLogMode::Aggregate => {
-                let agg = self.op_aggregates.lock().expect("trace poisoned");
-                agg.order
-                    .iter()
-                    .map(|name| {
-                        let h = &agg.by_name[name];
-                        OpStats {
-                            name: name.clone(),
-                            count: h.count(),
-                            summary: h.summary_ms(),
-                            frac_below_10ms: h.fraction_below(Span::from_millis(10)),
-                            frac_below_100us: h.fraction_below(Span::from_micros(100)),
-                            total_cpu: h.total(),
-                        }
-                    })
-                    .collect()
-            }
+            OpLogMode::Full => super::analysis::per_op_stats(&log.records),
+            OpLogMode::Aggregate => log
+                .op_histograms
+                .iter()
+                .map(|(name, h)| OpStats {
+                    name: name.clone(),
+                    count: h.count(),
+                    summary: h.summary_ms(),
+                    frac_below_10ms: h.fraction_below(Span::from_millis(10)),
+                    frac_below_100us: h.fraction_below(Span::from_micros(100)),
+                    total_cpu: h.total(),
+                })
+                .collect(),
         }
     }
 
     /// Total log storage consumed, in bytes (Table III's storage column).
     #[must_use]
     pub fn log_storage_bytes(&self) -> u64 {
-        self.log_bytes.load(Ordering::Relaxed)
+        self.log().bytes
     }
 
     /// Serializes the whole log in the line format.
     #[must_use]
     pub fn to_log_string(&self) -> String {
-        self.records
-            .lock()
-            .expect("trace poisoned")
+        self.log()
+            .records
             .iter()
             .map(TraceRecord::to_log_line)
             .collect()
@@ -192,7 +164,8 @@ impl LotusTrace {
 
 /// The log backend: every span/instant event becomes one log record, and
 /// dispatches and gauge samples are ignored (the paper's log format has
-/// no rows for them). Overhead is the per-record charge.
+/// no rows for them). Each record, written or folded, is charged
+/// [`LotusTraceConfig::per_log_overhead`].
 impl TraceSink for LotusTrace {
     fn name(&self) -> &str {
         "lotus-trace"
@@ -213,19 +186,18 @@ impl TraceSink for LotusTrace {
         let Some(record) = TraceRecord::from_event(event) else {
             return Span::ZERO;
         };
+        // A folded record is accounted as if it were written to the file.
+        let bytes = record.log_bytes();
+        let mut log = self.log();
+        log.bytes += bytes;
         match (mode, event) {
-            (OpLogMode::Aggregate, TraceEvent::Op { name, .. }) => {
-                self.fold_aggregate(name, &record)
-            }
+            (OpLogMode::Aggregate, TraceEvent::Op { name, .. }) => log.fold(name, record.duration),
             (OpLogMode::Aggregate, TraceEvent::StorageRead { read, .. }) => {
-                self.fold_aggregate(&format!("T0({})", read.tier), &record)
+                log.fold(&format!("T0({})", read.tier), record.duration);
             }
-            _ => self.push(record),
+            _ => log.records.push(record),
         }
-    }
-
-    fn overhead(&self) -> Span {
-        self.charged_overhead()
+        self.config.per_log_overhead
     }
 }
 
@@ -248,11 +220,6 @@ mod tests {
             trace.to_log_string().len() as u64
         );
         assert!(!trace.is_empty());
-        // Self-accounted overhead: one charge per record.
-        assert_eq!(
-            trace.charged_overhead(),
-            LotusTraceConfig::default().per_log_overhead * 2
-        );
     }
 
     #[test]

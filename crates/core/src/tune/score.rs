@@ -91,9 +91,8 @@ impl Scorecard {
         let mean_wait_ms = mean_ns(names::T2_WAIT) / 1e6;
         let mean_queue_delay_ms = mean_ns(names::QUEUE_DELAY) / 1e6;
         let peak = |name: &str| m.snapshot.gauges.get(name).map_or(0.0, |g| g.max());
-        let footprint_batches = peak(&format!("{}data_queue", names::QUEUE_DEPTH_PREFIX))
-            + peak(names::PINNED_CACHE)
-            + config.num_workers as f64;
+        let footprint_batches =
+            peak(names::DATA_QUEUE_DEPTH) + peak(names::PINNED_CACHE) + config.num_workers as f64;
         let verdict = Verdict::classify(
             wait_fraction,
             mean_wait_ms,

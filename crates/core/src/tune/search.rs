@@ -397,6 +397,7 @@ impl TuneReport {
     ///
     /// Never — the recommended config is always among the cards.
     #[must_use]
+    #[allow(clippy::expect_used)]
     pub fn recommended_card(&self) -> &Scorecard {
         self.cards
             .iter()
@@ -540,6 +541,9 @@ impl TuneReport {
                 },
             ),
         ]));
+        // Writing an in-memory document to a string has no failure mode:
+        // every map key is a string.
+        #[allow(clippy::expect_used)]
         let mut text = serde_json::to_string_pretty(&doc).expect("tune report serializes");
         text.push('\n');
         text

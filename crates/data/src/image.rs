@@ -103,11 +103,6 @@ impl Image {
         &self.pixels
     }
 
-    /// Mutable borrow of the HWC pixel buffer.
-    pub fn pixels_mut(&mut self) -> &mut [u8] {
-        &mut self.pixels
-    }
-
     /// Buffer size in bytes.
     #[must_use]
     pub fn len_bytes(&self) -> usize {

@@ -53,7 +53,10 @@ pub use pipeline::{Pipeline, Source};
 pub use policy::{
     BatchRef, DispatchContext, Lane, Placement, Refill, SchedulingPolicy, SchedulingPolicyKind,
 };
-pub use protocol::{worker_os_pid, MAIN_OS_PID};
+pub use protocol::{
+    worker_os_pid, DATA_QUEUE_DEPTH_GAUGE, IN_FLIGHT_GAUGE, MAIN_OS_PID, PINNED_CACHE_GAUGE,
+    QUEUE_DEPTH_PREFIX,
+};
 pub use sync::{StdSync, SyncFacade};
 pub use tracer::{NullTracer, TraceEvent, TraceSink, Tracer};
 

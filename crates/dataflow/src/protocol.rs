@@ -120,6 +120,18 @@ impl Envelope {
     }
 }
 
+/// Gauge: dispatched-but-unreturned batches, sampled whenever the
+/// in-flight inventory changes.
+pub const IN_FLIGHT_GAUGE: &str = "in_flight_batches";
+/// Gauge: out-of-order batches pinned in the main-process reorder
+/// buffer, sampled whenever it grows or shrinks.
+pub const PINNED_CACHE_GAUGE: &str = "pinned_cache_batches";
+/// Prefix of the per-queue depth gauges (`queue_depth.data_queue`,
+/// `queue_depth.index_queue_0`, …), sampled at every push and pop.
+pub const QUEUE_DEPTH_PREFIX: &str = "queue_depth.";
+/// Gauge: the shared data queue's depth (the prefix plus `data_queue`).
+pub const DATA_QUEUE_DEPTH_GAUGE: &str = "queue_depth.data_queue";
+
 /// One of the protocol's queues.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum QueueId {
@@ -141,8 +153,8 @@ impl QueueId {
     /// The gauge the queue's depth is sampled as; the data queue's needs no allocation.
     pub(crate) fn gauge(self) -> Cow<'static, str> {
         match self {
-            QueueId::Index(w) => Cow::Owned(format!("queue_depth.index_queue_{w}")),
-            QueueId::Data => Cow::Borrowed("queue_depth.data_queue"),
+            QueueId::Index(w) => Cow::Owned(format!("{QUEUE_DEPTH_PREFIX}index_queue_{w}")),
+            QueueId::Data => Cow::Borrowed(DATA_QUEUE_DEPTH_GAUGE),
         }
     }
 }
@@ -530,7 +542,7 @@ impl<S: Substrate> MainProcess<'_, S> {
         let sent = self.dispatcher.send_next(&self.sub, self.tracer);
         if let Some(w) = sent {
             self.depth_gauge(QueueId::Index(w));
-            self.count_gauge("in_flight_batches", self.dispatcher.in_flight.len());
+            self.count_gauge(IN_FLIGHT_GAUGE, self.dispatcher.in_flight.len());
         }
         sent
     }
@@ -608,7 +620,7 @@ impl<S: Substrate> MainProcess<'_, S> {
                 true,
                 wait_start.saturating_since(env.produced_at),
             ));
-            self.count_gauge("pinned_cache_batches", reorder.len());
+            self.count_gauge(PINNED_CACHE_GAUGE, reorder.len());
             return Ok((env, true));
         }
         loop {
@@ -626,7 +638,7 @@ impl<S: Substrate> MainProcess<'_, S> {
             };
             self.depth_gauge(QueueId::Data);
             self.dispatcher.batch_returned(&env);
-            self.count_gauge("in_flight_batches", self.dispatcher.in_flight.len());
+            self.count_gauge(IN_FLIGHT_GAUGE, self.dispatcher.in_flight.len());
             if env.batch_id == rcvd {
                 // One clock read serves as both the wait's end and the
                 // delivery point, making the linter's queue-delay
@@ -649,7 +661,7 @@ impl<S: Substrate> MainProcess<'_, S> {
                 }
             }
             reorder.insert(env.batch_id, env);
-            self.count_gauge("pinned_cache_batches", reorder.len());
+            self.count_gauge(PINNED_CACHE_GAUGE, reorder.len());
         }
     }
 

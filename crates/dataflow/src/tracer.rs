@@ -9,9 +9,9 @@
 //! per-profiler wall-time overhead (the paper's Table III) arises.
 //!
 //! The hooks are the emitter API. Each call is also one [`TraceEvent`]
-//! value: a [`TraceSink`] implements only [`TraceSink::on_event`], and the
-//! blanket [`Tracer`] impl over every sink below is the one place a hook
-//! call becomes an event.
+//! value: a [`TraceSink`] implements only [`TraceSink::name`] and
+//! [`TraceSink::on_event`], and the blanket [`Tracer`] impl over every
+//! sink below is the one place a hook call becomes an event.
 
 use std::borrow::Cow;
 
@@ -458,18 +458,16 @@ impl TraceEvent<'_> {
 /// [`Tracer`] through the blanket impl below.
 ///
 /// `on_event` returns the virtual-time overhead the sink charges the
-/// traced program for this event; implementations must also accumulate
-/// everything they return so [`TraceSink::overhead`] reports their total
-/// self-accounted cost (how Table III attributes overhead per backend).
+/// traced program for this event. A sink keeps no running total: the
+/// fan-out that delivers events to several sinks adds up each one's
+/// charges under its [`TraceSink::name`], which is how Table III
+/// attributes overhead sink by sink.
 pub trait TraceSink: Send + Sync {
     /// Stable sink name for overhead reports.
     fn name(&self) -> &str;
 
     /// Consumes one event, returning the overhead charged for it.
     fn on_event(&self, event: &TraceEvent<'_>) -> Span;
-
-    /// Total virtual-time overhead this sink has charged so far.
-    fn overhead(&self) -> Span;
 }
 
 /// The one hook→event mapping: each hook call is delivered to the sink

@@ -358,10 +358,6 @@ pub(crate) mod tests {
             self.events.lock().unwrap().push(event.clone().into_owned());
             Span::ZERO
         }
-
-        fn overhead(&self) -> Span {
-            Span::ZERO
-        }
     }
 
     /// A native engine that checks liveness every 5 ms, so worker deaths

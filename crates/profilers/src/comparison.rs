@@ -143,8 +143,8 @@ impl ComparisonHarness {
     /// Runs once with the full streaming sink stack (the LotusTrace log
     /// plus the live metrics registry behind one fan-out) and attributes
     /// the instrumentation cost sink by sink — Table III at sub-profiler
-    /// granularity. Each row's `charged` is the sink's own self-accounted
-    /// virtual-time total.
+    /// granularity. Each row's `charged` is the virtual-time total the
+    /// fan-out accounted to that sink.
     #[must_use]
     pub fn run_sink_stack(&self, baseline: Span) -> Vec<SinkOverheadRow> {
         let trace = Arc::new(LotusTrace::new());
@@ -180,7 +180,7 @@ pub struct SinkOverheadRow {
     pub sink: String,
     /// End-to-end wall time of the stacked run (same for every row).
     pub wall_time: Span,
-    /// Virtual time this sink self-accounted.
+    /// Virtual time this sink charged.
     pub charged: Span,
     /// Wall-time overhead of the whole stack vs. the unprofiled
     /// baseline, as a fraction.

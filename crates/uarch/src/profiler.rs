@@ -272,15 +272,6 @@ impl HwProfiler {
         rows
     }
 
-    /// The set of kernel ids that received any attribution.
-    #[must_use]
-    pub fn observed_kernels(&self) -> Vec<KernelId> {
-        let st = self.state.lock().expect("profiler poisoned");
-        let mut ids: Vec<KernelId> = st.per_fn.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
     /// Clears accumulated data (collection state is unchanged).
     pub fn reset(&self) {
         let mut st = self.state.lock().expect("profiler poisoned");

@@ -83,11 +83,6 @@ impl CpuThread {
         self.profiler = Some(profiler);
     }
 
-    /// Detaches any attached profiler session.
-    pub fn detach_profiler(&mut self) {
-        self.profiler = None;
-    }
-
     /// Attaches a native kernel-span feed; subsequent
     /// [`CpuThread::observe_native`] blocks are wall-timed and reported
     /// to it. Without a feed, observation is a zero-cost pass-through.

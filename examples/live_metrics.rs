@@ -14,10 +14,10 @@ use std::sync::Arc;
 
 use lotus::core::metrics::{
     names, render_dashboard, to_csv, to_json, to_prometheus, DashboardOptions, MetricsRegistry,
-    MetricsSink, MultiSink, TraceSink,
+    MetricsSink, MultiSink,
 };
 use lotus::core::trace::analysis::{fault_forensics, fault_summary};
-use lotus::core::trace::{LotusTrace, SpanKind};
+use lotus::core::trace::{LotusTrace, LotusTraceConfig, SpanKind};
 use lotus::dataflow::{FaultPlan, JobReport, NullTracer};
 use lotus::sim::Time;
 use lotus::uarch::{Machine, MachineConfig};
@@ -173,13 +173,22 @@ fn main() -> Result<(), Box<dyn Error>> {
     assert_eq!(json, to_json(&resnap), "json determinism");
     assert_eq!(csv, to_csv(&resnap), "csv determinism");
 
-    // -- Overhead self-accounting: the fan-out charged what sinks report. --
-    let total: lotus::sim::Span = run.sinks.overheads().iter().map(|&(_, oh)| oh).sum();
-    assert!(!total.is_zero(), "instrumented run charges overhead");
-    let fresh = MetricsSink::new(Arc::new(MetricsRegistry::new()), 0);
-    assert!(
-        fresh.overhead().is_zero(),
-        "a fresh sink has charged nothing"
+    // -- Overhead accounting: the fan-out totals what each sink charged,
+    // one charge per record (every record came through the fan-out). --
+    let events = records.len() as u64;
+    assert_eq!(
+        run.sinks.overheads(),
+        [
+            (
+                "lotus-trace".to_string(),
+                LotusTraceConfig::default().per_log_overhead * events
+            ),
+            (
+                "metrics".to_string(),
+                MetricsSink::DEFAULT_PER_EVENT_OVERHEAD * events
+            ),
+        ],
+        "per-sink charges"
     );
 
     println!("METRICS OK");

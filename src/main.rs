@@ -12,14 +12,13 @@ use lotus::core::map::{
     split_metrics, split_metrics_mix_aware, IsolationConfig, Mapping, StorageAttribution,
 };
 use lotus::core::metrics::{
-    names, render_dashboard, to_csv, to_json, to_prometheus, DashboardOptions, MetricsRegistry,
-    MetricsSink, MultiSink,
+    names, render_dashboard, to_csv, to_json, to_prometheus, DashboardOptions,
 };
 use lotus::core::trace::chrome::{to_chrome_trace, ChromeTraceOptions};
 use lotus::core::trace::insights::{analyze, Verdict};
 use lotus::core::trace::viz::{render_timeline, TimelineOptions};
 use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode, SpanKind};
-use lotus::core::tune::{SearchSpace, Strategy};
+use lotus::core::tune::{Scorecard, SearchSpace, Strategy};
 use lotus::dataflow::{FaultPlan, LoaderMutation, SchedulingPolicyKind};
 use lotus::profilers::ComparisonHarness;
 use lotus::running::{
@@ -120,9 +119,10 @@ USAGE:
                   [--storage cold|warm] [--layout tiny|packed]
                   [--access shuffled|sequential] [--policy POLICY]
                   [--prom FILE] [--json FILE] [--csv FILE]
-      Run one epoch with the streaming metrics sink and render the
-      pipeline dashboard: queue-depth sparklines over time, per-worker
-      utilization, throughput, latency summaries. With --backend native
+      Run one epoch through `lotus run`'s measurement harness and render
+      the pipeline dashboard: queue-depth sparklines over time, per-worker
+      utilization, throughput, latency summaries, then `run`'s
+      throughput / main-process wait / verdict line. With --backend native
       every gauge and histogram carries wall-clock timestamps from the
       run's shared clock, and --profile adds the OS sampler's per-thread
       CPU/RSS/context-switch gauges to the dashboard and exports.
@@ -410,6 +410,26 @@ fn run_default_items(kind: PipelineKind, batch_size: usize) -> u64 {
     }
 }
 
+/// Which clock a backend's elapsed times are on.
+fn time_label(backend: BackendKind) -> &'static str {
+    match backend {
+        BackendKind::Sim => "virtual",
+        BackendKind::Native => "wall",
+    }
+}
+
+/// The run summary `lotus run` and `lotus top` print: throughput, the
+/// main-process wait share and the bottleneck verdict.
+fn scorecard_line(card: &Scorecard) -> String {
+    format!(
+        "throughput {:.1} samples/s | main-process wait {:.1}% | verdict: {} ({})",
+        card.throughput,
+        card.wait_fraction * 100.0,
+        card.verdict.map_or("failed", Verdict::as_str),
+        card.verdict.map_or("failed", Verdict::family)
+    )
+}
+
 fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
     let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
     let mut config = ExperimentConfig::paper_default(kind);
@@ -426,10 +446,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
     options.faults = parse_fault_flags(args, config.seed)?;
 
     let outcome = run_experiment(&config, &options)?;
-    let time_label = match backend {
-        BackendKind::Sim => "virtual",
-        BackendKind::Native => "wall",
-    };
     println!(
         "{} [{} backend]: {} batches / {} samples in {:.2}s of {} time\n",
         kind.abbrev(),
@@ -437,7 +453,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
         outcome.report.batches,
         outcome.report.samples,
         outcome.report.elapsed.as_secs_f64(),
-        time_label
+        time_label(backend)
     );
     println!(
         "{:<30} {:>7} {:>9} {:>9} {:>8}",
@@ -453,14 +469,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
             op.frac_below_10ms * 100.0
         );
     }
-    let card = &outcome.scorecard;
-    println!(
-        "\nthroughput {:.1} samples/s | main-process wait {:.1}% | verdict: {} ({})",
-        card.throughput,
-        card.wait_fraction * 100.0,
-        card.verdict.map_or("failed", Verdict::as_str),
-        card.verdict.map_or("failed", Verdict::family)
-    );
+    println!("\n{}", scorecard_line(&outcome.scorecard));
     if backend == BackendKind::Native {
         println!("{}", t0_reads_line(&outcome));
     }
@@ -757,57 +766,35 @@ fn cmd_top(args: &Args) -> Result<(), Box<dyn Error>> {
     let config = apply_storage_flags(args, config.scaled_to(args.get("items", default_items)?))?
         .with_policy(policy_of(args)?);
 
+    // The one measured-run harness: the same numbers and verdict as
+    // `lotus run` on the same backend. On native, gauges and histograms
+    // are stamped by the run's wall clock, so the sparklines span its
+    // real elapsed time.
     let backend = backend_of(args, "sim")?;
-    let (snapshot, report, time_label, overheads) = match backend {
-        BackendKind::Sim => {
-            let machine = Machine::new(MachineConfig::cloudlab_c4130());
-            let registry = Arc::new(MetricsRegistry::new());
-            let metrics = Arc::new(MetricsSink::new(Arc::clone(&registry), config.num_workers));
-            let sinks = Arc::new(MultiSink::new().with(Arc::clone(&metrics) as _));
-            let report = config
-                .build(&machine, Arc::clone(&sinks) as _, None)
-                .run()?;
-            (registry.snapshot(), report, "virtual", sinks.overheads())
-        }
-        BackendKind::Native => {
-            // Wall-clock dashboard: gauges and histograms are stamped by
-            // the native run's shared clock, so the sparklines span the
-            // run's real elapsed time.
-            let mut options = RunOptions::native();
-            apply_run_flags(args, &mut options)?;
-            let outcome = run_experiment(&config, &options)?;
-            (
-                outcome.measurement.snapshot,
-                outcome.report,
-                "wall",
-                Vec::new(),
-            )
-        }
-    };
+    let mut options = RunOptions::for_backend(backend);
+    apply_run_flags(args, &mut options)?;
+    let outcome = run_experiment(&config, &options)?;
+    let (snapshot, report) = (&outcome.measurement.snapshot, &outcome.report);
     let width = args.get("width", 48usize)?;
-    print!(
-        "{}",
-        render_dashboard(&snapshot, DashboardOptions { width })
-    );
+    print!("{}", render_dashboard(snapshot, DashboardOptions { width }));
     println!(
-        "\n{} batches / {} samples in {:.2}s of {time_label} time",
+        "\n{} batches / {} samples in {:.2}s of {} time",
         report.batches,
         report.samples,
-        report.elapsed.as_secs_f64()
+        report.elapsed.as_secs_f64(),
+        time_label(backend)
     );
-    for (name, overhead) in overheads {
-        println!("sink '{name}' charged {overhead} of instrumentation overhead");
-    }
+    println!("{}", scorecard_line(&outcome.scorecard));
     if let Some(path) = args.flags.get("prom") {
-        std::fs::write(path, to_prometheus(&snapshot))?;
+        std::fs::write(path, to_prometheus(snapshot))?;
         println!("prometheus text written to {path}");
     }
     if let Some(path) = args.flags.get("json") {
-        std::fs::write(path, to_json(&snapshot))?;
+        std::fs::write(path, to_json(snapshot))?;
         println!("json snapshot written to {path}");
     }
     if let Some(path) = args.flags.get("csv") {
-        std::fs::write(path, to_csv(&snapshot))?;
+        std::fs::write(path, to_csv(snapshot))?;
         println!("csv time-series written to {path}");
     }
     Ok(())

@@ -1,5 +1,5 @@
-//! The concrete `lotus run` / `lotus bench` runner: one measured epoch of
-//! a workload pipeline on a chosen [`ExecutionBackend`].
+//! The concrete `lotus run` / `lotus top` / `lotus bench` runner: one
+//! measured epoch of a workload pipeline on a chosen [`ExecutionBackend`].
 //!
 //! Both backends, and every `lotus tune` trial, go through the one
 //! zero-overhead measurement harness (a [`LotusTrace`] with no
@@ -294,10 +294,10 @@ pub fn run_experiment(
 }
 
 /// The zero-overhead measurement harness every measured run goes
-/// through — `lotus run` on either backend and each `lotus tune` trial: a
-/// fresh machine, a [`LotusTrace`] with no per-record charge and a free
-/// [`MetricsSink`], so the numbers describe the pipeline, not the
-/// instrumentation.
+/// through — `lotus run` and `lotus top` on either backend and each
+/// `lotus tune` trial: a fresh machine, a [`LotusTrace`] with no
+/// per-record charge and a free [`MetricsSink`], so the numbers describe
+/// the pipeline, not the instrumentation.
 pub(crate) struct Harness {
     /// The simulated machine the job's cost model runs on.
     pub(crate) machine: Arc<Machine>,

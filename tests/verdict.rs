@@ -1,9 +1,9 @@
 //! One run, one verdict. The bottleneck rule reads the same four inputs
-//! whether they come from a run's metrics (`lotus run`, `lotus tune`) or
-//! from its trace records (`lotus trace`), so every command names the
-//! same bottleneck. The sweep is image classification, 8,192 items on
-//! the simulated backend, at 2 to 8 workers: it crosses from fetch-bound
-//! to GPU-bound.
+//! whether they come from a run's metrics (`lotus run`, `lotus top`,
+//! `lotus tune`) or from its trace records (`lotus trace`), so every
+//! command names the same bottleneck. The sweep is image classification,
+//! 8,192 items on the simulated backend, at 2 to 8 workers: it crosses
+//! from fetch-bound to GPU-bound.
 
 use std::process::Command;
 
@@ -81,6 +81,8 @@ fn trace_and_run_print_the_same_verdict() {
         let shape = ["--pipeline", "ic", "--items", "8192", "--workers", &workers];
         let trace = verdict_line(&[&["trace"], &shape[..]].concat());
         let run = verdict_line(&[&["run", "--backend", "sim"], &shape[..]].concat());
+        let top = verdict_line(&[&["top", "--backend", "sim"], &shape[..]].concat());
         assert_eq!(trace, run, "{workers} workers");
+        assert_eq!(top, run, "{workers} workers");
     }
 }
