@@ -19,14 +19,14 @@ fn bench_sim_queue(c: &mut Criterion) {
             let mut sim = Simulation::new();
             let q = sim.queue::<u64>("bench", Some(16));
             let tx = q.clone();
-            sim.spawn("producer", move |ctx| {
+            sim.spawn("producer", move |ctx| async move {
                 for i in 0..1000 {
-                    tx.push(&ctx, i);
+                    tx.push(&ctx, i).await;
                 }
             });
-            sim.spawn("consumer", move |ctx| {
+            sim.spawn("consumer", move |ctx| async move {
                 for _ in 0..1000 {
-                    let _ = q.pop(&ctx);
+                    let _ = q.pop(&ctx).await;
                 }
             });
             sim.run().unwrap()

@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use lotus_core::trace::chrome::{to_chrome_trace, ChromeTraceOptions};
-use lotus_core::trace::insights::{analyze, Insights};
+use lotus_core::trace::insights::{analyze, Insights, Verdict};
 use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus_sim::Span;
 use lotus_uarch::{Machine, MachineConfig};
@@ -116,7 +116,7 @@ impl fmt::Display for Fig2 {
                 r.insights.mean_wait_ms,
                 format!("{}", r.insights.mean_delay),
                 format!("{}", r.gpu_step),
-                r.insights.verdict.as_str(),
+                r.insights.verdict.map_or("none", Verdict::as_str),
                 r.trace_path.display()
             )?;
         }
@@ -128,8 +128,6 @@ impl fmt::Display for Fig2 {
 mod tests {
     use super::*;
 
-    use lotus_core::trace::insights::Verdict;
-
     #[test]
     fn bottleneck_classification_matches_the_paper() {
         let fig = run(Scale::scaled());
@@ -137,9 +135,9 @@ mod tests {
             let row = fig.rows.iter().find(|r| r.pipeline == p).unwrap();
             row.insights.verdict
         };
-        assert_eq!(verdict("IC"), Verdict::PreprocessingBound);
-        assert_eq!(verdict("IS"), Verdict::GpuBound);
-        assert_eq!(verdict("OD"), Verdict::GpuBound);
+        assert_eq!(verdict("IC"), Some(Verdict::PreprocessingBound));
+        assert_eq!(verdict("IS"), Some(Verdict::GpuBound));
+        assert_eq!(verdict("OD"), Some(Verdict::GpuBound));
     }
 
     #[test]

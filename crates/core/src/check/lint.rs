@@ -726,6 +726,42 @@ mod tests {
             other => panic!("expected a malformed-line error, got {other:?}"),
         }
 
+        let deep = dir.join("deep.json");
+        std::fs::write(&deep, format!("{{\"traceEvents\":{}", "[".repeat(300_000))).unwrap();
+        assert!(matches!(load_trace(&deep), Err(CheckError::Json { .. })));
+
+        let overflow = dir.join("overflow.log");
+        let max = u64::MAX;
+        std::fs::write(&overflow, format!("SBatchWait_0,4242,{max},{max},0,0\n")).unwrap();
+        assert!(matches!(
+            load_trace(&overflow),
+            Err(CheckError::Malformed { line: 1, .. })
+        ));
+
+        // Out-of-range Chrome fields, one per event; 1.8e16 µs fits in
+        // u64 nanoseconds, but an event starting and lasting that long
+        // ends past it.
+        let chrome = dir.join("range.json");
+        for (ts, dur, pid) in [
+            ("-5", "1.0", "1"),
+            ("1e30", "1.0", "1"),
+            ("1e400", "1.0", "1"),
+            ("0.0", "-0.5", "1"),
+            ("0.0", "1e30", "1"),
+            ("1.8e16", "1.8e16", "1"),
+            ("0.0", "1.0", "99999999999"),
+        ] {
+            let event = format!(
+                "{{\"name\": \"SBatchWait_0\", \"ph\": \"X\", \"id\": -1, \"ts\": {ts}, \
+                 \"dur\": {dur}, \"pid\": {pid}, \"args\": {{\"batch_id\": 0}}}}"
+            );
+            std::fs::write(&chrome, format!("{{\"traceEvents\": [{event}]}}")).unwrap();
+            assert!(
+                matches!(load_trace(&chrome), Err(CheckError::Malformed { .. })),
+                "accepted {event}"
+            );
+        }
+
         let good = dir.join("good.log");
         std::fs::write(&good, "SBatchWait_0,4242,0,10,0,0\n\n").unwrap();
         assert_eq!(load_trace(&good).unwrap().len(), 1);

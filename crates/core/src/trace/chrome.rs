@@ -179,7 +179,8 @@ pub fn from_chrome_trace(doc: &Value) -> Result<Vec<TraceRecord>, String> {
         let pid = e
             .get("pid")
             .and_then(Value::as_u64)
-            .ok_or("event missing pid")? as u32;
+            .ok_or("event missing pid")?;
+        let pid = u32::try_from(pid).map_err(|_| format!("pid {pid} above u32::MAX"))?;
         let batch_id = e
             .pointer("/args/batch_id")
             .and_then(Value::as_u64)
@@ -193,17 +194,32 @@ pub fn from_chrome_trace(doc: &Value) -> Result<Vec<TraceRecord>, String> {
             .and_then(Value::as_u64)
             .unwrap_or(0);
         let (kind, _) = parse_label(name)?;
+        let (start, duration) = (nanos("ts", ts_us)?, nanos("dur", dur_us)?);
+        if start.checked_add(duration).is_none() {
+            return Err(format!("{name} ends past u64::MAX ns"));
+        }
         records.push(TraceRecord {
             kind,
             pid,
             batch_id,
-            start: lotus_sim::Time::from_nanos((ts_us * 1e3).round() as u64),
-            duration: lotus_sim::Span::from_nanos((dur_us * 1e3).round() as u64),
+            start: lotus_sim::Time::from_nanos(start),
+            duration: lotus_sim::Span::from_nanos(duration),
             out_of_order,
             queue_delay: lotus_sim::Span::from_nanos(queue_delay_ns),
         });
     }
     Ok(records)
+}
+
+/// Converts the microseconds of `field` to whole nanoseconds, refusing
+/// a negative, non-finite or out-of-range value.
+fn nanos(field: &str, us: f64) -> Result<u64, String> {
+    let ns = (us * 1e3).round();
+    // `u64::MAX as f64` rounds up to 2^64, the first value out of range.
+    if us.is_sign_negative() || !(0.0..u64::MAX as f64).contains(&ns) {
+        return Err(format!("{field} {us} µs is not a time in u64 nanoseconds"));
+    }
+    Ok(ns as u64)
 }
 
 #[cfg(test)]

@@ -52,6 +52,16 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// The `verdict:` text of a run: the verdict and its family, or
+    /// `none (no batch consumed)` for a run that measured nothing.
+    #[must_use]
+    pub fn describe(verdict: Option<Verdict>) -> String {
+        verdict.map_or_else(
+            || "none (no batch consumed)".to_string(),
+            |v| format!("{} ({})", v.as_str(), v.family()),
+        )
+    }
+
     /// The rule: a \[T2\] wait share of at least
     /// [`WAIT_BOUND_THRESHOLD`] makes the run input-bound, and the
     /// dominant op class names the culprit (`StorageRead` → storage,
@@ -142,8 +152,9 @@ pub struct WorkerStats {
 pub struct Insights {
     /// Bottleneck classification: [`Verdict::classify`] over the wait
     /// fraction, the mean wait, the mean queue delay and the log's op
-    /// class totals.
-    pub verdict: Verdict,
+    /// class totals; `None` when the log holds no \[T2\] wait, so no
+    /// batch was consumed.
+    pub verdict: Option<Verdict>,
     /// Total \[T2\] wait over the record span (earliest start to latest
     /// end): the share of the traced interval the main process spent
     /// waiting.
@@ -239,12 +250,14 @@ pub fn analyze(records: &[TraceRecord]) -> Insights {
     let wait_fraction = share_of_span(total_wait);
     let op_classes = op_class_totals(records);
     let t0_fraction = op_classes.storage_fraction();
-    let verdict = Verdict::classify(
-        wait_fraction,
-        mean_wait_ms,
-        mean_queue_delay_ms,
-        &op_classes,
-    );
+    let verdict = (!waits.is_empty()).then(|| {
+        Verdict::classify(
+            wait_fraction,
+            mean_wait_ms,
+            mean_queue_delay_ms,
+            &op_classes,
+        )
+    });
 
     let mut per_worker: BTreeMap<u32, WorkerStats> = BTreeMap::new();
     for r in records {
@@ -287,32 +300,35 @@ pub fn analyze(records: &[TraceRecord]) -> Insights {
         .map(|(name, cpu)| (name.clone(), cpu.as_secs_f64() / total_op_cpu));
 
     let mut recommendations = vec![match verdict {
-        Verdict::StorageBound => format!(
+        None => "no batch was consumed, so nothing was measured: give the epoch at \
+             least one full batch (more items, a smaller batch, or no drop_last)"
+            .to_string(),
+        Some(Verdict::StorageBound) => format!(
             "{:.0}% of per-item time is [T0] storage fetch: warm the page cache \
              (a second epoch), pack tiny files into larger records, or move the \
              dataset to faster/closer storage — extra workers would idle on the \
              same devices",
             t0_fraction * 100.0
         ),
-        Verdict::FetchBound => "the accelerator starves on the Loader source fetch \
+        Some(Verdict::FetchBound) => "the accelerator starves on the Loader source fetch \
              (read + decode): add DataLoader workers, or store the dataset \
              pre-decoded"
             .to_string(),
-        Verdict::PreprocessingBound => "the accelerator starves waiting for batches: add \
+        Some(Verdict::PreprocessingBound) => "the accelerator starves waiting for batches: add \
              DataLoader workers, or move deterministic operations offline (decode, resize)"
             .to_string(),
-        Verdict::CollateBound => "the accelerator starves on C(n) collation, the serial \
+        Some(Verdict::CollateBound) => "the accelerator starves on C(n) collation, the serial \
              tail of every batch: collate into preallocated batch buffers, or use smaller \
              batches"
             .to_string(),
-        Verdict::GpuBound => "preprocessing has headroom: consider fewer workers, or \
+        Some(Verdict::GpuBound) => "preprocessing has headroom: consider fewer workers, or \
              co-locating another job's preprocessing on this host"
             .to_string(),
-        Verdict::Balanced => {
+        Some(Verdict::Balanced) => {
             "pipeline is balanced; revisit after hardware or batch-size changes".to_string()
         }
     }];
-    if verdict.family() == "input-bound" {
+    if verdict.is_some_and(|v| v.family() == "input-bound") {
         if let Some((op, share)) = &dominant_op {
             if *share > 0.4 {
                 recommendations.push(format!(
@@ -359,10 +375,9 @@ impl fmt::Display for Insights {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "main-process wait {:.1}% | verdict: {} ({})",
+            "main-process wait {:.1}% | verdict: {}",
             self.wait_fraction * 100.0,
-            self.verdict.as_str(),
-            self.verdict.family()
+            Verdict::describe(self.verdict)
         )?;
         writeln!(
             f,
@@ -463,7 +478,7 @@ mod tests {
     #[test]
     fn classifies_fetch_bound_and_names_the_culprit() {
         let insights = analyze_clean(&loader_dominated_log());
-        assert_eq!(insights.verdict, Verdict::FetchBound);
+        assert_eq!(insights.verdict, Some(Verdict::FetchBound));
         assert!((insights.wait_fraction - 8.5 / 9.95).abs() < 1e-12);
         assert!((insights.mean_wait_ms - 850.0).abs() < 1e-12);
         assert!((insights.mean_queue_delay_ms - 50.0).abs() < 1e-12);
@@ -500,7 +515,7 @@ mod tests {
             ));
         }
         let insights = analyze_clean(&log);
-        assert_eq!(insights.verdict, Verdict::StorageBound);
+        assert_eq!(insights.verdict, Some(Verdict::StorageBound));
         assert!(insights.t0_fraction > 0.5, "{}", insights.t0_fraction);
         assert!(
             insights
@@ -512,7 +527,7 @@ mod tests {
         );
         // Without the reads the same log is fetch-bound.
         let base = analyze_clean(&loader_dominated_log());
-        assert_eq!(base.verdict, Verdict::FetchBound);
+        assert_eq!(base.verdict, Some(Verdict::FetchBound));
         assert_eq!(base.t0_fraction, 0.0);
     }
 
@@ -529,7 +544,7 @@ mod tests {
             log.push(rec(SpanKind::BatchConsumed, 1, b, delivered, 700));
         }
         let insights = analyze_clean(&log);
-        assert_eq!(insights.verdict, Verdict::GpuBound);
+        assert_eq!(insights.verdict, Some(Verdict::GpuBound));
         assert!(insights.wait_fraction < 0.01, "{}", insights.wait_fraction);
         assert!(insights.mean_queue_delay_ms > 4000.0);
         assert!(insights
@@ -555,7 +570,7 @@ mod tests {
             log.push(rec(SpanKind::BatchConsumed, 1, b, b * 1000 + 1950, 50));
         }
         let insights = analyze_clean(&log);
-        assert_eq!(insights.verdict, Verdict::GpuBound);
+        assert_eq!(insights.verdict, Some(Verdict::GpuBound));
         assert!(insights.ooo_fraction >= 0.5);
         assert!(
             insights.worker_imbalance > 0.4,

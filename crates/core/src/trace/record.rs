@@ -247,6 +247,9 @@ impl TraceRecord {
         let pid: u32 = rest[0].parse().map_err(|e| format!("bad pid: {e}"))?;
         let start: u64 = rest[1].parse().map_err(|e| format!("bad start: {e}"))?;
         let duration: u64 = rest[2].parse().map_err(|e| format!("bad duration: {e}"))?;
+        if start.checked_add(duration).is_none() {
+            return Err(format!("span {start} + {duration} ends past u64::MAX ns"));
+        }
         let ooo = rest[3] == "1";
         let queue_delay: u64 = rest[4]
             .parse()
@@ -418,6 +421,11 @@ mod tests {
         // Old 5-field lines are rejected, not silently mis-parsed.
         assert!(TraceRecord::parse_log_line("SBatchWait_1,1,2,3,0").is_err());
         assert!(TraceRecord::parse_log_line("SFaultInjected_3,1,2,3,0,0").is_err());
+        let max = u64::MAX;
+        let overflowing = format!("SBatchWait_1,1,{max},{max},0,0");
+        assert!(TraceRecord::parse_log_line(&overflowing).is_err());
+        let at_the_edge = format!("SBatchWait_1,1,{},1,0,0", max - 1);
+        assert!(TraceRecord::parse_log_line(&at_the_edge).is_ok());
     }
 
     #[test]

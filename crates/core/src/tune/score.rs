@@ -33,7 +33,8 @@ pub struct TrialMeasurement {
 ///
 /// A failed trial (fault-degraded or invalid) keeps its configuration and
 /// the error in [`failed`](Scorecard::failed); its numeric fields are
-/// zero and its verdict is `None`.
+/// zero and its verdict is `None`. So is the verdict of a run that
+/// consumed no batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scorecard {
     /// The configuration this card scores.
@@ -56,7 +57,8 @@ pub struct Scorecard {
     /// Peak resident batches: data-queue depth + pinned out-of-order
     /// cache + one in-progress batch per worker.
     pub footprint_batches: f64,
-    /// Bottleneck classification, `None` for failed trials.
+    /// Bottleneck classification; `None` for failed trials and for runs
+    /// that consumed no batch.
     pub verdict: Option<Verdict>,
     /// Sample errors injected by the fault plan during the run.
     pub faults_injected: u64,
@@ -93,12 +95,14 @@ impl Scorecard {
         let peak = |name: &str| m.snapshot.gauges.get(name).map_or(0.0, |g| g.max());
         let footprint_batches =
             peak(names::DATA_QUEUE_DEPTH) + peak(names::PINNED_CACHE) + config.num_workers as f64;
-        let verdict = Verdict::classify(
-            wait_fraction,
-            mean_wait_ms,
-            mean_queue_delay_ms,
-            &m.op_classes,
-        );
+        let verdict = (m.batches > 0).then(|| {
+            Verdict::classify(
+                wait_fraction,
+                mean_wait_ms,
+                mean_queue_delay_ms,
+                &m.op_classes,
+            )
+        });
         Scorecard {
             config,
             throughput,
@@ -109,7 +113,7 @@ impl Scorecard {
             mean_wait_ms,
             mean_queue_delay_ms,
             footprint_batches,
-            verdict: Some(verdict),
+            verdict,
             faults_injected: m
                 .snapshot
                 .counters

@@ -36,7 +36,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::thread::ThreadId;
 use std::time::Instant;
+
+use lotus_sim::Pid;
 
 /// Which of a queue's two condition variables an event concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,14 +213,16 @@ impl std::fmt::Display for AuditMutation {
 ///
 /// Threads announce their trace pid once via
 /// [`register_thread`](AuditFeed::register_thread); every subsequent
-/// [`record`](AuditFeed::record) stamps events with it.
+/// [`record`](AuditFeed::record) stamps events with it. Every process of
+/// a simulation runs on the thread that runs it, so events from sim
+/// processes are keyed on the process too.
 #[derive(Debug)]
 pub struct AuditFeed {
     collecting: AtomicBool,
     detached: AtomicBool,
     seq: AtomicU64,
     events: Mutex<Vec<SyncEvent>>,
-    threads: Mutex<HashMap<std::thread::ThreadId, u32>>,
+    recorders: Mutex<HashMap<(ThreadId, Option<Pid>), u32>>,
     overhead_ns: AtomicU64,
 }
 
@@ -236,7 +241,7 @@ impl AuditFeed {
             detached: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
-            threads: Mutex::new(HashMap::new()),
+            recorders: Mutex::new(HashMap::new()),
             overhead_ns: AtomicU64::new(0),
         }
     }
@@ -269,16 +274,28 @@ impl AuditFeed {
     /// Announces the calling thread's trace pid. Events recorded by an
     /// unregistered thread carry [`UNKNOWN_TID`].
     pub fn register_thread(&self, tid: u32) {
-        self.threads
+        self.register(None, tid);
+    }
+
+    /// Announces the trace pid of the simulated `process` calling, or of
+    /// the calling thread for `None`.
+    pub(crate) fn register(&self, process: Option<Pid>, tid: u32) {
+        self.recorders
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(std::thread::current().id(), tid);
+            .insert((std::thread::current().id(), process), tid);
     }
 
     /// Records one synchronization event on `obj` by the calling thread.
     /// The recording's own cost is measured and accumulated into the
     /// feed's overhead, so bench reports can subtract it.
     pub fn record(&self, obj: &str, op: SyncOp) {
+        self.record_by(None, obj, op);
+    }
+
+    /// Records one synchronization event on `obj` by the simulated
+    /// `process` calling, or by the calling thread for `None`.
+    pub(crate) fn record_by(&self, process: Option<Pid>, obj: &str, op: SyncOp) {
         if !self.is_collecting() {
             return;
         }
@@ -288,9 +305,12 @@ impl AuditFeed {
         // release→acquire chain get ascending sequence numbers.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let tid = {
-            let threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-            threads
-                .get(&std::thread::current().id())
+            let recorders = self
+                .recorders
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            recorders
+                .get(&(std::thread::current().id(), process))
                 .copied()
                 .unwrap_or(UNKNOWN_TID)
         };

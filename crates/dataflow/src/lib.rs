@@ -57,7 +57,7 @@ pub use protocol::{
     worker_os_pid, DATA_QUEUE_DEPTH_GAUGE, IN_FLIGHT_GAUGE, MAIN_OS_PID, PINNED_CACHE_GAUGE,
     QUEUE_DEPTH_PREFIX,
 };
-pub use sync::{StdSync, SyncFacade};
+pub use sync::{block_on, StdSync, SyncFacade};
 pub use tracer::{NullTracer, TraceEvent, TraceSink, Tracer};
 
 pub use lotus_sim::FaultPlan;

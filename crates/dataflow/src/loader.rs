@@ -9,7 +9,9 @@
 //! `SimWorker`, which times a fetch on the worker's `CpuThread` cursor
 //! and charges it, dilated by the instrumentation, as virtual time.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use lotus_sim::{Ctx, FaultPlan, Queue, ScheduleController, Simulation, Span, Time};
 use lotus_uarch::{CostCoeffs, CpuThread, HwProfiler, KernelId, Machine};
@@ -96,11 +98,11 @@ impl FrameworkKernels {
 
 /// Runs `cpu` work starting at the current instant and advances the
 /// simulated clock by however long it took.
-fn run_kernel(ctx: &Ctx, cpu: &mut CpuThread, kernel: KernelId, work: f64) {
+async fn run_kernel(ctx: &Ctx, cpu: &mut CpuThread, kernel: KernelId, work: f64) {
     let start = ctx.now();
     cpu.set_cursor(start);
     cpu.exec(kernel, work);
-    ctx.delay(cpu.cursor().since(start));
+    ctx.delay(cpu.cursor().since(start)).await;
 }
 
 /// A complete single-epoch training job: dataset, DataLoader, GPU group,
@@ -226,12 +228,13 @@ impl TrainingJob {
             .map(|w| sim.queue(QueueId::Index(w).name(), None))
             .collect();
 
-        let job_error: Arc<Mutex<Option<JobError>>> = Arc::new(Mutex::new(None));
+        // Every process runs on this thread, inside `sim.run()`.
+        let job_error: Rc<Cell<Option<JobError>>> = Rc::default();
 
         for (w, index_q) in index_qs.iter().enumerate() {
             let (index_q, data_q) = (index_q.clone(), data_q.clone());
             let (job, cpu) = (Arc::clone(&job), job.cpu_thread());
-            sim.spawn(format!("dataloader{w}"), move |ctx| {
+            sim.spawn(format!("dataloader{w}"), move |ctx| async move {
                 let dilation = job.tracer.compute_dilation();
                 assert!(
                     dilation >= 1.0,
@@ -246,14 +249,14 @@ impl TrainingJob {
                     queue_factor,
                     mutation: job.mutation,
                 };
-                run_worker(&sub, &job, w, cpu);
+                run_worker(&sub, &job, w, cpu).await;
             });
         }
 
         {
-            let (job, job_error) = (Arc::clone(&job), Arc::clone(&job_error));
+            let (job, job_error) = (Arc::clone(&job), Rc::clone(&job_error));
             let cpu = job.cpu_thread();
-            sim.spawn("main", move |ctx| {
+            sim.spawn("main", move |ctx| async move {
                 let main = SimMain {
                     ctx: &ctx,
                     cpu,
@@ -265,19 +268,14 @@ impl TrainingJob {
                     gpu: job.gpu,
                 };
                 let (tracer, loader) = (&*job.tracer, &job.loader);
-                if let Err(e) = main_loop(main, tracer, None, loader, plan, job.mutation) {
-                    *job_error
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
+                if let Err(e) = main_loop(main, tracer, None, loader, plan, job.mutation).await {
+                    job_error.set(Some(e));
                 }
             });
         }
 
         let report = sim.run()?;
-        let mut slot = job_error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(e) = slot.take() {
+        if let Some(e) = job_error.take() {
             return Err(e);
         }
         Ok(JobReport {
@@ -308,20 +306,20 @@ impl WorkerSubstrate for SimWorker<'_> {
         self.ctx.now()
     }
 
-    fn charge(&self, overhead: Span) {
+    async fn charge(&self, overhead: Span) {
         if !overhead.is_zero() {
-            self.ctx.delay(overhead);
+            self.ctx.delay(overhead).await;
         }
     }
 
-    fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg> {
+    async fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg> {
         match timeout {
-            Some(timeout) => self.index_q.pop_timeout(self.ctx, timeout),
-            None => Some(self.index_q.pop(self.ctx)),
+            Some(timeout) => self.index_q.pop_timeout(self.ctx, timeout).await,
+            None => Some(self.index_q.pop(self.ctx).await),
         }
     }
 
-    fn sample_depth(&self, queue: QueueId, _gauge: &str) -> usize {
+    async fn sample_depth(&self, queue: QueueId, _gauge: &str) -> usize {
         match queue {
             QueueId::Index(_) => self.index_q.len(),
             QueueId::Data => self.data_q.len(),
@@ -350,7 +348,7 @@ impl WorkerSubstrate for SimWorker<'_> {
     /// the envelope into the shared-memory queue (a slowed queue
     /// multiplies the work) and pushes it, unless the worker was killed
     /// meanwhile: then the batch is orphaned, to be redispatched.
-    fn hand_off(
+    async fn hand_off(
         &self,
         cpu: &mut CpuThread,
         envelope: Envelope,
@@ -358,10 +356,10 @@ impl WorkerSubstrate for SimWorker<'_> {
         trace_fetch: impl FnOnce() -> Span,
     ) -> HandOff {
         let trace_overhead = trace_fetch();
-        self.ctx.delay(envelope.fetch + trace_overhead);
+        self.ctx.delay(envelope.fetch + trace_overhead).await;
         cpu.machine().thread_stopped_compute();
         let work = envelope.bytes() as f64 * self.queue_factor;
-        run_kernel(self.ctx, cpu, self.fw.pickle_dumps, work);
+        run_kernel(self.ctx, cpu, self.fw.pickle_dumps, work).await;
         if kill_time.is_some_and(|at| self.ctx.now() >= at) {
             return HandOff::Exit;
         }
@@ -371,7 +369,7 @@ impl WorkerSubstrate for SimWorker<'_> {
             // arrives.
             return HandOff::Dropped;
         }
-        self.data_q.push(self.ctx, envelope);
+        self.data_q.push(self.ctx, envelope).await;
         HandOff::Pushed
     }
 }
@@ -395,28 +393,28 @@ impl Substrate for SimMain<'_> {
         self.ctx.now()
     }
 
-    fn charge(&self, overhead: Span) {
+    async fn charge(&self, overhead: Span) {
         if !overhead.is_zero() {
-            self.ctx.delay(overhead);
+            self.ctx.delay(overhead).await;
         }
     }
 
-    fn depth(&self, queue: QueueId) -> usize {
+    async fn depth(&self, queue: QueueId) -> usize {
         match queue {
             QueueId::Index(w) => self.index_qs[w].len(),
             QueueId::Data => self.data_q.len(),
         }
     }
 
-    fn send(&self, worker: usize, msg: WorkerMsg) {
-        self.index_qs[worker].push(self.ctx, msg);
+    async fn send(&self, worker: usize, msg: WorkerMsg) {
+        self.index_qs[worker].push(self.ctx, msg).await;
     }
 
     /// A killed worker dies silently; the main process finds it dead at
     /// the first status check past its kill time, exactly like
     /// PyTorch's `w.is_alive()`.
-    fn recv(&mut self, dead: &[bool]) -> Received {
-        let Some(env) = self.data_q.pop_timeout(self.ctx, WORKER_STATUS_CHECK) else {
+    async fn recv(&mut self, dead: &[bool]) -> Received {
+        let Some(env) = self.data_q.pop_timeout(self.ctx, WORKER_STATUS_CHECK).await else {
             let now = self.ctx.now();
             let newly_dead =
                 |&w: &usize| !dead[w] && self.kill_times[w].is_some_and(|at| now >= at);
@@ -425,24 +423,26 @@ impl Substrate for SimMain<'_> {
         // Tensor storage travels via shared memory, so the main process
         // unpickles metadata only (PyTorch's zero-copy tensor sharing).
         let work = env.bytes().min(65_536) as f64 * self.queue_factor;
-        run_kernel(self.ctx, &mut self.cpu, self.fw.pickle_loads, work);
+        run_kernel(self.ctx, &mut self.cpu, self.fw.pickle_loads, work).await;
         Received::Envelope(env)
     }
 
-    fn pin(&mut self, bytes: u64) {
-        run_kernel(self.ctx, &mut self.cpu, self.fw.pin_memory, bytes as f64);
+    async fn pin(&mut self, bytes: u64) {
+        run_kernel(self.ctx, &mut self.cpu, self.fw.pin_memory, bytes as f64).await;
     }
 
-    fn consume(&mut self, payload: &BatchPayload) {
-        self.ctx.delay(self.gpu.h2d_span(payload.bytes));
-        run_kernel(self.ctx, &mut self.cpu, self.fw.cuda_launch, 0.0);
-        self.ctx.delay(self.gpu.step_span(payload.len));
+    async fn consume(&mut self, payload: &BatchPayload) {
+        self.ctx.delay(self.gpu.h2d_span(payload.bytes)).await;
+        run_kernel(self.ctx, &mut self.cpu, self.fw.cuda_launch, 0.0).await;
+        self.ctx.delay(self.gpu.step_span(payload.len)).await;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
     use crate::backend::{ExecutionBackend, SimBackend};
     use crate::policy::SchedulingPolicyKind;
     use crate::protocol::worker_os_pid;

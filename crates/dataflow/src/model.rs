@@ -10,6 +10,7 @@
 //! a commit lands. A [`GuidedController`] resolves every same-instant tie.
 
 use std::fmt::Write as _;
+use std::rc::Rc;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -107,10 +108,10 @@ pub fn run_native_model(cfg: &ModelConfig, schedule: &[usize], max_steps: u64) -
     }));
     let (cfg, main_feed) = (*cfg, Arc::clone(&feed));
     sim.spawn("main", move |ctx| {
-        SimSync::run(ctx, || main_process(cfg, main_feed));
+        main_process(SimSync(ctx), cfg, main_feed)
     });
     let outcome = sim.run().map(|_| ());
-    drop(sim); // unwinds any process left parked
+    drop(sim); // drops any process left parked
     ModelRun {
         decisions: guide.decisions(),
         events: feed.drain(),
@@ -141,55 +142,50 @@ impl Shared {
 
 /// Builds the shared state, spawns the workers, then receives every
 /// batch.
-fn main_process(cfg: ModelConfig, feed: Arc<AuditFeed>) {
-    feed.register_thread(MAIN_OS_PID);
-    let mut data_q = NativeQueue::on(QueueId::Data.name(), Some(cfg.queue_cap));
+async fn main_process(sync: SimSync, cfg: ModelConfig, feed: Arc<AuditFeed>) {
+    feed.register(sync.process(), MAIN_OS_PID);
+    let mut data_q = NativeQueue::on(sync.clone(), QueueId::Data.name(), Some(cfg.queue_cap));
     data_q.set_audit(
         Arc::clone(&feed),
         |env: &Envelope| Some(env.batch_id),
         cfg.bug,
     );
-    let shared = Arc::new(Shared {
+    let shared = Rc::new(Shared {
         data_q,
-        liveness: SimSync::mutex(vec![false; cfg.workers]),
+        liveness: sync.mutex(vec![false; cfg.workers]),
         shutdown: AtomicBool::new(false),
         feed,
         bug: cfg.bug,
     });
     for w in 0..cfg.workers {
-        let shared = Arc::clone(&shared);
-        SimSync::with(|ctx| {
-            ctx.spawn(format!("worker {w}"), move |ctx| {
-                SimSync::run(ctx, || worker_process(&shared, cfg, w));
-            })
+        let shared = Rc::clone(&shared);
+        sync.0.spawn(format!("worker {w}"), move |ctx| async move {
+            worker_process(&SimSync(ctx), &shared, cfg, w).await;
         });
     }
     let handoff = shared.handoff();
     let mut pending = cfg.workers * cfg.batches_per_worker;
     while pending > 0 {
-        if let Received::Envelope(_) = handoff.recv(STATUS_CHECK, &[], &SimSync) {
+        if let Received::Envelope(_) = handoff.recv(STATUS_CHECK, &[], &sync).await {
             pending -= 1;
         }
     }
 }
 
 /// Fetches and commits worker `w`'s batches.
-fn worker_process(shared: &Shared, cfg: ModelConfig, w: usize) {
-    shared.feed.register_thread(worker_os_pid(w));
+async fn worker_process(sync: &SimSync, shared: &Shared, cfg: ModelConfig, w: usize) {
+    shared.feed.register(sync.process(), worker_os_pid(w));
     let fetch = Span::from_nanos(STATUS_CHECK.as_nanos() as u64);
     for i in 0..cfg.batches_per_worker {
-        let produced_at = SimSync::with(|ctx| {
-            ctx.delay(fetch);
-            ctx.now()
-        });
+        sync.0.delay(fetch).await;
         let envelope = Envelope {
             batch_id: (w * cfg.batches_per_worker + i) as u64,
             payload: Ok(BatchPayload { bytes: 0, len: 1 }),
-            produced_at,
+            produced_at: sync.0.now(),
             fetch,
             worker: w,
         };
-        if !shared.handoff().commit(w, None, &SimSync, envelope) {
+        if !shared.handoff().commit(w, None, sync, envelope).await {
             return;
         }
     }

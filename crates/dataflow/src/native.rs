@@ -47,10 +47,10 @@ use crate::config::GpuConfig;
 use crate::error::JobError;
 use crate::loader::{JobReport, LoaderMutation, TrainingJob};
 use crate::protocol::{
-    audit_rec, kill_times, main_loop, worker_os_pid, BatchPayload, Envelope, EpochPlan, QueueId,
-    Received, Substrate, WorkerMsg, MAIN_OS_PID,
+    kill_times, main_loop, worker_os_pid, BatchPayload, Envelope, EpochPlan, QueueId, Received,
+    Substrate, WorkerMsg, MAIN_OS_PID,
 };
-use crate::sync::{StdSync, SyncFacade};
+use crate::sync::{block_on, StdSync, SyncFacade};
 use crate::worker::{run_worker, HandOff, WorkerSubstrate};
 
 /// How long a worker blocked on a full data queue sleeps between
@@ -153,9 +153,10 @@ struct QueueAudit<T> {
 /// A bounded (or unbounded) blocking MPMC channel: a mutex-guarded
 /// `VecDeque` + condition variables, the shape `crossbeam`'s array
 /// channel presents. Mirrors the simulated [`lotus_sim::Queue`] API so
-/// the two engines read alike. The primitives come from the
-/// [`SyncFacade`] `F`: std's in production, lotus-sim's when `lotus
-/// audit --model` explores this code.
+/// the two engines read alike: the blocking operations are `async`, and
+/// a thread drives them with [`block_on`](crate::block_on). The
+/// primitives come from the [`SyncFacade`] `F`: std's in production,
+/// lotus-sim's when `lotus audit --model` explores this code.
 ///
 /// When an [`AuditFeed`] is attached, every lock transition, condvar
 /// wait/notify and commit records a [`SyncEvent`](crate::SyncEvent).
@@ -168,6 +169,7 @@ struct QueueAudit<T> {
 pub struct NativeQueue<T, F: SyncFacade = StdSync> {
     name: String,
     cap: Option<usize>,
+    sync: F,
     items: F::Mutex<VecDeque<T>>,
     not_empty: F::Condvar,
     not_full: F::Condvar,
@@ -187,19 +189,20 @@ impl<T> NativeQueue<T> {
     /// Creates a queue. `cap = None` leaves it unbounded.
     #[must_use]
     pub fn new(name: impl Into<String>, cap: Option<usize>) -> NativeQueue<T> {
-        NativeQueue::on(name, cap)
+        NativeQueue::on(StdSync, name, cap)
     }
 }
 
 impl<T, F: SyncFacade> NativeQueue<T, F> {
-    /// Creates a queue on the facade `F`.
-    pub(crate) fn on(name: impl Into<String>, cap: Option<usize>) -> NativeQueue<T, F> {
+    /// Creates a queue on the facade `sync`.
+    pub(crate) fn on(sync: F, name: impl Into<String>, cap: Option<usize>) -> NativeQueue<T, F> {
         NativeQueue {
             name: name.into(),
             cap,
-            items: F::mutex(VecDeque::new()),
-            not_empty: F::condvar(),
-            not_full: F::condvar(),
+            items: sync.mutex(VecDeque::new()),
+            not_empty: sync.condvar(),
+            not_full: sync.condvar(),
+            sync,
             audit: None,
         }
     }
@@ -222,15 +225,15 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
     }
 
     /// Locks the queue and records the acquire.
-    fn lock(&self) -> F::Guard<'_, VecDeque<T>> {
-        let items = F::lock(&self.items);
+    async fn lock(&self) -> F::Guard<'_, VecDeque<T>> {
+        let items = self.sync.lock(&self.items).await;
         self.rec(SyncOp::LockAcquire);
         items
     }
 
     fn rec(&self, op: SyncOp) {
         if let Some(a) = &self.audit {
-            a.feed.record(&self.name, op);
+            a.feed.record_by(self.sync.process(), &self.name, op);
         }
     }
 
@@ -242,7 +245,7 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
         self.audit.as_ref().is_some_and(|a| a.mutation == mutation)
     }
 
-    fn notify_not_empty(&self) {
+    async fn notify_not_empty(&self) {
         // The seeded lost-wakeup bug: a committed send that never
         // signals its consumer. With the real 5 s status-check interval
         // this is the classic "training hangs for no reason" failure;
@@ -254,14 +257,14 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
         self.rec(SyncOp::Notify {
             cv: CvKind::NotEmpty,
         });
-        F::notify_one(&self.not_empty);
+        self.sync.notify_one(&self.not_empty).await;
     }
 
-    fn notify_not_full(&self) {
+    async fn notify_not_full(&self) {
         self.rec(SyncOp::Notify {
             cv: CvKind::NotFull,
         });
-        F::notify_one(&self.not_full);
+        self.sync.notify_one(&self.not_full).await;
     }
 
     /// The queue's name.
@@ -271,9 +274,8 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
     }
 
     /// Current number of queued items.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        let items = self.lock();
+    pub async fn len(&self) -> usize {
+        let items = self.lock().await;
         let len = items.len();
         self.rec(SyncOp::LockRelease);
         len
@@ -284,21 +286,20 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
     /// samplers of one gauge series are totally ordered by the queue
     /// mutex, which is exactly what the auditor's gauge-ordering rule
     /// verifies.
-    #[must_use]
-    pub fn audited_len(&self, gauge: &str) -> usize {
-        let items = self.lock();
+    pub async fn audited_len(&self, gauge: &str) -> usize {
+        let items = self.lock().await;
         let len = items.len();
         if let Some(a) = &self.audit {
-            a.feed.record(gauge, SyncOp::Gauge { value: len as f64 });
+            let op = SyncOp::Gauge { value: len as f64 };
+            a.feed.record_by(self.sync.process(), gauge, op);
         }
         self.rec(SyncOp::LockRelease);
         len
     }
 
     /// True when no items are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub async fn is_empty(&self) -> bool {
+        self.len().await == 0
     }
 
     fn is_full(&self, items: &VecDeque<T>) -> bool {
@@ -309,28 +310,28 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
     /// acquire/release. Exists solely so the seeded
     /// [`AuditMutation::LockOrder`] bug can take this lock and then a
     /// foreign one in the wrong order.
-    pub(crate) fn with_lock<R>(&self, f: impl FnOnce() -> R) -> R {
-        let items = self.lock();
-        let result = f();
+    pub(crate) async fn with_lock<R>(&self, f: impl AsyncFnOnce() -> R) -> R {
+        let items = self.lock().await;
+        let result = f().await;
         self.rec(SyncOp::LockRelease);
         drop(items);
         result
     }
 
-    /// Pushes an item, blocking while the queue is full.
-    pub fn push(&self, item: T) {
-        let mut items = self.lock();
+    /// Pushes an item, waiting while the queue is full.
+    pub async fn push(&self, item: T) {
+        let mut items = self.lock().await;
         while self.is_full(&items) {
             self.rec(SyncOp::WaitStart {
                 cv: CvKind::NotFull,
             });
-            items = F::wait(&self.not_full, items, None);
+            items = self.sync.wait(&self.not_full, items, None).await;
             self.rec(SyncOp::WaitReturn {
                 cv: CvKind::NotFull,
                 satisfied: !self.is_full(&items),
             });
         }
-        self.commit_send(items, item);
+        self.commit_send(items, item).await;
     }
 
     /// Pushes an item unless the queue is full, returning it on refusal.
@@ -338,36 +339,36 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
     /// # Errors
     ///
     /// Returns `Err(item)` when the queue is at capacity.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let items = self.lock();
+    pub async fn try_push(&self, item: T) -> Result<(), T> {
+        let items = self.lock().await;
         if self.is_full(&items) {
             self.rec(SyncOp::LockRelease);
             return Err(item);
         }
-        self.commit_send(items, item);
+        self.commit_send(items, item).await;
         Ok(())
     }
 
     /// Appends `item` inside the critical section `items` holds, then
     /// releases it and wakes a consumer.
-    fn commit_send(&self, mut items: F::Guard<'_, VecDeque<T>>, item: T) {
+    async fn commit_send(&self, mut items: F::Guard<'_, VecDeque<T>>, item: T) {
         let batch = self.tag_of(&item);
         items.push_back(item);
         self.rec(SyncOp::SendCommit { batch });
         self.rec(SyncOp::LockRelease);
         drop(items);
-        self.notify_not_empty();
+        self.notify_not_empty().await;
     }
 
-    /// Blocks until the queue has free capacity or `timeout` elapses.
+    /// Waits until the queue has free capacity or `timeout` elapses.
     /// A wake-up is advisory — callers re-try with [`Self::try_push`].
-    pub fn wait_not_full(&self, timeout: Duration) {
-        let mut items = self.lock();
+    pub async fn wait_not_full(&self, timeout: Duration) {
+        let mut items = self.lock().await;
         if self.is_full(&items) {
             self.rec(SyncOp::WaitStart {
                 cv: CvKind::NotFull,
             });
-            items = F::wait(&self.not_full, items, Some(timeout));
+            items = self.sync.wait(&self.not_full, items, Some(timeout)).await;
             self.rec(SyncOp::WaitReturn {
                 cv: CvKind::NotFull,
                 satisfied: !self.is_full(&items),
@@ -376,36 +377,36 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
         self.rec(SyncOp::LockRelease);
     }
 
-    /// Pops the oldest item, blocking while the queue is empty.
-    pub fn pop(&self) -> T {
+    /// Pops the oldest item, waiting while the queue is empty.
+    pub async fn pop(&self) -> T {
         loop {
-            if let Some(item) = self.recv(None) {
+            if let Some(item) = self.recv(None).await {
                 return item;
             }
         }
     }
 
     /// Pops the oldest item, giving up after `timeout`.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        self.recv(Some(F::now() + timeout))
+    pub async fn pop_timeout(&self, timeout: Duration) -> Option<T> {
+        self.recv(Some(self.sync.now() + timeout)).await
     }
 
     /// Pops the oldest item if one is queued.
-    pub fn try_pop(&self) -> Option<T> {
-        let items = self.lock();
-        self.commit_recv(items, false)
+    pub async fn try_pop(&self) -> Option<T> {
+        let items = self.lock().await;
+        self.commit_recv(items, false).await
     }
 
     /// The consumers' wait loop: pops the oldest item, waiting on
     /// `not_empty` while the queue is empty, until `deadline` (forever
     /// when `None`).
-    fn recv(&self, deadline: Option<F::Instant>) -> Option<T> {
-        let mut items = self.lock();
+    async fn recv(&self, deadline: Option<F::Instant>) -> Option<T> {
+        let mut items = self.lock().await;
         loop {
             if !items.is_empty() {
-                return self.commit_recv(items, false);
+                return self.commit_recv(items, false).await;
             }
-            let remaining = deadline.map(F::until);
+            let remaining = deadline.map(|at| self.sync.until(at));
             if remaining.is_some_and(|left| left.is_zero()) {
                 self.rec(SyncOp::LockRelease);
                 return None;
@@ -413,7 +414,7 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
             self.rec(SyncOp::WaitStart {
                 cv: CvKind::NotEmpty,
             });
-            items = F::wait(&self.not_empty, items, remaining);
+            items = self.sync.wait(&self.not_empty, items, remaining).await;
             self.rec(SyncOp::WaitReturn {
                 cv: CvKind::NotEmpty,
                 satisfied: !items.is_empty(),
@@ -421,7 +422,7 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
             if self.seeded(AuditMutation::IfInsteadOfWhile) {
                 // Seeded bug: the wake-up is taken as permission to
                 // receive, without re-checking the predicate.
-                return self.commit_recv(items, true);
+                return self.commit_recv(items, true).await;
             }
         }
     }
@@ -429,7 +430,11 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
     /// Pops the front item inside the critical section `items` holds,
     /// then releases it and wakes a producer. A receive is committed
     /// when an item was taken, or unconditionally when `unchecked`.
-    fn commit_recv(&self, mut items: F::Guard<'_, VecDeque<T>>, unchecked: bool) -> Option<T> {
+    async fn commit_recv(
+        &self,
+        mut items: F::Guard<'_, VecDeque<T>>,
+        unchecked: bool,
+    ) -> Option<T> {
         let item = items.pop_front();
         let committed = unchecked || item.is_some();
         if committed {
@@ -440,7 +445,7 @@ impl<T, F: SyncFacade> NativeQueue<T, F> {
         self.rec(SyncOp::LockRelease);
         drop(items);
         if committed {
-            self.notify_not_full();
+            self.notify_not_full().await;
         }
         item
     }
@@ -462,6 +467,7 @@ pub(crate) struct Handoff<'a, F: SyncFacade = StdSync> {
     /// main thread marks a worker dead (it only does so while holding
     /// this lock *and* observing an empty data queue) that worker can
     /// never deliver again — redispatch cannot double-deliver a batch.
+    /// Locked through the data queue's facade.
     pub(crate) liveness: &'a F::Mutex<Vec<bool>>,
     /// Raised when the main thread exits early; unsticks workers blocked
     /// on a full data queue.
@@ -473,6 +479,20 @@ pub(crate) struct Handoff<'a, F: SyncFacade = StdSync> {
 }
 
 impl<F: SyncFacade> Handoff<'_, F> {
+    /// Locks the liveness flags and records the acquire.
+    async fn lock_liveness(&self) -> F::Guard<'_, Vec<bool>> {
+        let dead = self.data_q.sync.lock(self.liveness).await;
+        self.rec(SyncOp::LockAcquire);
+        dead
+    }
+
+    /// Records `op` on the liveness lock.
+    fn rec(&self, op: SyncOp) {
+        if let Some(feed) = self.audit {
+            feed.record_by(self.data_q.sync.process(), LIVENESS_OBJ, op);
+        }
+    }
+
     /// Commits worker `worker`'s `envelope` to the data queue. The push
     /// is atomic with the worker's liveness check: a worker the main
     /// thread has marked dead (or whose `kill_time` has passed) drops the
@@ -480,14 +500,14 @@ impl<F: SyncFacade> Handoff<'_, F> {
     /// full queue the worker waits for space without holding the
     /// liveness lock, then re-checks everything. Returns false when the
     /// worker must exit instead: dead, killed or shut down.
-    pub(crate) fn commit(
+    pub(crate) async fn commit(
         &self,
         worker: usize,
         kill_time: Option<Time>,
         clock: &impl TimeSource,
         mut envelope: Envelope,
     ) -> bool {
-        let (data_q, audit) = (self.data_q, self.audit);
+        let data_q = self.data_q;
         let doomed = |dead: &[bool]| dead[worker] || kill_time.is_some_and(|at| clock.now() >= at);
         loop {
             if self.shutdown.load(Ordering::Acquire) {
@@ -501,16 +521,15 @@ impl<F: SyncFacade> Handoff<'_, F> {
                 // redispatch safety depends on). The auditor flags the
                 // ungated SendCommit.
                 let doomed = {
-                    let dead = F::lock(self.liveness);
-                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+                    let dead = self.lock_liveness().await;
                     let doomed = doomed(&dead);
-                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+                    self.rec(SyncOp::LockRelease);
                     doomed
                 };
                 if doomed {
                     return false;
                 }
-                data_q.try_push(envelope)
+                data_q.try_push(envelope).await
             } else {
                 if self.mutation == AuditMutation::LockOrder {
                     // Seeded bug: this path takes the data-queue lock
@@ -520,30 +539,31 @@ impl<F: SyncFacade> Handoff<'_, F> {
                     // The inner acquisition uses try_lock so the seeded
                     // inversion can close the cycle in the lock-order
                     // graph without ever actually deadlocking the run.
-                    data_q.with_lock(|| {
-                        if let Some(dead) = F::try_lock(self.liveness) {
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-                            let _observed = dead[worker];
-                            audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
-                            drop(dead);
-                        }
-                    });
+                    data_q
+                        .with_lock(async || {
+                            if let Some(dead) = data_q.sync.try_lock(self.liveness).await {
+                                self.rec(SyncOp::LockAcquire);
+                                let _observed = dead[worker];
+                                self.rec(SyncOp::LockRelease);
+                                drop(dead);
+                            }
+                        })
+                        .await;
                 }
-                let dead = F::lock(self.liveness);
-                audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
+                let dead = self.lock_liveness().await;
                 if doomed(&dead) {
-                    audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+                    self.rec(SyncOp::LockRelease);
                     return false;
                 }
-                let outcome = data_q.try_push(envelope);
-                audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+                let outcome = data_q.try_push(envelope).await;
+                self.rec(SyncOp::LockRelease);
                 outcome
             };
             match outcome {
                 Ok(()) => return true,
                 Err(back) => {
                     envelope = back;
-                    data_q.wait_not_full(PUSH_RETRY);
+                    data_q.wait_not_full(PUSH_RETRY).await;
                 }
             }
         }
@@ -556,19 +576,17 @@ impl<F: SyncFacade> Handoff<'_, F> {
     /// are marked under the liveness lock with the data queue observed
     /// empty, so no marked worker can have an envelope in flight: its
     /// commit is gated on the same lock.
-    pub(crate) fn recv(
+    pub(crate) async fn recv(
         &self,
         status_check: Duration,
         kill_times: &[Option<Time>],
         clock: &impl TimeSource,
     ) -> Received {
-        if let Some(env) = self.data_q.pop_timeout(status_check) {
+        if let Some(env) = self.data_q.pop_timeout(status_check).await {
             return Received::Envelope(env);
         }
-        let audit = self.audit;
-        let mut dead = F::lock(self.liveness);
-        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockAcquire);
-        let received = match self.data_q.try_pop() {
+        let mut dead = self.lock_liveness().await;
+        let received = match self.data_q.try_pop().await {
             Some(env) => Received::Envelope(env),
             None => {
                 let now = clock.now();
@@ -576,14 +594,14 @@ impl<F: SyncFacade> Handoff<'_, F> {
                 for (w, kill_time) in kill_times.iter().enumerate() {
                     if !dead[w] && kill_time.is_some_and(|at| now >= at) {
                         dead[w] = true;
-                        audit_rec(audit, LIVENESS_OBJ, SyncOp::MarkDead { worker: w });
+                        self.rec(SyncOp::MarkDead { worker: w });
                         newly_dead.push(w);
                     }
                 }
                 Received::TimedOut(newly_dead)
             }
         };
-        audit_rec(audit, LIVENESS_OBJ, SyncOp::LockRelease);
+        self.rec(SyncOp::LockRelease);
         received
     }
 }
@@ -604,21 +622,21 @@ impl WorkerSubstrate for NativeWorker<'_> {
 
     /// Instrumentation overhead is real wall time here, already inside
     /// the measured spans.
-    fn charge(&self, _overhead: Span) {}
+    async fn charge(&self, _overhead: Span) {}
 
-    fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg> {
+    async fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg> {
         match timeout {
-            Some(timeout) => self.index_q.pop_timeout(duration_of(timeout)),
-            None => Some(self.index_q.pop()),
+            Some(timeout) => self.index_q.pop_timeout(duration_of(timeout)).await,
+            None => Some(self.index_q.pop().await),
         }
     }
 
     /// Sampled inside the queue's critical section, so the auditor sees
     /// every series totally ordered.
-    fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
+    async fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
         match queue {
-            QueueId::Index(_) => self.index_q.audited_len(gauge),
-            QueueId::Data => self.handoff.data_q.audited_len(gauge),
+            QueueId::Index(_) => self.index_q.audited_len(gauge).await,
+            QueueId::Data => self.handoff.data_q.audited_len(gauge).await,
         }
     }
 
@@ -668,7 +686,7 @@ impl WorkerSubstrate for NativeWorker<'_> {
 
     /// The \[T1\] record is emitted only after a successful commit, so a
     /// dropped batch never contributes a fetch span.
-    fn hand_off(
+    async fn hand_off(
         &self,
         _cpu: &mut CpuThread,
         envelope: Envelope,
@@ -676,7 +694,11 @@ impl WorkerSubstrate for NativeWorker<'_> {
         trace_fetch: impl FnOnce() -> Span,
     ) -> HandOff {
         let worker = envelope.worker;
-        if !self.handoff.commit(worker, kill_time, self.clock, envelope) {
+        if !self
+            .handoff
+            .commit(worker, kill_time, self.clock, envelope)
+            .await
+        {
             return HandOff::Exit;
         }
         let _overhead = trace_fetch();
@@ -702,37 +724,36 @@ impl Substrate for NativeMain<'_> {
 
     /// Instrumentation overhead is real wall time here, already inside
     /// the measured spans.
-    fn charge(&self, _overhead: Span) {}
+    async fn charge(&self, _overhead: Span) {}
 
-    fn depth(&self, queue: QueueId) -> usize {
+    async fn depth(&self, queue: QueueId) -> usize {
         match queue {
-            QueueId::Index(w) => self.index_qs[w].len(),
-            QueueId::Data => self.handoff.data_q.len(),
+            QueueId::Index(w) => self.index_qs[w].len().await,
+            QueueId::Data => self.handoff.data_q.len().await,
         }
     }
 
     /// Sampled inside the queue's critical section, so the auditor sees
     /// every series totally ordered.
-    fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
+    async fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize {
         match queue {
-            QueueId::Index(w) => self.index_qs[w].audited_len(gauge),
-            QueueId::Data => self.handoff.data_q.audited_len(gauge),
+            QueueId::Index(w) => self.index_qs[w].audited_len(gauge).await,
+            QueueId::Data => self.handoff.data_q.audited_len(gauge).await,
         }
     }
 
-    fn send(&self, worker: usize, msg: WorkerMsg) {
-        self.index_qs[worker].push(msg);
+    async fn send(&self, worker: usize, msg: WorkerMsg) {
+        self.index_qs[worker].push(msg).await;
     }
 
-    fn recv(&mut self, _dead: &[bool]) -> Received {
-        self.handoff.recv(
-            duration_of(self.options.status_check),
-            &self.kill_times,
-            self.clock,
-        )
+    async fn recv(&mut self, _dead: &[bool]) -> Received {
+        let status_check = duration_of(self.options.status_check);
+        self.handoff
+            .recv(status_check, &self.kill_times, self.clock)
+            .await
     }
 
-    fn consume(&mut self, payload: &BatchPayload) {
+    async fn consume(&mut self, payload: &BatchPayload) {
         if self.options.emulate_gpu {
             std::thread::sleep(duration_of(
                 self.gpu.h2d_span(payload.bytes) + self.gpu.step_span(payload.len),
@@ -783,12 +804,12 @@ impl ExecutionBackend for NativeBackend {
             // so this data_queue → liveness nesting closes a cycle in
             // the lock-order graph deterministically (no thread can
             // contend yet, hence no actual deadlock is possible here).
-            data_q.with_lock(|| {
-                let dead = StdSync::lock(&liveness);
+            block_on(data_q.with_lock(async || {
+                let dead = StdSync.lock(&liveness).await;
                 feed.record(LIVENESS_OBJ, SyncOp::LockAcquire);
                 feed.record(LIVENESS_OBJ, SyncOp::LockRelease);
                 drop(dead);
-            });
+            }));
         }
         let shutdown = AtomicBool::new(false);
         let handoff = Handoff {
@@ -822,7 +843,7 @@ impl ExecutionBackend for NativeBackend {
                             index_q,
                             handoff,
                         };
-                        run_worker(&sub, job, w, cpu);
+                        block_on(run_worker(&sub, job, w, cpu));
                     })
                     .expect("failed to spawn DataLoader worker thread");
             }
@@ -834,14 +855,14 @@ impl ExecutionBackend for NativeBackend {
                 options: self.options,
                 gpu: job.gpu,
             };
-            main_loop(
+            block_on(main_loop(
                 main,
                 &*job.tracer,
                 self.audit.as_deref(),
                 &job.loader,
                 plan,
                 LoaderMutation::None,
-            )
+            ))
         });
         outcome?;
         // Measured after every thread has joined, so no trace record ends
@@ -868,36 +889,36 @@ mod tests {
     #[test]
     fn queue_is_fifo_and_counts() {
         let q: NativeQueue<u32> = NativeQueue::new("q", None);
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), 1);
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
-        assert!(q.is_empty());
+        block_on(q.push(1));
+        block_on(q.push(2));
+        assert_eq!(block_on(q.len()), 2);
+        assert_eq!(block_on(q.pop()), 1);
+        assert_eq!(block_on(q.try_pop()), Some(2));
+        assert_eq!(block_on(q.try_pop()), None);
+        assert!(block_on(q.is_empty()));
         assert_eq!(q.name(), "q");
     }
 
     #[test]
     fn bounded_queue_refuses_and_unblocks() {
         let q: NativeQueue<u32> = NativeQueue::new("q", Some(1));
-        assert!(q.try_push(1).is_ok());
-        assert_eq!(q.try_push(2), Err(2));
+        assert!(block_on(q.try_push(1)).is_ok());
+        assert_eq!(block_on(q.try_push(2)), Err(2));
         std::thread::scope(|scope| {
-            let pusher = scope.spawn(|| q.push(3)); // blocks until the pop
+            let pusher = scope.spawn(|| block_on(q.push(3))); // blocks until the pop
             std::thread::sleep(Duration::from_millis(5));
-            assert_eq!(q.pop(), 1);
+            assert_eq!(block_on(q.pop()), 1);
             pusher.join().unwrap();
         });
-        assert_eq!(q.pop(), 3);
+        assert_eq!(block_on(q.pop()), 3);
     }
 
     #[test]
     fn pop_timeout_expires_on_empty_queue() {
         let q: NativeQueue<u32> = NativeQueue::new("q", None);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), None);
-        q.push(7);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Some(7));
+        assert_eq!(block_on(q.pop_timeout(Duration::from_millis(5))), None);
+        block_on(q.push(7));
+        assert_eq!(block_on(q.pop_timeout(Duration::from_millis(5))), Some(7));
     }
 
     #[test]
@@ -906,12 +927,12 @@ mod tests {
         let total: u64 = std::thread::scope(|scope| {
             let producer = scope.spawn(|| {
                 for i in 0..100u64 {
-                    q.push(i);
+                    block_on(q.push(i));
                 }
             });
             let mut sum = 0;
             for _ in 0..100 {
-                sum += q.pop();
+                sum += block_on(q.pop());
             }
             producer.join().unwrap();
             sum
@@ -1044,12 +1065,12 @@ mod tests {
         })
         .join();
         // Every operation still works after the poisoning.
-        q.push(1);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.try_pop(), Some(1));
-        assert!(q.try_push(2).is_ok());
-        assert_eq!(q.pop(), 2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        block_on(q.push(1));
+        assert_eq!(block_on(q.len()), 1);
+        assert_eq!(block_on(q.try_pop()), Some(1));
+        assert!(block_on(q.try_push(2)).is_ok());
+        assert_eq!(block_on(q.pop()), 2);
+        assert_eq!(block_on(q.pop_timeout(Duration::from_millis(1))), None);
     }
 
     #[test]
@@ -1058,12 +1079,12 @@ mod tests {
         let feed = Arc::new(AuditFeed::new());
         let mut q: NativeQueue<u32> = NativeQueue::new("q", Some(2));
         q.set_audit(Arc::clone(&feed), |_| None, AuditMutation::None);
-        q.push(1);
-        assert_eq!(q.try_push(9), Ok(()));
-        assert_eq!(q.try_push(9), Err(9)); // full
-        assert_eq!(q.pop(), 1);
-        assert_eq!(q.try_pop(), Some(9));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
+        block_on(q.push(1));
+        assert_eq!(block_on(q.try_push(9)), Ok(()));
+        assert_eq!(block_on(q.try_push(9)), Err(9)); // full
+        assert_eq!(block_on(q.pop()), 1);
+        assert_eq!(block_on(q.try_pop()), Some(9));
+        assert_eq!(block_on(q.pop_timeout(Duration::from_millis(1))), None);
         let events = feed.drain();
         let count = |f: &dyn Fn(&SyncOp) -> bool| events.iter().filter(|e| f(&e.op)).count();
         let acquires = count(&|op| matches!(op, SyncOp::LockAcquire | SyncOp::WaitReturn { .. }));

@@ -16,7 +16,9 @@
 //! deserializing, pinning and consuming a batch costs, and its shutdown.
 //! The simulated engine (`loader.rs`) charges virtual time for each;
 //! the native engine (`native.rs`) runs on OS threads against a wall
-//! clock, where time passes by itself. The worker side is written once
+//! clock, where time passes by itself. The substrate's blocking steps
+//! are `async`: on the sim they park the process, and on the native
+//! engine they block the thread inside their first poll. The worker side is written once
 //! too, in `worker.rs`, against the worker-side twin of this trait.
 //!
 //! Every dispatch is traced *before* the batch reaches its worker's
@@ -176,29 +178,29 @@ pub(crate) trait Substrate {
     fn now(&self) -> Time;
 
     /// Charges the main process `overhead` of instrumentation time.
-    fn charge(&self, overhead: Span);
+    async fn charge(&self, overhead: Span);
 
     /// Current depth of `queue`, for the scheduling policy.
-    fn depth(&self, queue: QueueId) -> usize;
+    async fn depth(&self, queue: QueueId) -> usize;
 
     /// Depth of `queue`, sampled as the gauge named `gauge`.
-    fn sample_depth(&self, queue: QueueId, _gauge: &str) -> usize {
-        self.depth(queue)
+    async fn sample_depth(&self, queue: QueueId, _gauge: &str) -> usize {
+        self.depth(queue).await
     }
 
     /// Puts `msg` on `worker`'s index queue.
-    fn send(&self, worker: usize, msg: WorkerMsg);
+    async fn send(&self, worker: usize, msg: WorkerMsg);
 
     /// Waits up to one status-check interval for an envelope and
     /// deserializes it; on timeout, reports which workers not yet in
     /// `dead` have died.
-    fn recv(&mut self, dead: &[bool]) -> Received;
+    async fn recv(&mut self, dead: &[bool]) -> Received;
 
     /// Copies a batch of `bytes` into pinned memory. Free by default.
-    fn pin(&mut self, _bytes: u64) {}
+    async fn pin(&mut self, _bytes: u64) {}
 
     /// Transfers a batch to the accelerator and runs its training step.
-    fn consume(&mut self, payload: &BatchPayload);
+    async fn consume(&mut self, payload: &BatchPayload);
 
     /// Unblocks workers before the main process exits. A no-op by
     /// default.
@@ -307,20 +309,21 @@ impl Dispatcher {
     }
 
     /// Asks the policy to `decide` from a snapshot of the loader state.
-    fn decide<R>(
+    async fn decide<R>(
         &mut self,
         sub: &impl Substrate,
         redispatch: bool,
         decide: impl FnOnce(&mut dyn SchedulingPolicy, &DispatchContext<'_>) -> R,
     ) -> R {
-        let depths: Vec<usize> = (0..self.dead.len())
-            .map(|w| sub.depth(QueueId::Index(w)))
-            .collect();
+        let mut depths = Vec::with_capacity(self.dead.len());
+        for w in 0..self.dead.len() {
+            depths.push(sub.depth(QueueId::Index(w)).await);
+        }
         let context = DispatchContext {
             queue_depths: &depths,
             dead: &self.dead,
             in_flight: self.in_flight.len(),
-            data_queue_depth: sub.depth(QueueId::Data),
+            data_queue_depth: sub.depth(QueueId::Data).await,
             prefetch_factor: self.prefetch_factor,
             redispatch,
         };
@@ -332,7 +335,7 @@ impl Dispatcher {
     /// dispatch — and any steal or lane assignment the policy made — is
     /// traced before the batch is sent. Returns the worker that received
     /// it.
-    fn send_next(&mut self, sub: &impl Substrate, tracer: &dyn Tracer) -> Option<usize> {
+    async fn send_next(&mut self, sub: &impl Substrate, tracer: &dyn Tracer) -> Option<usize> {
         let (id, indices, redispatch) = match self.redispatch.pop_front() {
             Some((id, indices)) => (id, indices, true),
             None => {
@@ -347,14 +350,16 @@ impl Dispatcher {
             return None;
         }
         let hint = self.hints.get(id as usize).copied().flatten();
-        let placement = self.decide(sub, redispatch, |policy, context| {
-            let batch = BatchRef {
-                id,
-                indices: &indices,
-                hint,
-            };
-            policy.place(&batch, context)
-        });
+        let placement = self
+            .decide(sub, redispatch, |policy, context| {
+                let batch = BatchRef {
+                    id,
+                    indices: &indices,
+                    hint,
+                };
+                policy.place(&batch, context)
+            })
+            .await;
         let w = placement.worker;
         assert!(
             !self.dead[w],
@@ -368,14 +373,12 @@ impl Dispatcher {
         if let Some(lane) = placement.lane {
             overhead += tracer.on_lane_assigned(id, lane.as_str(), pid, sub.now());
         }
-        sub.send(
-            w,
-            WorkerMsg::Batch {
-                id,
-                indices: indices.clone(),
-            },
-        );
-        sub.charge(overhead);
+        let msg = WorkerMsg::Batch {
+            id,
+            indices: indices.clone(),
+        };
+        sub.send(w, msg).await;
+        sub.charge(overhead).await;
         self.in_flight.insert(id, (w, indices));
         Some(w)
     }
@@ -391,8 +394,10 @@ impl Dispatcher {
 
     /// Asks the policy for the refill quota after a returned batch,
     /// clamped to the protocol's hard in-flight bound.
-    fn refill_quota(&mut self, sub: &impl Substrate) -> Refill {
-        let mut refill = self.decide(sub, false, |policy, context| policy.refill(context));
+    async fn refill_quota(&mut self, sub: &impl Substrate) -> Refill {
+        let mut refill = self
+            .decide(sub, false, |policy, context| policy.refill(context))
+            .await;
         let bound = self.prefetch_factor * self.dead.len();
         refill.count = refill.count.min(bound.saturating_sub(self.in_flight.len()));
         refill
@@ -426,7 +431,7 @@ impl Dispatcher {
 /// with a worker's shipped [`JobError::Sample`] or with
 /// [`JobError::AllWorkersDied`]. `mutation` seeds a protocol bug for
 /// checker validation.
-pub(crate) fn main_loop(
+pub(crate) async fn main_loop(
     sub: impl Substrate,
     tracer: &dyn Tracer,
     audit: Option<&AuditFeed>,
@@ -443,7 +448,7 @@ pub(crate) fn main_loop(
     };
     // Initial prefetch: `prefetch_factor` index batches per worker.
     for _ in 0..loader.prefetch_factor * loader.num_workers {
-        main.dispatch();
+        main.dispatch().await;
     }
 
     let mut reorder: HashMap<u64, Envelope> = HashMap::new();
@@ -452,10 +457,10 @@ pub(crate) fn main_loop(
             if let LoaderMutation::RedispatchLive { batch_id } = mutation {
                 // Seeded bug: re-send an outstanding batch whose owner
                 // was never observed dead.
-                main.redispatch_live(batch_id);
+                main.redispatch_live(batch_id).await;
             }
         }
-        let (env, pinned) = main.deliver(rcvd, &mut reorder, loader.pin_memory)?;
+        let (env, pinned) = main.deliver(rcvd, &mut reorder, loader.pin_memory).await?;
 
         // Refill per *returned* batch — PyTorch's `_process_data`
         // calls `_try_put_index` before it re-raises. The policy
@@ -463,12 +468,12 @@ pub(crate) fn main_loop(
         // the dispatcher clamps it so the in-flight inventory never
         // exceeds `prefetch_factor * num_workers`, even while
         // out-of-order envelopes accumulate in the reorder buffer.
-        let refill = main.dispatcher.refill_quota(&main.sub);
+        let refill = main.dispatcher.refill_quota(&main.sub).await;
         if let Some(target) = refill.resized_to {
-            main.trace(|t, at| t.on_prefetch_resized(target, at));
+            main.trace(|t, at| t.on_prefetch_resized(target, at)).await;
         }
         for _ in 0..refill.count {
-            main.dispatch();
+            main.dispatch().await;
         }
 
         let payload = match env.payload {
@@ -477,7 +482,7 @@ pub(crate) fn main_loop(
                 // `_process_data` re-raises the shipped exception in
                 // the main process; the job fails with a typed error
                 // instead of a crash.
-                main.stop_workers();
+                main.stop_workers().await;
                 return Err(JobError::Sample {
                     batch_id: env.batch_id,
                     worker: env.worker,
@@ -488,19 +493,16 @@ pub(crate) fn main_loop(
 
         let consume_start = main.sub.now();
         if loader.pin_memory && !pinned {
-            main.sub.pin(payload.bytes);
+            main.sub.pin(payload.bytes).await;
         }
-        main.sub.consume(&payload);
+        main.sub.consume(&payload).await;
         let consumed = main.sub.now().since(consume_start);
-        main.sub.charge(main.tracer.on_batch_consumed(
-            MAIN_OS_PID,
-            rcvd,
-            consume_start,
-            consumed,
-            payload.len,
-        ));
+        let overhead =
+            main.tracer
+                .on_batch_consumed(MAIN_OS_PID, rcvd, consume_start, consumed, payload.len);
+        main.sub.charge(overhead).await;
     }
-    main.stop_workers();
+    main.stop_workers().await;
     Ok(())
 }
 
@@ -515,34 +517,35 @@ struct MainProcess<'a, S> {
 impl<S: Substrate> MainProcess<'_, S> {
     /// Calls one tracer hook at the current instant and charges the
     /// overhead the sinks report.
-    fn trace(&self, hook: impl FnOnce(&dyn Tracer, Time) -> Span) {
-        self.sub.charge(hook(self.tracer, self.sub.now()));
+    async fn trace(&self, hook: impl FnOnce(&dyn Tracer, Time) -> Span) {
+        self.sub.charge(hook(self.tracer, self.sub.now())).await;
     }
 
     /// Samples a count the main process holds (in-flight inventory,
     /// reorder buffer) for the auditor and the tracer.
-    fn count_gauge(&self, name: &str, count: usize) {
+    async fn count_gauge(&self, name: &str, count: usize) {
         let value = count as f64;
         audit_rec(self.audit, name, SyncOp::Gauge { value });
-        self.trace(|t, at| t.on_gauge(name, value, at));
+        self.trace(|t, at| t.on_gauge(name, value, at)).await;
     }
 
     /// Samples `queue`'s depth gauge.
-    fn depth_gauge(&self, queue: QueueId) {
+    async fn depth_gauge(&self, queue: QueueId) {
         let name = queue.gauge();
-        let depth = self.sub.sample_depth(queue, &name) as f64;
-        self.trace(|t, at| t.on_gauge(&name, depth, at));
+        let depth = self.sub.sample_depth(queue, &name).await as f64;
+        self.trace(|t, at| t.on_gauge(&name, depth, at)).await;
     }
 
     /// Dispatches the next batch, then samples the receiving worker's
     /// index-queue depth and the in-flight inventory. Nothing changed
     /// (and nothing is emitted) when no batch was sent. Returns the
     /// receiving worker.
-    fn dispatch(&mut self) -> Option<usize> {
-        let sent = self.dispatcher.send_next(&self.sub, self.tracer);
+    async fn dispatch(&mut self) -> Option<usize> {
+        let sent = self.dispatcher.send_next(&self.sub, self.tracer).await;
         if let Some(w) = sent {
-            self.depth_gauge(QueueId::Index(w));
-            self.count_gauge(IN_FLIGHT_GAUGE, self.dispatcher.in_flight.len());
+            self.depth_gauge(QueueId::Index(w)).await;
+            self.count_gauge(IN_FLIGHT_GAUGE, self.dispatcher.in_flight.len())
+                .await;
         }
         sent
     }
@@ -550,23 +553,25 @@ impl<S: Substrate> MainProcess<'_, S> {
     /// Sends the queued redispatch of batch `id`, taken from worker
     /// `from` (redispatches go out before fresh batches), and traces
     /// where it went.
-    fn redispatch(&mut self, id: u64, from: usize) {
+    async fn redispatch(&mut self, id: u64, from: usize) {
         audit_rec(
             self.audit,
             DISPATCHER_OBJ,
             SyncOp::Redispatch { batch: id, from },
         );
-        if let Some(to) = self.dispatch() {
+        if let Some(to) = self.dispatch().await {
             let (from, to) = (worker_os_pid(from), worker_os_pid(to));
-            self.trace(|t, at| t.on_batch_redispatched(id, from, to, at));
+            self.trace(|t, at| t.on_batch_redispatched(id, from, to, at))
+                .await;
         }
     }
 
     /// Worker `w` was found dead: re-send its in-flight batches to the
     /// survivors, preserving id order.
-    fn worker_died(&mut self, w: usize) -> Result<(), JobError> {
+    async fn worker_died(&mut self, w: usize) -> Result<(), JobError> {
         let orphans = self.dispatcher.mark_dead(w);
-        self.trace(|t, at| t.on_worker_died(worker_os_pid(w), at));
+        self.trace(|t, at| t.on_worker_died(worker_os_pid(w), at))
+            .await;
         if self.dispatcher.alive() == 0 {
             self.sub.shutdown();
             return Err(JobError::AllWorkersDied {
@@ -575,7 +580,7 @@ impl<S: Substrate> MainProcess<'_, S> {
             });
         }
         for id in orphans {
-            self.redispatch(id, w);
+            self.redispatch(id, w).await;
         }
         Ok(())
     }
@@ -585,7 +590,7 @@ impl<S: Substrate> MainProcess<'_, S> {
     /// outstanding batch) and sends it to the next live worker without
     /// any observed death — exactly the premature-redispatch violation
     /// `lotus check` exists to catch.
-    fn redispatch_live(&mut self, batch_id: u64) {
+    async fn redispatch_live(&mut self, batch_id: u64) {
         let in_flight = &self.dispatcher.in_flight;
         let target = Some(batch_id).filter(|id| in_flight.contains_key(id));
         let Some(id) = target.or_else(|| in_flight.keys().max().copied()) else {
@@ -593,7 +598,7 @@ impl<S: Substrate> MainProcess<'_, S> {
         };
         let (owner, indices) = in_flight[&id].clone();
         self.dispatcher.redispatch.push_front((id, indices));
-        self.redispatch(id, owner);
+        self.redispatch(id, owner).await;
     }
 
     /// Delivers batch `rcvd`, and whether it was pinned on arrival. An
@@ -601,7 +606,7 @@ impl<S: Substrate> MainProcess<'_, S> {
     /// main process waits on the data queue, pinning and stashing
     /// earlier out-of-order arrivals in `reorder` and handling worker
     /// deaths on every silent status-check interval.
-    fn deliver(
+    async fn deliver(
         &mut self,
         rcvd: u64,
         reorder: &mut HashMap<u64, Envelope>,
@@ -612,66 +617,69 @@ impl<S: Substrate> MainProcess<'_, S> {
             // Already pinned and cached: the paper marks these waits
             // with a 1 µs duration to denote "no waiting", with the
             // queue delay measured to the moment the wait began.
-            self.sub.charge(self.tracer.on_batch_wait(
+            let overhead = self.tracer.on_batch_wait(
                 MAIN_OS_PID,
                 rcvd,
                 wait_start,
                 Span::from_micros(1),
                 true,
                 wait_start.saturating_since(env.produced_at),
-            ));
-            self.count_gauge(PINNED_CACHE_GAUGE, reorder.len());
+            );
+            self.sub.charge(overhead).await;
+            self.count_gauge(PINNED_CACHE_GAUGE, reorder.len()).await;
             return Ok((env, true));
         }
         loop {
             // Poll with a timeout so a dead worker cannot hang the epoch
             // (PyTorch's `_try_get_data` / `MP_STATUS_CHECK_INTERVAL`
             // loop).
-            let env = match self.sub.recv(&self.dispatcher.dead) {
+            let env = match self.sub.recv(&self.dispatcher.dead).await {
                 Received::Envelope(env) => env,
                 Received::TimedOut(newly_dead) => {
                     for w in newly_dead {
-                        self.worker_died(w)?;
+                        self.worker_died(w).await?;
                     }
                     continue;
                 }
             };
-            self.depth_gauge(QueueId::Data);
+            self.depth_gauge(QueueId::Data).await;
             self.dispatcher.batch_returned(&env);
-            self.count_gauge(IN_FLIGHT_GAUGE, self.dispatcher.in_flight.len());
+            self.count_gauge(IN_FLIGHT_GAUGE, self.dispatcher.in_flight.len())
+                .await;
             if env.batch_id == rcvd {
                 // One clock read serves as both the wait's end and the
                 // delivery point, making the linter's queue-delay
                 // identity exact.
                 let delivered_at = self.sub.now();
-                self.sub.charge(self.tracer.on_batch_wait(
+                let overhead = self.tracer.on_batch_wait(
                     MAIN_OS_PID,
                     rcvd,
                     wait_start,
                     delivered_at.since(wait_start),
                     false,
                     delivered_at.saturating_since(env.produced_at),
-                ));
+                );
+                self.sub.charge(overhead).await;
                 return Ok((env, false));
             }
             // Out-of-order arrival: pin to CPU memory and stash.
             if pin_memory {
                 if let Ok(p) = &env.payload {
-                    self.sub.pin(p.bytes);
+                    self.sub.pin(p.bytes).await;
                 }
             }
             reorder.insert(env.batch_id, env);
-            self.count_gauge(PINNED_CACHE_GAUGE, reorder.len());
+            self.count_gauge(PINNED_CACHE_GAUGE, reorder.len()).await;
         }
     }
 
     /// Sends the shutdown sentinel to every live worker (PyTorch's
     /// `_shutdown_workers`); a dead one never reads its queue again.
-    fn stop_workers(&self) {
+    async fn stop_workers(&self) {
         self.sub.shutdown();
         for (w, &dead) in self.dispatcher.dead.iter().enumerate() {
             if !dead {
-                self.sub.send(w, WorkerMsg::Shutdown);
+                self.sub.send(w, WorkerMsg::Shutdown).await;
             }
         }
     }

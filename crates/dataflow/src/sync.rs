@@ -5,17 +5,27 @@
 //! --model` runs the same code on `SimSync`, as lotus-sim processes whose
 //! every lock, wait and notify is a scheduling point the explorer
 //! decides.
+//!
+//! The blocking operations are `async`. On `StdSync` they block the
+//! thread inside their first poll, so [`block_on`] completes them in one,
+//! and a std guard held across one of their awaits is never held across
+//! a yield; on `SimSync` they park the calling process.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell, RefMut};
+use std::future::Future;
 use std::ops::{Add, Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::pin::pin;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
-use lotus_sim::{Ctx, Queue, Span, Time, TimeSource};
+use lotus_sim::{Ctx, Pid, Queue, Span, Time, TimeSource};
 
-/// A mutex, a condition variable and a monotonic clock, as static
-/// functions over associated types.
+/// A mutex, a condition variable and a monotonic clock, statically
+/// dispatched.
+// Every caller is generic over a concrete facade and drives the future
+// on the thread that made it, so no `Send` bound is wanted.
+#[allow(async_fn_in_trait)]
 pub trait SyncFacade: 'static {
     /// A mutual-exclusion lock around a `T`.
     type Mutex<T>;
@@ -27,17 +37,18 @@ pub trait SyncFacade: 'static {
     type Instant: Copy + Add<Duration, Output = Self::Instant>;
 
     /// A new, unlocked mutex holding `value`.
-    fn mutex<T>(value: T) -> Self::Mutex<T>;
-    /// Blocks until `mutex` is acquired.
-    fn lock<T>(mutex: &Self::Mutex<T>) -> Self::Guard<'_, T>;
+    fn mutex<T>(&self, value: T) -> Self::Mutex<T>;
+    /// Waits until `mutex` is acquired.
+    async fn lock<'a, T: 'a>(&self, mutex: &'a Self::Mutex<T>) -> Self::Guard<'a, T>;
     /// Acquires `mutex` if it is free.
-    fn try_lock<T>(mutex: &Self::Mutex<T>) -> Option<Self::Guard<'_, T>>;
+    async fn try_lock<'a, T: 'a>(&self, mutex: &'a Self::Mutex<T>) -> Option<Self::Guard<'a, T>>;
     /// A new condition variable.
-    fn condvar() -> Self::Condvar;
-    /// Releases `guard`'s mutex, blocks until `cv` is notified or
+    fn condvar(&self) -> Self::Condvar;
+    /// Releases `guard`'s mutex, waits until `cv` is notified or
     /// `timeout` passes (never, for `None`), then re-acquires the mutex.
     /// The caller's predicate may still be false on return.
-    fn wait<'a, T>(
+    async fn wait<'a, T>(
+        &self,
         cv: &Self::Condvar,
         guard: Self::Guard<'a, T>,
         timeout: Option<Duration>,
@@ -45,11 +56,32 @@ pub trait SyncFacade: 'static {
     where
         T: 'a;
     /// Wakes one waiter of `cv`, if there is one.
-    fn notify_one(cv: &Self::Condvar);
+    async fn notify_one(&self, cv: &Self::Condvar);
     /// The current instant.
-    fn now() -> Self::Instant;
+    fn now(&self) -> Self::Instant;
     /// Time left until `deadline`; zero once it has passed.
-    fn until(deadline: Self::Instant) -> Duration;
+    fn until(&self, deadline: Self::Instant) -> Duration;
+    /// The simulated process calling, on a facade that runs lotus-sim
+    /// processes; `None` where callers are OS threads.
+    fn process(&self) -> Option<Pid> {
+        None
+    }
+}
+
+/// Runs `future` to completion on the calling thread.
+///
+/// Meant for futures whose every await is a [`StdSync`] operation:
+/// those block inside their first poll and never return `Pending`, so
+/// this polls once. Anything else is polled again until it completes.
+pub fn block_on<F: Future>(future: F) -> F::Output {
+    let mut future = pin!(future);
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        if let Poll::Ready(output) = future.as_mut().poll(&mut cx) {
+            return output;
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// The production facade: std's primitives, statically dispatched.
@@ -69,23 +101,24 @@ impl SyncFacade for StdSync {
     type Condvar = Condvar;
     type Instant = Instant;
 
-    fn mutex<T>(value: T) -> Mutex<T> {
+    fn mutex<T>(&self, value: T) -> Mutex<T> {
         Mutex::new(value)
     }
 
-    fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    async fn lock<'a, T: 'a>(&self, mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
         mutex.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn try_lock<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    async fn try_lock<'a, T: 'a>(&self, mutex: &'a Mutex<T>) -> Option<MutexGuard<'a, T>> {
         mutex.try_lock().ok()
     }
 
-    fn condvar() -> Condvar {
+    fn condvar(&self) -> Condvar {
         Condvar::new()
     }
 
-    fn wait<'a, T>(
+    async fn wait<'a, T>(
+        &self,
         cv: &Condvar,
         guard: MutexGuard<'a, T>,
         timeout: Option<Duration>,
@@ -103,58 +136,41 @@ impl SyncFacade for StdSync {
         }
     }
 
-    fn notify_one(cv: &Condvar) {
+    async fn notify_one(&self, cv: &Condvar) {
         cv.notify_one();
     }
 
-    fn now() -> Instant {
+    fn now(&self) -> Instant {
         Instant::now()
     }
 
-    fn until(deadline: Instant) -> Duration {
+    fn until(&self, deadline: Instant) -> Duration {
         deadline.saturating_duration_since(Instant::now())
     }
 }
 
-thread_local! {
-    /// The simulated process this OS thread runs, once it runs one.
-    static PROCESS: RefCell<Option<Ctx>> = const { RefCell::new(None) };
-}
-
-/// The explorer's facade, for code running inside [`SimSync::run`].
+/// The explorer's facade, for code running as lotus-sim processes. It
+/// acts for whichever process calls it: the kernel polls one at a time
+/// and knows which.
 ///
 /// A mutex is a one-slot sim queue (full = held). A condvar is a waiter
 /// count plus a queue of wake tokens; a notify posts a token only to a
 /// waiter, so one with no waiter is lost, as on a real condvar. Every
 /// lock, try-lock and notify first yields for zero virtual time, so each
 /// process runnable at that instant may go first. The clock is virtual.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SimSync;
+#[derive(Debug, Clone)]
+pub(crate) struct SimSync(pub(crate) Ctx);
 
 impl SimSync {
-    /// Runs `body` as the simulated process `ctx`.
-    pub(crate) fn run(ctx: Ctx, body: impl FnOnce()) {
-        PROCESS.with(|process| *process.borrow_mut() = Some(ctx));
-        body();
-    }
-
-    /// Calls `f` with the calling thread's process.
-    // Only code inside `SimSync::run` reaches here; anything else is a
-    // harness bug with no state to recover.
-    #[allow(clippy::expect_used)]
-    pub(crate) fn with<R>(f: impl FnOnce(&Ctx) -> R) -> R {
-        PROCESS.with(|p| f(p.borrow().as_ref().expect("SimSync outside a sim process")))
-    }
-
-    fn yield_now() {
-        SimSync::with(|ctx| ctx.delay(Span::ZERO));
+    async fn yield_now(&self) {
+        self.0.delay(Span::ZERO).await;
     }
 }
 
 /// Virtual time, for the handoff's kill-time checks.
 impl TimeSource for SimSync {
     fn now(&self) -> Time {
-        SimSync::with(Ctx::now)
+        self.0.now()
     }
 }
 
@@ -162,17 +178,17 @@ impl TimeSource for SimSync {
 pub(crate) struct SimMutex<T> {
     /// Holds a token while the mutex is held; blocked lockers park here.
     held: Queue<()>,
-    /// Never contended: only the token holder locks it.
-    value: Mutex<T>,
+    /// Never contended: only the token holder borrows it.
+    value: RefCell<T>,
 }
 
 impl<T> SimMutex<T> {
     /// Takes the token, parking while another process holds it.
-    fn acquire(&self) -> SimGuard<'_, T> {
-        SimSync::with(|ctx| self.held.push(ctx, ()));
+    async fn acquire(&self, ctx: &Ctx) -> SimGuard<'_, T> {
+        self.held.push(ctx, ()).await;
         SimGuard {
             mutex: self,
-            value: StdSync::lock(&self.value),
+            value: self.value.borrow_mut(),
         }
     }
 }
@@ -180,7 +196,7 @@ impl<T> SimMutex<T> {
 /// [`SimSync`]'s guard; dropping it releases the mutex.
 pub(crate) struct SimGuard<'a, T> {
     mutex: &'a SimMutex<T>,
-    value: MutexGuard<'a, T>,
+    value: RefMut<'a, T>,
 }
 
 impl<T> Deref for SimGuard<'_, T> {
@@ -200,16 +216,15 @@ impl<T> DerefMut for SimGuard<'_, T> {
 impl<T> Drop for SimGuard<'_, T> {
     fn drop(&mut self) {
         // Wakes the first blocked locker; it runs once this process
-        // yields, after `value` is unlocked.
+        // yields, after `value` is released.
         let _token = self.mutex.held.try_pop();
     }
 }
 
 /// [`SimSync`]'s condition variable.
 pub(crate) struct SimCondvar {
-    /// Waiters not yet handed a token. One process runs at a time, so
-    /// relaxed updates are exact.
-    waiters: AtomicUsize,
+    /// Waiters not yet handed a token.
+    waiters: Cell<usize>,
     tokens: Queue<()>,
 }
 
@@ -220,31 +235,35 @@ impl SyncFacade for SimSync {
     /// Virtual time since the simulation started.
     type Instant = Duration;
 
-    fn mutex<T>(value: T) -> SimMutex<T> {
+    fn mutex<T>(&self, value: T) -> SimMutex<T> {
         SimMutex {
-            held: SimSync::with(|ctx| ctx.queue("mutex", Some(1))),
-            value: Mutex::new(value),
+            held: self.0.queue("mutex", Some(1)),
+            value: RefCell::new(value),
         }
     }
 
-    fn lock<T>(mutex: &SimMutex<T>) -> SimGuard<'_, T> {
-        SimSync::yield_now();
-        mutex.acquire()
+    async fn lock<'a, T: 'a>(&self, mutex: &'a SimMutex<T>) -> SimGuard<'a, T> {
+        self.yield_now().await;
+        mutex.acquire(&self.0).await
     }
 
-    fn try_lock<T>(mutex: &SimMutex<T>) -> Option<SimGuard<'_, T>> {
-        SimSync::yield_now();
-        mutex.held.is_empty().then(|| mutex.acquire())
+    async fn try_lock<'a, T: 'a>(&self, mutex: &'a SimMutex<T>) -> Option<SimGuard<'a, T>> {
+        self.yield_now().await;
+        if !mutex.held.is_empty() {
+            return None;
+        }
+        Some(mutex.acquire(&self.0).await)
     }
 
-    fn condvar() -> SimCondvar {
+    fn condvar(&self) -> SimCondvar {
         SimCondvar {
-            waiters: AtomicUsize::new(0),
-            tokens: SimSync::with(|ctx| ctx.queue("condvar", None)),
+            waiters: Cell::new(0),
+            tokens: self.0.queue("condvar", None),
         }
     }
 
-    fn wait<'a, T>(
+    async fn wait<'a, T>(
+        &self,
         cv: &SimCondvar,
         guard: SimGuard<'a, T>,
         timeout: Option<Duration>,
@@ -253,37 +272,41 @@ impl SyncFacade for SimSync {
         T: 'a,
     {
         let mutex = guard.mutex;
-        cv.waiters.fetch_add(1, Ordering::Relaxed);
+        cv.waiters.set(cv.waiters.get() + 1);
         drop(guard);
-        let notified = SimSync::with(|ctx| match timeout {
+        let notified = match timeout {
             None => {
-                let () = cv.tokens.pop(ctx);
+                let () = cv.tokens.pop(&self.0).await;
                 true
             }
             Some(t) => {
                 let t = Span::from_nanos(t.as_nanos() as u64);
-                cv.tokens.pop_timeout(ctx, t).is_some()
+                cv.tokens.pop_timeout(&self.0, t).await.is_some()
             }
-        });
+        };
         if !notified {
-            cv.waiters.fetch_sub(1, Ordering::Relaxed);
+            cv.waiters.set(cv.waiters.get() - 1);
         }
-        SimSync::lock(mutex)
+        self.lock(mutex).await
     }
 
-    fn notify_one(cv: &SimCondvar) {
-        SimSync::yield_now();
-        if cv.waiters.load(Ordering::Relaxed) > 0 {
-            cv.waiters.fetch_sub(1, Ordering::Relaxed);
-            SimSync::with(|ctx| cv.tokens.push(ctx, ()));
+    async fn notify_one(&self, cv: &SimCondvar) {
+        self.yield_now().await;
+        if cv.waiters.get() > 0 {
+            cv.waiters.set(cv.waiters.get() - 1);
+            cv.tokens.push(&self.0, ()).await;
         }
     }
 
-    fn now() -> Duration {
-        Duration::from_nanos(SimSync::with(Ctx::now).as_nanos())
+    fn now(&self) -> Duration {
+        Duration::from_nanos(self.0.now().as_nanos())
     }
 
-    fn until(deadline: Duration) -> Duration {
-        deadline.saturating_sub(<SimSync as SyncFacade>::now())
+    fn until(&self, deadline: Duration) -> Duration {
+        deadline.saturating_sub(SyncFacade::now(self))
+    }
+
+    fn process(&self) -> Option<Pid> {
+        Some(self.0.pid())
     }
 }

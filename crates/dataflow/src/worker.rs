@@ -39,13 +39,13 @@ pub(crate) trait WorkerSubstrate {
     fn now(&self) -> Time;
 
     /// Charges the worker `overhead` of instrumentation time.
-    fn charge(&self, overhead: Span);
+    async fn charge(&self, overhead: Span);
 
     /// Pops the worker's next message, giving up after `timeout` if any.
-    fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg>;
+    async fn pop(&self, timeout: Option<Span>) -> Option<WorkerMsg>;
 
     /// Depth of `queue` (its own index queue, or the data queue) as gauge `gauge`.
-    fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize;
+    async fn sample_depth(&self, queue: QueueId, gauge: &str) -> usize;
 
     /// Where the fetch running on `cpu` stands on the fetch clock.
     fn fetch_now(&self, _cpu: &CpuThread) -> Time {
@@ -93,7 +93,7 @@ pub(crate) trait WorkerSubstrate {
 
     /// Hands `envelope` to the main process, recording its \[T1\] fetch
     /// with `trace_fetch`, unless the worker dies first (at `kill_time`).
-    fn hand_off(
+    async fn hand_off(
         &self,
         cpu: &mut CpuThread,
         envelope: Envelope,
@@ -153,7 +153,7 @@ impl<S: WorkerSubstrate> TransformObserver for FetchOps<'_, S> {
 /// sentinel or its kill time. A killed worker dies silently; the main
 /// process finds out through its liveness check, like PyTorch's
 /// `w.is_alive()`.
-pub(crate) fn run_worker(
+pub(crate) async fn run_worker(
     sub: &impl WorkerSubstrate,
     job: &TrainingJob,
     worker: usize,
@@ -164,19 +164,20 @@ pub(crate) fn run_worker(
     let pid = worker_os_pid(worker);
     let kill_time = job.faults.kill_time(&format!("dataloader{worker}"));
     let (index_gauge, data_gauge) = (QueueId::Index(worker).gauge(), QueueId::Data.gauge());
-    let sample_gauge = |queue: QueueId, gauge: &str| {
-        let depth = sub.sample_depth(queue, gauge) as f64;
-        sub.charge(job.tracer.on_gauge(gauge, depth, sub.now()));
+    let sample_gauge = async |queue: QueueId, gauge: &str| {
+        let depth = sub.sample_depth(queue, gauge).await as f64;
+        sub.charge(job.tracer.on_gauge(gauge, depth, sub.now()))
+            .await;
     };
     loop {
         let timeout = kill_time.map(|at| at.saturating_since(sub.now()));
         if timeout.is_some_and(Span::is_zero) {
             return;
         }
-        let Some(WorkerMsg::Batch { id, indices }) = sub.pop(timeout) else {
+        let Some(WorkerMsg::Batch { id, indices }) = sub.pop(timeout).await else {
             return; // shut down, or killed while idle
         };
-        sample_gauge(QueueId::Index(worker), &index_gauge);
+        sample_gauge(QueueId::Index(worker), &index_gauge).await;
 
         let start = sub.begin_fetch(&mut cpu);
         let mut ops = FetchOps {
@@ -206,8 +207,11 @@ pub(crate) fn run_worker(
             worker,
         };
         let trace_fetch = || job.tracer.on_batch_preprocessed(pid, id, start, fetch);
-        match sub.hand_off(&mut cpu, envelope, kill_time, trace_fetch) {
-            HandOff::Pushed => sample_gauge(QueueId::Data, &data_gauge),
+        match sub
+            .hand_off(&mut cpu, envelope, kill_time, trace_fetch)
+            .await
+        {
+            HandOff::Pushed => sample_gauge(QueueId::Data, &data_gauge).await,
             HandOff::Dropped => {}
             HandOff::Exit => return,
         }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use lotus_dataflow::NativeQueue;
+use lotus_dataflow::{block_on, NativeQueue};
 
 const PRODUCERS: usize = 4;
 const CONSUMERS: usize = 4;
@@ -42,14 +42,14 @@ fn eight_threads_hammering_push_and_pop_timeout_never_hang_or_lose_items() {
                         for i in 0..ITEMS_PER_PRODUCER {
                             let mut item = (p as u64) * ITEMS_PER_PRODUCER + i;
                             if p % 2 == 0 {
-                                queue.push(item);
+                                block_on(queue.push(item));
                                 continue;
                             }
                             // The worker's commit: refused on a full
                             // queue, it waits for space and retries.
-                            while let Err(back) = queue.try_push(item) {
+                            while let Err(back) = block_on(queue.try_push(item)) {
                                 item = back;
-                                queue.wait_not_full(Duration::from_millis(10));
+                                block_on(queue.wait_not_full(Duration::from_millis(10)));
                             }
                         }
                     })
@@ -61,7 +61,7 @@ fn eight_threads_hammering_push_and_pop_timeout_never_hang_or_lose_items() {
                     let received_sum = Arc::clone(&received_sum);
                     let received_count = Arc::clone(&received_count);
                     thread::spawn(move || loop {
-                        match queue.pop_timeout(Duration::from_millis(1)) {
+                        match block_on(queue.pop_timeout(Duration::from_millis(1))) {
                             Some(SENTINEL) => break,
                             Some(item) => {
                                 received_sum.fetch_add(item, Ordering::Relaxed);
@@ -76,7 +76,7 @@ fn eight_threads_hammering_push_and_pop_timeout_never_hang_or_lose_items() {
                 handle.join().expect("producer panicked");
             }
             for _ in 0..CONSUMERS {
-                queue.push(SENTINEL);
+                block_on(queue.push(SENTINEL));
             }
             for handle in consumers {
                 handle.join().expect("consumer panicked");
@@ -104,5 +104,5 @@ fn eight_threads_hammering_push_and_pop_timeout_never_hang_or_lose_items() {
     // Sum check makes silent duplication+loss pairs visible too.
     let expected_sum: u64 = (0..total).sum();
     assert_eq!(received_sum.load(Ordering::Relaxed), expected_sum);
-    assert_eq!(queue.len(), 0, "the queue should have drained");
+    assert_eq!(block_on(queue.len()), 0, "the queue should have drained");
 }

@@ -18,8 +18,9 @@ use crate::time::{Span, Time};
 /// A source of "now" as [`Time`] — nanoseconds since the start of a run.
 ///
 /// Implementations must be monotonic: successive `now()` calls, from any
-/// thread, never go backwards.
-pub trait TimeSource: Send + Sync {
+/// thread that can reach the source, never go backwards. A simulation's
+/// clock is reachable only from the thread that runs it.
+pub trait TimeSource {
     /// The current instant, relative to the source's epoch.
     fn now(&self) -> Time;
 }

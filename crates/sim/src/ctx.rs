@@ -1,100 +1,109 @@
 //! The handle a simulated process uses to interact with the simulation.
 
-use std::sync::Arc;
+use std::future::Future;
+use std::rc::Rc;
 
-use crate::kernel::{Baton, Kernel, KernelState, Pid};
+use crate::kernel::{Kernel, Pid};
 use crate::time::{Span, Time};
 
 /// Capability handle passed to every simulated process.
 ///
-/// A `Ctx` identifies the calling process and gives it access to the virtual
-/// clock, timed delays and dynamic process spawning. Queue and resource
-/// operations ([`crate::Queue`], [`crate::CorePool`]) also take a `&Ctx` so
-/// they can block the right process.
+/// A `Ctx` gives the calling process access to the virtual clock, timed
+/// delays and dynamic process spawning. Queue operations
+/// ([`crate::Queue`]) also take a `&Ctx` so they can block the caller.
+///
+/// The kernel polls one process at a time and knows which, so a `Ctx`
+/// always acts for the process that uses it: a clone shared between
+/// processes (inside a lock, say) blocks whichever process calls it.
 ///
 /// ```
 /// use lotus_sim::{Simulation, Span};
 ///
 /// let mut sim = Simulation::new();
-/// sim.spawn("ticker", |ctx| {
-///     ctx.delay(Span::from_millis(5));
+/// sim.spawn("ticker", |ctx| async move {
+///     ctx.delay(Span::from_millis(5)).await;
 ///     assert_eq!(ctx.now().as_nanos(), 5_000_000);
 /// });
 /// sim.run().unwrap();
 /// ```
+#[derive(Clone)]
 pub struct Ctx {
-    kernel: Arc<Kernel>,
-    pid: Pid,
-    baton: Arc<Baton>,
+    pub(crate) kernel: Rc<Kernel>,
 }
 
 impl std::fmt::Debug for Ctx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ctx").field("pid", &self.pid).finish()
+        f.debug_struct("Ctx").finish_non_exhaustive()
     }
 }
 
 impl Ctx {
-    pub(crate) fn new(kernel: Arc<Kernel>, pid: Pid, baton: Arc<Baton>) -> Ctx {
-        Ctx { kernel, pid, baton }
+    pub(crate) fn new(kernel: Rc<Kernel>) -> Ctx {
+        Ctx { kernel }
     }
 
     /// The calling process's identifier.
     #[must_use]
     pub fn pid(&self) -> Pid {
-        self.pid
+        self.kernel.state.borrow().running()
     }
 
-    /// The name this process was spawned with.
+    /// The name the calling process was spawned with.
     #[must_use]
     pub fn name(&self) -> String {
-        let st = crate::locked(&self.kernel.state);
-        st.procs[self.pid.index()].name.clone()
+        let st = self.kernel.state.borrow();
+        st.procs[st.running().index()].name.clone()
     }
 
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> Time {
-        crate::locked(&self.kernel.state).now
+        self.kernel.state.borrow().now
     }
 
-    /// Advances this process's virtual time by `span`, letting other
-    /// processes run in the meantime. A zero-length delay yields to any
-    /// other process scheduled at the same instant.
-    pub fn delay(&self, span: Span) {
-        let pid = self.pid;
+    /// Advances the calling process's virtual time by `span`, letting
+    /// other processes run in the meantime. A zero-length delay yields to
+    /// any other process scheduled at the same instant.
+    pub async fn delay(&self, span: Span) {
         self.kernel
-            .park(pid, &self.baton, "delay", |st: &mut KernelState| {
+            .park("delay", |st, pid| {
                 let at = st.now + span;
                 st.schedule_wake_at(pid, at);
-            });
+            })
+            .await;
     }
 
-    /// Spawns a new process that starts at the current virtual time.
-    /// Returns its [`Pid`].
-    pub fn spawn<F>(&self, name: impl Into<String>, body: F) -> Pid
+    /// Spawns a process that starts at the current virtual time. Returns
+    /// its [`Pid`].
+    pub fn spawn<F, Fut>(&self, name: impl Into<String>, body: F) -> Pid
     where
-        F: FnOnce(Ctx) + Send + 'static,
+        F: FnOnce(Ctx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
-        crate::sim::spawn_process(&self.kernel, name.into(), body)
+        spawn(&self.kernel, name.into(), body)
     }
 
     /// Creates a queue bound to this process's simulation — what
     /// [`crate::Simulation::queue`] does from outside it.
     #[must_use]
-    pub fn queue<T: Send + 'static>(
+    pub fn queue<T: 'static>(
         &self,
         name: impl Into<String>,
         capacity: Option<usize>,
     ) -> crate::Queue<T> {
-        crate::Queue::new(Arc::clone(&self.kernel), name.into(), capacity)
+        crate::Queue::new(Rc::clone(&self.kernel), name.into(), capacity)
     }
+}
 
-    /// Parks this process; see [`Kernel::park`].
-    pub(crate) fn park<F>(&self, label: &'static str, prepare: F)
-    where
-        F: FnOnce(&mut KernelState),
-    {
-        self.kernel.park(self.pid, &self.baton, label, prepare);
-    }
+/// Registers `body` as a process of `kernel`'s simulation. Shared by
+/// [`crate::Simulation::spawn`] and [`Ctx::spawn`]. The closure itself
+/// runs at the process's first poll, as the process.
+pub(crate) fn spawn<F, Fut>(kernel: &Rc<Kernel>, name: String, body: F) -> Pid
+where
+    F: FnOnce(Ctx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
+{
+    let ctx = Ctx::new(Rc::clone(kernel));
+    let body = Box::pin(async move { body(ctx).await });
+    kernel.state.borrow_mut().add_proc(name, body)
 }

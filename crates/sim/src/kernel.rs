@@ -1,21 +1,26 @@
-//! The simulation kernel: event queue, process table and the
-//! scheduler/process handoff protocol.
+//! The simulation kernel: event queue, process table and the scheduler
+//! that polls processes.
 //!
-//! Every simulated process runs on its own OS thread, but the kernel
-//! guarantees that **at most one thread runs at a time**: the scheduler hands
-//! a "baton" to exactly one process, which runs until it blocks (on a delay,
-//! a queue, or a resource) and hands the baton back. Events at equal virtual
-//! time are ordered by a monotonically increasing sequence number, so a run
-//! is fully deterministic regardless of OS scheduling.
+//! Every simulated process is a future, and the kernel polls them all on
+//! the thread that called [`crate::Simulation::run`]. It polls **exactly
+//! one process at a time**: the process runs until it blocks (on a delay
+//! or a queue), which marks it blocked, schedules or registers its wake,
+//! and returns `Pending` up to the scheduler. Events at equal virtual
+//! time are ordered by a monotonically increasing sequence number, so a
+//! run is fully deterministic.
 //!
-//! Lock ordering (outermost first): process baton → user structure lock
-//! (queue/pool) → kernel state. The scheduler never holds the kernel state
-//! lock while acquiring a baton.
+//! Processes are polled with a no-op waker: a process is polled again
+//! only when the scheduler pops one of its wake events, so the waker has
+//! nothing to do.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic;
-use std::sync::{Arc, Condvar, Mutex};
+use std::future::Future;
+use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
+use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use crate::control::{Choice, DecisionPoint, ScheduleController};
 use crate::error::{BlockedProcess, SimError};
@@ -43,30 +48,8 @@ impl std::fmt::Display for Pid {
     }
 }
 
-/// Per-process wake-up baton. `go == true` means the process holds the right
-/// to run; it consumes the permit when it wakes.
-pub(crate) struct Baton {
-    pub(crate) go: Mutex<bool>,
-    pub(crate) cv: Condvar,
-}
-
-impl Baton {
-    fn new() -> Arc<Baton> {
-        Arc::new(Baton {
-            go: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-}
-
-/// Sentinel panic payload used to unwind process stacks at shutdown.
-pub(crate) struct ShutdownSignal;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Turn {
-    Scheduler,
-    Process(Pid),
-}
+/// A simulated process's body.
+pub(crate) type Process = Pin<Box<dyn Future<Output = ()>>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ProcState {
@@ -79,7 +62,9 @@ pub(crate) enum ProcState {
 pub(crate) struct ProcSlot {
     pub(crate) name: String,
     pub(crate) state: ProcState,
-    pub(crate) baton: Arc<Baton>,
+    /// The process's future; taken out while it is polled, and dropped
+    /// once it finishes.
+    body: Option<Process>,
     /// Incremented each time the process blocks; wake events carry the
     /// generation they target so stale events are skipped.
     pub(crate) wake_gen: u64,
@@ -110,9 +95,8 @@ pub(crate) struct KernelState {
     next_seq: u64,
     events: BinaryHeap<Reverse<Event>>,
     pub(crate) procs: Vec<ProcSlot>,
-    pub(crate) turn: Turn,
-    pub(crate) shutdown: bool,
-    pub(crate) panic: Option<(String, String)>,
+    /// The process being polled, if any.
+    pub(crate) running: Option<Pid>,
     /// Resolves same-time tie-breaks when installed; `None` keeps the
     /// FIFO (sequence-number) order without the tie-collection overhead.
     pub(crate) controller: Option<Arc<dyn ScheduleController>>,
@@ -121,29 +105,43 @@ pub(crate) struct KernelState {
 }
 
 impl KernelState {
-    /// Registers a new process slot and schedules its initial wake at the
+    /// Registers a new process and schedules its initial wake at the
     /// current virtual time. Returns the new pid.
-    pub(crate) fn add_proc(&mut self, name: String) -> (Pid, Arc<Baton>) {
+    pub(crate) fn add_proc(&mut self, name: String, body: Process) -> Pid {
         // A pid space of u32 cannot be exhausted by a real experiment;
         // hitting this means a runaway spawn loop, with no recovery.
         #[allow(clippy::expect_used)]
         let pid = Pid(u32::try_from(self.procs.len()).expect("too many processes"));
-        let baton = Baton::new();
         self.procs.push(ProcSlot {
             name,
             state: ProcState::Blocked("spawn"),
-            baton: Arc::clone(&baton),
+            body: Some(body),
             wake_gen: 0,
         });
         let now = self.now;
         self.schedule_wake_at(pid, now);
-        (pid, baton)
+        pid
     }
 
-    /// Marks the current process blocked and bumps its wake generation.
-    /// Must be followed (in the same critical section) by scheduling a wake
-    /// or registering the process with a waker (queue/pool).
-    pub(crate) fn block_current(&mut self, pid: Pid, label: &'static str) {
+    /// The process being polled.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no process is: a [`crate::Ctx`] was used outside the
+    /// process code the kernel polls.
+    pub(crate) fn running(&self) -> Pid {
+        // Ctx handles exist only inside process bodies, which run only
+        // while polled; anything else is a harness bug with no state to
+        // recover.
+        #[allow(clippy::expect_used)]
+        self.running
+            .expect("lotus-sim Ctx used outside a running process")
+    }
+
+    /// Marks the running process blocked on `label` and bumps its wake
+    /// generation, so wake events scheduled after this target it.
+    fn block_running(&mut self, label: &'static str) -> Pid {
+        let pid = self.running();
         let slot = &mut self.procs[pid.index()];
         debug_assert_eq!(
             slot.state,
@@ -152,7 +150,7 @@ impl KernelState {
         );
         slot.state = ProcState::Blocked(label);
         slot.wake_gen += 1;
-        self.turn = Turn::Scheduler;
+        pid
     }
 
     /// Schedules a wake event for `pid` at time `at`, targeting its current
@@ -307,131 +305,116 @@ impl KernelState {
 }
 
 pub(crate) struct Kernel {
-    pub(crate) state: Mutex<KernelState>,
-    pub(crate) sched_cv: Condvar,
+    pub(crate) state: RefCell<KernelState>,
 }
 
 impl Kernel {
-    pub(crate) fn new() -> Arc<Kernel> {
-        Arc::new(Kernel {
-            state: Mutex::new(KernelState {
+    pub(crate) fn new() -> Kernel {
+        Kernel {
+            state: RefCell::new(KernelState {
                 now: Time::ZERO,
                 next_seq: 0,
                 events: BinaryHeap::new(),
                 procs: Vec::new(),
-                turn: Turn::Scheduler,
-                shutdown: false,
-                panic: None,
+                running: None,
                 controller: None,
                 steps: 0,
             }),
-            sched_cv: Condvar::new(),
+        }
+    }
+
+    /// Blocks the running process on `label`: its first poll marks it
+    /// blocked, lets `prepare` schedule or register its wake under the
+    /// kernel state, and yields to the scheduler; the poll after that
+    /// wake completes it.
+    pub(crate) async fn park(
+        &self,
+        label: &'static str,
+        prepare: impl FnOnce(&mut KernelState, Pid),
+    ) {
+        let mut prepare = Some(prepare);
+        std::future::poll_fn(|_| match prepare.take() {
+            Some(prepare) => {
+                let mut st = self.state.borrow_mut();
+                let pid = st.block_running(label);
+                prepare(&mut st, pid);
+                Poll::Pending
+            }
+            None => Poll::Ready(()),
         })
+        .await;
     }
 
-    /// Parks the calling process until the scheduler grants it the baton.
-    /// `prepare` runs under the kernel state lock *after* the process has
-    /// been marked blocked (so wake events it schedules target the right
-    /// generation); it typically schedules a timed wake or registers the
-    /// process with a queue. Any user-structure lock guard the caller still
-    /// holds should be moved into `prepare` and dropped there.
-    pub(crate) fn park<F>(&self, pid: Pid, baton: &Baton, label: &'static str, prepare: F)
-    where
-        F: FnOnce(&mut KernelState),
-    {
-        let mut go = crate::locked(&baton.go);
-        {
-            let mut st = crate::locked(&self.state);
-            st.block_current(pid, label);
-            prepare(&mut st);
-            self.sched_cv.notify_one();
-        }
-        while !*go {
-            go = crate::cv_wait(&baton.cv, go);
-        }
-        *go = false;
-        drop(go);
-        if crate::locked(&self.state).shutdown {
-            panic::resume_unwind(Box::new(ShutdownSignal));
-        }
-    }
-
-    /// Runs the scheduler loop until all processes finish.
+    /// Polls processes in event order until all of them finish.
     pub(crate) fn run_scheduler(&self) -> Result<(), SimError> {
+        let mut cx = Context::from_waker(Waker::noop());
         loop {
-            let resume = {
-                let mut st = crate::locked(&self.state);
-                debug_assert_eq!(st.turn, Turn::Scheduler);
-                match st.pop_runnable() {
-                    Some(ev) => {
-                        st.steps += 1;
-                        if let Some(controller) = st.controller.clone() {
-                            if !controller.on_step(st.steps) {
-                                return Err(SimError::StepLimit { steps: st.steps });
-                            }
-                        }
-                        st.now = ev.time;
-                        st.turn = Turn::Process(ev.pid);
-                        let slot = &mut st.procs[ev.pid.index()];
-                        slot.state = ProcState::Running;
-                        Some(Arc::clone(&slot.baton))
+            let (pid, mut body) = {
+                let mut st = self.state.borrow_mut();
+                let Some(ev) = st.pop_runnable() else {
+                    let blocked = st.blocked_report();
+                    if blocked.is_empty() {
+                        return Ok(());
                     }
-                    None => {
-                        let blocked = st.blocked_report();
-                        if blocked.is_empty() {
-                            return Ok(());
-                        }
-                        return Err(SimError::Deadlock { blocked });
+                    return Err(SimError::Deadlock { blocked });
+                };
+                st.steps += 1;
+                if let Some(controller) = st.controller.clone() {
+                    if !controller.on_step(st.steps) {
+                        return Err(SimError::StepLimit { steps: st.steps });
                     }
                 }
+                st.now = ev.time;
+                st.running = Some(ev.pid);
+                let slot = &mut st.procs[ev.pid.index()];
+                slot.state = ProcState::Running;
+                let Some(body) = slot.body.take() else {
+                    continue; // unreachable: only finished processes lack a body
+                };
+                (ev.pid, body)
             };
-            if let Some(baton) = resume {
-                {
-                    let mut go = crate::locked(&baton.go);
-                    *go = true;
-                    baton.cv.notify_one();
+            // Polled with no kernel state borrowed: the process borrows it
+            // itself to block, spawn or wake others.
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(&mut cx)));
+            let mut st = self.state.borrow_mut();
+            st.running = None;
+            let slot = &mut st.procs[pid.index()];
+            let panic_message = match outcome {
+                Ok(Poll::Pending) if slot.state != ProcState::Running => {
+                    slot.body = Some(body);
+                    continue;
                 }
-                let mut st = crate::locked(&self.state);
-                while st.turn != Turn::Scheduler {
-                    st = crate::cv_wait(&self.sched_cv, st);
+                Ok(Poll::Pending) => {
+                    Some("awaited a future that lotus-sim does not drive".to_string())
                 }
-                if let Some((process, message)) = st.panic.take() {
-                    st.shutdown = true;
-                    return Err(SimError::ProcessPanic { process, message });
-                }
+                Ok(Poll::Ready(())) => None,
+                Err(payload) => Some(render_panic(&*payload)),
+            };
+            slot.state = ProcState::Finished;
+            let process = slot.name.clone();
+            drop(st);
+            // Dropped outside the borrow: its locals may wake others.
+            drop(body);
+            if let Some(message) = panic_message {
+                return Err(SimError::ProcessPanic { process, message });
             }
         }
     }
 
-    /// Wakes every parked thread with the shutdown flag set so their stacks
-    /// unwind; called from `Simulation::drop`.
-    pub(crate) fn begin_shutdown(&self) {
-        let batons: Vec<Arc<Baton>> = {
-            let mut st = crate::locked(&self.state);
-            st.shutdown = true;
-            st.procs
-                .iter()
-                .filter(|p| !matches!(p.state, ProcState::Finished))
-                .map(|p| Arc::clone(&p.baton))
-                .collect()
-        };
-        for baton in batons {
-            let mut go = crate::locked(&baton.go);
-            *go = true;
-            baton.cv.notify_one();
-        }
+    /// Takes every unfinished process's future out of the table, so the
+    /// caller can drop them with no kernel state borrowed.
+    pub(crate) fn take_bodies(&self) -> Vec<Process> {
+        let mut st = self.state.borrow_mut();
+        st.procs.iter_mut().filter_map(|p| p.body.take()).collect()
     }
+}
 
-    /// Marks the calling process finished and returns the baton to the
-    /// scheduler. `panic_message`, if set, aborts the whole simulation.
-    pub(crate) fn finish(&self, pid: Pid, panic_message: Option<String>) {
-        let mut st = crate::locked(&self.state);
-        let name = st.procs[pid.index()].name.clone();
-        st.procs[pid.index()].state = ProcState::Finished;
-        if let Some(message) = panic_message {
-            st.panic = Some((name, message));
-        }
-        st.turn = Turn::Scheduler;
-        self.sched_cv.notify_one();
+fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }

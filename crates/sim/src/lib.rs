@@ -2,10 +2,10 @@
 //!
 //! The substrate underneath the Lotus reproduction: a process-oriented
 //! discrete-event simulator with a nanosecond virtual clock. Simulated
-//! processes are written as ordinary Rust closures that block on
-//! [`Ctx::delay`], [`Queue`] operations and [`CorePool`] acquisition; the
-//! scheduler interleaves them deterministically, so every experiment in the
-//! repository is exactly reproducible.
+//! processes are `async` blocks that await [`Ctx::delay`] and [`Queue`]
+//! operations; the scheduler polls them one at a time on the thread that
+//! runs the simulation, so every experiment in the repository is exactly
+//! reproducible.
 //!
 //! ## Example
 //!
@@ -15,12 +15,12 @@
 //! let mut sim = Simulation::new();
 //! let q = sim.queue::<&'static str>("greetings", None);
 //! let tx = q.clone();
-//! sim.spawn("producer", move |ctx| {
-//!     ctx.delay(Span::from_millis(1));
-//!     tx.push(&ctx, "hello");
+//! sim.spawn("producer", move |ctx| async move {
+//!     ctx.delay(Span::from_millis(1)).await;
+//!     tx.push(&ctx, "hello").await;
 //! });
-//! sim.spawn("consumer", move |ctx| {
-//!     let msg = q.pop(&ctx);
+//! sim.spawn("consumer", move |ctx| async move {
+//!     let msg = q.pop(&ctx).await;
 //!     assert_eq!(msg, "hello");
 //!     assert_eq!(ctx.now(), lotus_sim::Time::ZERO + Span::from_millis(1));
 //! });
@@ -30,8 +30,8 @@
 //!
 //! ## Determinism guarantees
 //!
-//! * At most one process executes at any moment (threads are used only as
-//!   coroutines).
+//! * At most one process executes at any moment: processes are futures,
+//!   polled on the caller's thread, and no thread is ever spawned.
 //! * Events at equal virtual time fire in the order they were scheduled.
 //! * No wall-clock time or OS entropy is consulted anywhere.
 
@@ -43,27 +43,19 @@
 // panic site carries a targeted `#[allow]` with its invariant argument.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks `mutex`, panicking on poisoning.
 ///
-/// Poisoning is unreachable by construction: simulated-process panics
-/// are caught by `catch_unwind` in `spawn_process` before they can
-/// unwind past a kernel lock, so a poisoned lock means the simulator
-/// itself is broken and no recovery is meaningful. This is the one
-/// sanctioned lock-acquisition panic site in the crate;
-/// `#[track_caller]` keeps the panic pointing at the real call site.
+/// Poisoning is unreachable by construction: no code holding one of the
+/// crate's locks can panic, so a poisoned lock means the simulator itself
+/// is broken and no recovery is meaningful. This is the one sanctioned
+/// lock-acquisition panic site in the crate; `#[track_caller]` keeps the
+/// panic pointing at the real call site.
 #[allow(clippy::expect_used)]
 #[track_caller]
 pub(crate) fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().expect("lock poisoned")
-}
-
-/// Waits on `cv`, panicking on poisoning — same invariant as [`locked`].
-#[allow(clippy::expect_used)]
-#[track_caller]
-pub(crate) fn cv_wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).expect("lock poisoned")
 }
 
 mod clock;
@@ -72,7 +64,6 @@ mod ctx;
 mod error;
 mod fault;
 mod kernel;
-mod pool;
 mod queue;
 mod sim;
 mod storage;
@@ -86,7 +77,6 @@ pub use ctx::Ctx;
 pub use error::{BlockedProcess, SimError};
 pub use fault::FaultPlan;
 pub use kernel::Pid;
-pub use pool::{CoreGuard, CorePool};
 pub use queue::Queue;
 pub use sim::{RunReport, Simulation};
 pub use storage::{

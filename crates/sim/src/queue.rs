@@ -1,7 +1,8 @@
 //! Simulated inter-process queues.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::ctx::Ctx;
 use crate::kernel::{Kernel, Pid};
@@ -28,22 +29,22 @@ struct QueueInner<T> {
 ///
 /// See [`crate::Simulation::queue`] for construction and an example.
 pub struct Queue<T> {
-    kernel: Arc<Kernel>,
-    inner: Arc<Mutex<QueueInner<T>>>,
+    kernel: Rc<Kernel>,
+    inner: Rc<RefCell<QueueInner<T>>>,
 }
 
 impl<T> Clone for Queue<T> {
     fn clone(&self) -> Self {
         Queue {
-            kernel: Arc::clone(&self.kernel),
-            inner: Arc::clone(&self.inner),
+            kernel: Rc::clone(&self.kernel),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl<T> std::fmt::Debug for Queue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = crate::locked(&self.inner);
+        let inner = self.inner.borrow();
         f.debug_struct("Queue")
             .field("name", &inner.name)
             .field("len", &inner.items.len())
@@ -52,11 +53,11 @@ impl<T> std::fmt::Debug for Queue<T> {
     }
 }
 
-impl<T: Send + 'static> Queue<T> {
-    pub(crate) fn new(kernel: Arc<Kernel>, name: String, capacity: Option<usize>) -> Queue<T> {
+impl<T: 'static> Queue<T> {
+    pub(crate) fn new(kernel: Rc<Kernel>, name: String, capacity: Option<usize>) -> Queue<T> {
         Queue {
             kernel,
-            inner: Arc::new(Mutex::new(QueueInner {
+            inner: Rc::new(RefCell::new(QueueInner {
                 name,
                 capacity,
                 items: VecDeque::new(),
@@ -69,7 +70,7 @@ impl<T: Send + 'static> Queue<T> {
     /// Number of items currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
-        crate::locked(&self.inner).items.len()
+        self.inner.borrow().items.len()
     }
 
     /// True if no items are buffered.
@@ -81,31 +82,28 @@ impl<T: Send + 'static> Queue<T> {
     /// The queue's name (used in deadlock diagnostics and traces).
     #[must_use]
     pub fn name(&self) -> String {
-        crate::locked(&self.inner).name.clone()
+        self.inner.borrow().name.clone()
     }
 
     /// Appends `item`, blocking the calling process while the queue is full.
-    pub fn push(&self, ctx: &Ctx, item: T) {
-        let mut item = Some(item);
+    pub async fn push(&self, ctx: &Ctx, item: T) {
         loop {
-            let mut inner = crate::locked(&self.inner);
-            let full = inner.capacity.is_some_and(|cap| inner.items.len() >= cap);
-            if !full {
-                // `item` is taken exactly once: the function returns right
-                // after a successful push, so the `Some` is still intact
-                // on every loop iteration that reaches this branch.
-                #[allow(clippy::expect_used)]
-                inner
-                    .items
-                    .push_back(item.take().expect("item consumed twice"));
-                if let Some(waiter) = inner.pop_waiters.pop_front() {
-                    let mut st = crate::locked(&self.kernel.state);
-                    st.wake_now(waiter);
+            {
+                let mut inner = self.inner.borrow_mut();
+                let full = inner.capacity.is_some_and(|cap| inner.items.len() >= cap);
+                if !full {
+                    inner.items.push_back(item);
+                    if let Some(waiter) = inner.pop_waiters.pop_front() {
+                        self.kernel.state.borrow_mut().wake_now(waiter);
+                    }
+                    return;
                 }
-                return;
             }
-            inner.push_waiters.push_back(ctx.pid());
-            ctx.park("queue.push", move |_st| drop(inner));
+            ctx.kernel
+                .park("queue.push", |_, pid| {
+                    self.inner.borrow_mut().push_waiters.push_back(pid);
+                })
+                .await;
             // Re-check: space may have been re-taken by another producer
             // scheduled between our wake and our resumption.
         }
@@ -113,19 +111,16 @@ impl<T: Send + 'static> Queue<T> {
 
     /// Removes and returns the front item, blocking the calling process
     /// while the queue is empty.
-    #[must_use]
-    pub fn pop(&self, ctx: &Ctx) -> T {
+    pub async fn pop(&self, ctx: &Ctx) -> T {
         loop {
-            let mut inner = crate::locked(&self.inner);
-            if let Some(item) = inner.items.pop_front() {
-                if let Some(waiter) = inner.push_waiters.pop_front() {
-                    let mut st = crate::locked(&self.kernel.state);
-                    st.wake_now(waiter);
-                }
+            if let Some(item) = self.try_pop() {
                 return item;
             }
-            inner.pop_waiters.push_back(ctx.pid());
-            ctx.park("queue.pop", move |_st| drop(inner));
+            ctx.kernel
+                .park("queue.pop", |_, pid| {
+                    self.inner.borrow_mut().pop_waiters.push_back(pid);
+                })
+                .await;
         }
     }
 
@@ -136,37 +131,30 @@ impl<T: Send + 'static> Queue<T> {
     ///
     /// Returns `None` on timeout. The calling process may be woken twice
     /// internally (item and timer race); both outcomes are handled.
-    #[must_use]
-    pub fn pop_timeout(&self, ctx: &Ctx, timeout: Span) -> Option<T> {
+    pub async fn pop_timeout(&self, ctx: &Ctx, timeout: Span) -> Option<T> {
         let deadline = ctx.now() + timeout;
         loop {
-            let mut inner = crate::locked(&self.inner);
-            if let Some(item) = inner.items.pop_front() {
-                if let Some(waiter) = inner.push_waiters.pop_front() {
-                    let mut st = crate::locked(&self.kernel.state);
-                    st.wake_now(waiter);
-                }
+            if let Some(item) = self.try_pop() {
                 return Some(item);
             }
             if ctx.now() >= deadline {
                 return None;
             }
-            let pid = ctx.pid();
-            inner.pop_waiters.push_back(pid);
             // Arm both wake sources: a push (targeted wake) and the
             // timeout. Whichever fires first wins; the loser's event goes
             // stale via the wake-generation check.
-            ctx.park("queue.pop_timeout", move |st| {
-                st.schedule_wake_at(pid, deadline);
-                drop(inner);
-            });
+            ctx.kernel
+                .park("queue.pop_timeout", |st, pid| {
+                    self.inner.borrow_mut().pop_waiters.push_back(pid);
+                    st.schedule_wake_at(pid, deadline);
+                })
+                .await;
             // Either an item arrived, or we timed out; re-check both. A
             // stale waiter registration is harmless: push wakes are
             // generation-checked, and duplicate registrations are pruned
-            // below.
-            let mut inner = crate::locked(&self.inner);
-            inner.pop_waiters.retain(|&w| w != pid);
-            drop(inner);
+            // here.
+            let pid = ctx.pid();
+            self.inner.borrow_mut().pop_waiters.retain(|&w| w != pid);
         }
     }
 
@@ -174,12 +162,11 @@ impl<T: Send + 'static> Queue<T> {
     /// blocking.
     #[must_use]
     pub fn try_pop(&self) -> Option<T> {
-        let mut inner = crate::locked(&self.inner);
+        let mut inner = self.inner.borrow_mut();
         let item = inner.items.pop_front();
         if item.is_some() {
             if let Some(waiter) = inner.push_waiters.pop_front() {
-                let mut st = crate::locked(&self.kernel.state);
-                st.wake_now(waiter);
+                self.kernel.state.borrow_mut().wake_now(waiter);
             }
         }
         item

@@ -1,14 +1,14 @@
 //! The [`Simulation`] front-end: spawning processes and running the
 //! scheduler to completion.
 
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::future::Future;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::control::ScheduleController;
 use crate::ctx::Ctx;
 use crate::error::SimError;
-use crate::kernel::{Kernel, Pid, ShutdownSignal};
+use crate::kernel::{Kernel, Pid};
 use crate::time::Time;
 
 /// A deterministic discrete-event simulation.
@@ -27,28 +27,27 @@ use crate::time::Time;
 /// let mut sim = Simulation::new();
 /// let q = sim.queue::<u32>("numbers", Some(1));
 /// let tx = q.clone();
-/// sim.spawn("producer", move |ctx| {
+/// sim.spawn("producer", move |ctx| async move {
 ///     for i in 0..3 {
-///         ctx.delay(Span::from_micros(10));
-///         tx.push(&ctx, i);
+///         ctx.delay(Span::from_micros(10)).await;
+///         tx.push(&ctx, i).await;
 ///     }
 /// });
-/// sim.spawn("consumer", move |ctx| {
+/// sim.spawn("consumer", move |ctx| async move {
 ///     for expect in 0..3 {
-///         assert_eq!(q.pop(&ctx), expect);
+///         assert_eq!(q.pop(&ctx).await, expect);
 ///     }
 /// });
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.end_time.as_nanos(), 30_000);
 /// ```
 pub struct Simulation {
-    kernel: Arc<Kernel>,
-    threads: ThreadRegistry,
+    kernel: Rc<Kernel>,
 }
 
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = crate::locked(&self.kernel.state);
+        let st = self.kernel.state.borrow();
         f.debug_struct("Simulation")
             .field("now", &st.now)
             .field("processes", &st.procs.len())
@@ -65,32 +64,26 @@ pub struct RunReport {
     pub processes: usize,
 }
 
-/// Shared registry of the OS threads backing one simulation's processes.
-type ThreadRegistry = Arc<Mutex<Vec<JoinHandle<()>>>>;
-
-thread_local! {
-    static THREAD_REGISTRY: std::cell::RefCell<Option<ThreadRegistry>> =
-        const { std::cell::RefCell::new(None) };
-}
-
 impl Simulation {
     /// Creates an empty simulation with the clock at [`Time::ZERO`].
     #[must_use]
     pub fn new() -> Simulation {
         Simulation {
-            kernel: Kernel::new(),
-            threads: Arc::new(Mutex::new(Vec::new())),
+            kernel: Rc::new(Kernel::new()),
         }
     }
 
     /// Spawns a process that will start at the current virtual time when
     /// [`Simulation::run`] is (next) called. Returns its [`Pid`].
-    pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> Pid
+    ///
+    /// `body` builds the process's future from its [`Ctx`]; it is called
+    /// when the process first runs.
+    pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, body: F) -> Pid
     where
-        F: FnOnce(Ctx) + Send + 'static,
+        F: FnOnce(Ctx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
-        register_thread_registry(&self.threads);
-        spawn_process(&self.kernel, name.into(), body)
+        crate::ctx::spawn(&self.kernel, name.into(), body)
     }
 
     /// Creates a simulated queue bound to this simulation.
@@ -98,21 +91,16 @@ impl Simulation {
     /// `capacity` of `None` means unbounded; `Some(n)` blocks pushers when
     /// `n` items are in flight.
     #[must_use]
-    pub fn queue<T: Send + 'static>(
+    pub fn queue<T: 'static>(
         &mut self,
         name: impl Into<String>,
         capacity: Option<usize>,
     ) -> crate::Queue<T> {
-        crate::Queue::new(Arc::clone(&self.kernel), name.into(), capacity)
+        crate::Queue::new(Rc::clone(&self.kernel), name.into(), capacity)
     }
 
-    /// Creates a pool of `cores` CPU cores bound to this simulation.
-    #[must_use]
-    pub fn core_pool(&mut self, cores: usize) -> crate::CorePool {
-        crate::CorePool::new(Arc::clone(&self.kernel), cores)
-    }
-
-    /// Runs the simulation until every process has finished.
+    /// Runs the simulation until every process has finished, polling each
+    /// process on the calling thread.
     ///
     /// # Errors
     ///
@@ -120,23 +108,18 @@ impl Simulation {
     /// processes are still blocked, and [`SimError::ProcessPanic`] if any
     /// simulated process panics.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        let result = self.kernel.run_scheduler();
-        match result {
-            Ok(()) => {
-                let st = crate::locked(&self.kernel.state);
-                Ok(RunReport {
-                    end_time: st.now,
-                    processes: st.procs.len(),
-                })
-            }
-            Err(e) => Err(e),
-        }
+        self.kernel.run_scheduler()?;
+        let st = self.kernel.state.borrow();
+        Ok(RunReport {
+            end_time: st.now,
+            processes: st.procs.len(),
+        })
     }
 
     /// Current virtual time (useful after [`Simulation::run`] returns).
     #[must_use]
     pub fn now(&self) -> Time {
-        crate::locked(&self.kernel.state).now
+        self.kernel.state.borrow().now
     }
 
     /// Installs a [`ScheduleController`] that resolves same-time
@@ -144,14 +127,14 @@ impl Simulation {
     /// [`Simulation::run`]; without a controller the kernel keeps its
     /// FIFO (creation-order) tie-break.
     pub fn set_controller(&mut self, controller: Arc<dyn ScheduleController>) {
-        crate::locked(&self.kernel.state).controller = Some(controller);
+        self.kernel.state.borrow_mut().controller = Some(controller);
     }
 
     /// Scheduler dispatches completed so far (a size measure for model
     /// checking reports; useful after [`Simulation::run`] returns).
     #[must_use]
     pub fn steps(&self) -> u64 {
-        crate::locked(&self.kernel.state).steps
+        self.kernel.state.borrow().steps
     }
 }
 
@@ -162,86 +145,10 @@ impl Default for Simulation {
 }
 
 impl Drop for Simulation {
+    /// Drops every process that has not finished, a blocked one where it
+    /// is parked. The futures also hold the kernel, so this breaks that
+    /// cycle.
     fn drop(&mut self) {
-        self.kernel.begin_shutdown();
-        let mut threads = crate::locked(&self.threads);
-        for handle in threads.drain(..) {
-            // A process thread can only terminate by finishing or unwinding
-            // on the shutdown signal, both of which we have arranged.
-            let _ = handle.join();
-        }
-    }
-}
-
-fn register_thread_registry(registry: &ThreadRegistry) {
-    THREAD_REGISTRY.with(|slot| {
-        *slot.borrow_mut() = Some(Arc::clone(registry));
-    });
-}
-
-/// Spawns the OS thread backing a simulated process. Shared by
-/// [`Simulation::spawn`] and [`Ctx::spawn`].
-// Setup-time panics are deliberate: spawning outside a `Simulation` is
-// programmer error, and an OS refusing to create a thread leaves no
-// simulation to report an error through.
-#[allow(clippy::expect_used)]
-pub(crate) fn spawn_process<F>(kernel: &Arc<Kernel>, name: String, body: F) -> Pid
-where
-    F: FnOnce(Ctx) + Send + 'static,
-{
-    let (pid, baton) = {
-        let mut st = crate::locked(&kernel.state);
-        st.add_proc(name.clone())
-    };
-    let kernel_for_thread = Arc::clone(kernel);
-    let registry = THREAD_REGISTRY
-        .with(|slot| slot.borrow().clone())
-        .expect("spawn_process called outside a Simulation");
-    let registry_for_thread = Arc::clone(&registry);
-    let handle = std::thread::Builder::new()
-        .name(format!("sim-{name}"))
-        .spawn(move || {
-            // Child processes spawned from this thread must register into
-            // the same simulation's thread registry.
-            register_thread_registry(&registry_for_thread);
-            // Wait for the scheduler to hand over the baton for the first
-            // time (the spawn event).
-            {
-                let mut go = crate::locked(&baton.go);
-                while !*go {
-                    go = crate::cv_wait(&baton.cv, go);
-                }
-                *go = false;
-            }
-            if crate::locked(&kernel_for_thread.state).shutdown {
-                return;
-            }
-            let ctx = Ctx::new(Arc::clone(&kernel_for_thread), pid, baton);
-            let outcome = panic::catch_unwind(AssertUnwindSafe(move || body(ctx)));
-            let panic_message = match outcome {
-                Ok(()) => None,
-                Err(payload) => {
-                    if payload.is::<ShutdownSignal>() {
-                        // Unwound by Simulation::drop; nothing left to do —
-                        // the scheduler is no longer waiting on us.
-                        return;
-                    }
-                    Some(render_panic(&*payload))
-                }
-            };
-            kernel_for_thread.finish(pid, panic_message);
-        })
-        .expect("failed to spawn simulation thread");
-    crate::locked(&registry).push(handle);
-    pid
-}
-
-fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        drop(self.kernel.take_bodies());
     }
 }

@@ -8,11 +8,11 @@ use lotus_sim::{SimError, Simulation, Span, Time};
 #[test]
 fn virtual_time_advances_only_by_delays() {
     let mut sim = Simulation::new();
-    sim.spawn("p", |ctx| {
+    sim.spawn("p", |ctx| async move {
         assert_eq!(ctx.now(), Time::ZERO);
-        ctx.delay(Span::from_micros(7));
+        ctx.delay(Span::from_micros(7)).await;
         assert_eq!(ctx.now().as_nanos(), 7_000);
-        ctx.delay(Span::ZERO);
+        ctx.delay(Span::ZERO).await;
         assert_eq!(ctx.now().as_nanos(), 7_000);
     });
     let report = sim.run().unwrap();
@@ -27,8 +27,8 @@ fn events_at_equal_time_fire_in_spawn_order() {
         let mut sim = Simulation::new();
         for i in 0..10 {
             let order = Arc::clone(&order);
-            sim.spawn(format!("p{i}"), move |ctx| {
-                ctx.delay(Span::from_millis(1));
+            sim.spawn(format!("p{i}"), move |ctx| async move {
+                ctx.delay(Span::from_millis(1)).await;
                 order.lock().unwrap().push(i);
             });
         }
@@ -42,14 +42,14 @@ fn queue_blocks_consumer_until_producer_pushes() {
     let mut sim = Simulation::new();
     let q = sim.queue::<u64>("q", None);
     let tx = q.clone();
-    sim.spawn("producer", move |ctx| {
-        ctx.delay(Span::from_millis(10));
-        tx.push(&ctx, 42);
+    sim.spawn("producer", move |ctx| async move {
+        ctx.delay(Span::from_millis(10)).await;
+        tx.push(&ctx, 42).await;
     });
     let observed = Arc::new(Mutex::new(None));
     let observed_w = Arc::clone(&observed);
-    sim.spawn("consumer", move |ctx| {
-        let v = q.pop(&ctx);
+    sim.spawn("consumer", move |ctx| async move {
+        let v = q.pop(&ctx).await;
         *observed_w.lock().unwrap() = Some((v, ctx.now()));
     });
     sim.run().unwrap();
@@ -65,16 +65,16 @@ fn bounded_queue_applies_backpressure() {
     let tx = q.clone();
     let push_times = Arc::new(Mutex::new(Vec::new()));
     let push_times_w = Arc::clone(&push_times);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", move |ctx| async move {
         for i in 0..4 {
-            tx.push(&ctx, i);
+            tx.push(&ctx, i).await;
             push_times_w.lock().unwrap().push(ctx.now().as_nanos());
         }
     });
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", move |ctx| async move {
         for _ in 0..4 {
-            ctx.delay(Span::from_millis(1));
-            let _ = q.pop(&ctx);
+            ctx.delay(Span::from_millis(1)).await;
+            let _ = q.pop(&ctx).await;
         }
     });
     sim.run().unwrap();
@@ -89,18 +89,19 @@ fn queue_is_fifo_across_multiple_producers() {
     let q = sim.queue::<(usize, u32)>("multi", None);
     for w in 0..4 {
         let q = q.clone();
-        sim.spawn(format!("producer{w}"), move |ctx| {
+        sim.spawn(format!("producer{w}"), move |ctx| async move {
             for i in 0..5 {
-                ctx.delay(Span::from_micros(100 * (w as u64 + 1)));
-                q.push(&ctx, (w, i));
+                ctx.delay(Span::from_micros(100 * (w as u64 + 1))).await;
+                q.push(&ctx, (w, i)).await;
             }
         });
     }
     let seen = Arc::new(Mutex::new(Vec::new()));
     let seen_w = Arc::clone(&seen);
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", move |ctx| async move {
         for _ in 0..20 {
-            seen_w.lock().unwrap().push(q.pop(&ctx));
+            let item = q.pop(&ctx).await;
+            seen_w.lock().unwrap().push(item);
         }
     });
     sim.run().unwrap();
@@ -121,8 +122,8 @@ fn queue_is_fifo_across_multiple_producers() {
 fn deadlock_is_reported_with_blocked_process_names() {
     let mut sim = Simulation::new();
     let q = sim.queue::<u8>("never", None);
-    sim.spawn("starved", move |ctx| {
-        let _ = q.pop(&ctx);
+    sim.spawn("starved", move |ctx| async move {
+        let _ = q.pop(&ctx).await;
     });
     match sim.run() {
         Err(SimError::Deadlock { blocked }) => {
@@ -137,8 +138,8 @@ fn deadlock_is_reported_with_blocked_process_names() {
 #[test]
 fn process_panic_aborts_the_run_with_context() {
     let mut sim = Simulation::new();
-    sim.spawn("bomber", |ctx| {
-        ctx.delay(Span::from_micros(1));
+    sim.spawn("bomber", |ctx| async move {
+        ctx.delay(Span::from_micros(1)).await;
         panic!("kaboom");
     });
     match sim.run() {
@@ -155,59 +156,19 @@ fn dynamically_spawned_processes_run() {
     let mut sim = Simulation::new();
     let done = Arc::new(Mutex::new(Vec::new()));
     let done_w = Arc::clone(&done);
-    sim.spawn("parent", move |ctx| {
+    sim.spawn("parent", move |ctx| async move {
         for i in 0..3 {
             let done = Arc::clone(&done_w);
-            ctx.spawn(format!("child{i}"), move |cctx| {
-                cctx.delay(Span::from_millis(i + 1));
+            ctx.spawn(format!("child{i}"), move |cctx| async move {
+                cctx.delay(Span::from_millis(i + 1)).await;
                 done.lock().unwrap().push(i);
             });
         }
-        ctx.delay(Span::from_millis(10));
+        ctx.delay(Span::from_millis(10)).await;
     });
     let report = sim.run().unwrap();
     assert_eq!(report.processes, 4);
     assert_eq!(*done.lock().unwrap(), vec![0, 1, 2]);
-}
-
-#[test]
-fn core_pool_serializes_oversubscribed_compute() {
-    let mut sim = Simulation::new();
-    let pool = sim.core_pool(2);
-    let finish = Arc::new(Mutex::new(Vec::new()));
-    for w in 0..4 {
-        let pool = pool.clone();
-        let finish = Arc::clone(&finish);
-        sim.spawn(format!("w{w}"), move |ctx| {
-            let core = pool.acquire(&ctx);
-            ctx.delay(Span::from_millis(10));
-            drop(core);
-            finish.lock().unwrap().push(ctx.now().as_nanos());
-        });
-    }
-    let report = sim.run().unwrap();
-    // Two waves of two jobs each.
-    assert_eq!(report.end_time.as_nanos(), 20_000_000);
-    let finishes = finish.lock().unwrap().clone();
-    assert_eq!(finishes.iter().filter(|&&t| t == 10_000_000).count(), 2);
-    assert_eq!(finishes.iter().filter(|&&t| t == 20_000_000).count(), 2);
-}
-
-#[test]
-fn core_pool_tracks_peak_active() {
-    let mut sim = Simulation::new();
-    let pool = sim.core_pool(8);
-    for w in 0..3 {
-        let pool = pool.clone();
-        sim.spawn(format!("w{w}"), move |ctx| {
-            let _core = pool.acquire(&ctx);
-            ctx.delay(Span::from_millis(1));
-        });
-    }
-    let probe = pool.clone();
-    sim.run().unwrap();
-    assert_eq!(probe.peak_active(), 3);
-    assert_eq!(probe.active(), 0);
 }
 
 #[test]
@@ -218,17 +179,18 @@ fn identical_programs_produce_identical_schedules() {
         let log = Arc::new(Mutex::new(Vec::new()));
         for w in 0..3 {
             let q = q.clone();
-            sim.spawn(format!("p{w}"), move |ctx| {
+            sim.spawn(format!("p{w}"), move |ctx| async move {
                 for i in 0..10 {
-                    ctx.delay(Span::from_micros(((w as u64) * 37 + 13) % 91 + 1));
-                    q.push(&ctx, (w, i));
+                    ctx.delay(Span::from_micros(((w as u64) * 37 + 13) % 91 + 1))
+                        .await;
+                    q.push(&ctx, (w, i)).await;
                 }
             });
         }
         let log_w = Arc::clone(&log);
-        sim.spawn("c", move |ctx| {
+        sim.spawn("c", move |ctx| async move {
             for _ in 0..30 {
-                let (w, i) = q.pop(&ctx);
+                let (w, i) = q.pop(&ctx).await;
                 log_w.lock().unwrap().push((ctx.now().as_nanos(), w, i));
             }
         });
@@ -242,8 +204,8 @@ fn identical_programs_produce_identical_schedules() {
 #[test]
 fn dropping_an_unrun_simulation_does_not_hang() {
     let mut sim = Simulation::new();
-    sim.spawn("never-started", |ctx| {
-        ctx.delay(Span::from_secs(1));
+    sim.spawn("never-started", |ctx| async move {
+        ctx.delay(Span::from_secs(1)).await;
     });
     drop(sim);
 }
@@ -254,12 +216,83 @@ fn dropping_a_deadlocked_simulation_unwinds_blocked_threads() {
     let q = sim.queue::<u8>("never", None);
     for i in 0..4 {
         let q = q.clone();
-        sim.spawn(format!("blocked{i}"), move |ctx| {
-            let _ = q.pop(&ctx);
+        sim.spawn(format!("blocked{i}"), move |ctx| async move {
+            let _ = q.pop(&ctx).await;
         });
     }
     assert!(sim.run().is_err());
-    drop(sim); // must join all threads without hanging
+    drop(sim); // must drop every parked process without hanging
+}
+
+#[test]
+fn every_process_runs_on_the_thread_that_runs_the_simulation() {
+    let mut sim = Simulation::new();
+    let q = sim.queue::<u8>("ping", Some(1));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    for p in 0..3u8 {
+        let (q, seen) = (q.clone(), Arc::clone(&seen));
+        sim.spawn(format!("p{p}"), move |ctx| async move {
+            seen.lock().unwrap().push(std::thread::current().id());
+            ctx.delay(Span::from_micros(u64::from(p) + 1)).await;
+            q.push(&ctx, p).await;
+            ctx.spawn(format!("child{p}"), move |cctx| async move {
+                let _ = q.pop(&cctx).await;
+                seen.lock().unwrap().push(std::thread::current().id());
+            });
+        });
+    }
+    sim.run().unwrap();
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 6);
+    let caller = std::thread::current().id();
+    assert!(
+        seen.iter().all(|&id| id == caller),
+        "{seen:?} vs {caller:?}"
+    );
+}
+
+/// Records the thread it is dropped on, and pops a queue as it goes: a
+/// parked process's locals run their destructors against the kernel.
+struct DropProbe {
+    dropped_on: Arc<Mutex<Option<std::thread::ThreadId>>>,
+    other: lotus_sim::Queue<u8>,
+}
+
+impl Drop for DropProbe {
+    fn drop(&mut self) {
+        let _ = self.other.try_pop();
+        *self.dropped_on.lock().unwrap() = Some(std::thread::current().id());
+    }
+}
+
+#[test]
+fn dropping_a_simulation_drops_parked_processes_in_place() {
+    let mut sim = Simulation::new();
+    let never = sim.queue::<u8>("never", None);
+    let other = sim.queue::<u8>("other", Some(1));
+    let dropped_on = Arc::new(Mutex::new(None));
+    let probe = DropProbe {
+        dropped_on: Arc::clone(&dropped_on),
+        other: other.clone(),
+    };
+    let tx = other.clone();
+    sim.spawn("parked", move |ctx| async move {
+        let _probe = probe;
+        tx.push(&ctx, 1).await;
+        let _ = never.pop(&ctx).await;
+    });
+    // Blocked on the full queue: the probe's pop wakes it as it drops.
+    sim.spawn("pusher", move |ctx| async move {
+        other.push(&ctx, 2).await;
+    });
+    assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+    assert_eq!(*dropped_on.lock().unwrap(), None);
+    drop(sim);
+    assert_eq!(
+        *dropped_on.lock().unwrap(),
+        Some(std::thread::current().id()),
+        "the parked process is dropped by the caller, not unwound on a thread of its own"
+    );
 }
 
 #[test]
@@ -269,9 +302,9 @@ fn try_pop_never_blocks() {
     let results = Arc::new(Mutex::new(Vec::new()));
     let results_w = Arc::clone(&results);
     let tx = q.clone();
-    sim.spawn("p", move |ctx| {
+    sim.spawn("p", move |ctx| async move {
         results_w.lock().unwrap().push(tx.try_pop());
-        tx.push(&ctx, 9);
+        tx.push(&ctx, 9).await;
         results_w.lock().unwrap().push(tx.try_pop());
     });
     sim.run().unwrap();
@@ -284,8 +317,8 @@ fn pop_timeout_returns_none_when_nothing_arrives() {
     let q = sim.queue::<u8>("quiet", None);
     let outcome = Arc::new(Mutex::new(None));
     let outcome_w = Arc::clone(&outcome);
-    sim.spawn("poller", move |ctx| {
-        let got = q.pop_timeout(&ctx, Span::from_millis(5));
+    sim.spawn("poller", move |ctx| async move {
+        let got = q.pop_timeout(&ctx, Span::from_millis(5)).await;
         *outcome_w.lock().unwrap() = Some((got, ctx.now().as_nanos()));
     });
     sim.run().unwrap();
@@ -299,14 +332,14 @@ fn pop_timeout_returns_items_that_arrive_in_time() {
     let mut sim = Simulation::new();
     let q = sim.queue::<u8>("timely", None);
     let tx = q.clone();
-    sim.spawn("producer", move |ctx| {
-        ctx.delay(Span::from_millis(2));
-        tx.push(&ctx, 77);
+    sim.spawn("producer", move |ctx| async move {
+        ctx.delay(Span::from_millis(2)).await;
+        tx.push(&ctx, 77).await;
     });
     let outcome = Arc::new(Mutex::new(None));
     let outcome_w = Arc::clone(&outcome);
-    sim.spawn("poller", move |ctx| {
-        let got = q.pop_timeout(&ctx, Span::from_millis(5));
+    sim.spawn("poller", move |ctx| async move {
+        let got = q.pop_timeout(&ctx, Span::from_millis(5)).await;
         *outcome_w.lock().unwrap() = Some((got, ctx.now().as_nanos()));
     });
     sim.run().unwrap();
@@ -322,16 +355,18 @@ fn pop_timeout_polling_loop_mirrors_pytorch_status_checks() {
     let mut sim = Simulation::new();
     let q = sim.queue::<u8>("poll", None);
     let tx = q.clone();
-    sim.spawn("slow-producer", move |ctx| {
-        ctx.delay(Span::from_secs(12));
-        tx.push(&ctx, 1);
+    sim.spawn("slow-producer", move |ctx| async move {
+        ctx.delay(Span::from_secs(12)).await;
+        tx.push(&ctx, 1).await;
     });
     let polls = Arc::new(Mutex::new(0u32));
     let polls_w = Arc::clone(&polls);
-    sim.spawn("main", move |ctx| loop {
-        *polls_w.lock().unwrap() += 1;
-        if q.pop_timeout(&ctx, Span::from_secs(5)).is_some() {
-            break;
+    sim.spawn("main", move |ctx| async move {
+        loop {
+            *polls_w.lock().unwrap() += 1;
+            if q.pop_timeout(&ctx, Span::from_secs(5)).await.is_some() {
+                break;
+            }
         }
     });
     sim.run().unwrap();
@@ -345,8 +380,8 @@ fn run_tied(prefix: Vec<usize>) -> (Vec<usize>, Vec<lotus_sim::DecisionRecord>) 
     let mut sim = Simulation::new();
     for i in 0..3 {
         let order = Arc::clone(&order);
-        sim.spawn(format!("p{i}"), move |ctx| {
-            ctx.delay(Span::from_millis(1));
+        sim.spawn(format!("p{i}"), move |ctx| async move {
+            ctx.delay(Span::from_millis(1)).await;
             order.lock().unwrap().push(i);
         });
     }
@@ -389,9 +424,11 @@ fn schedules_replay_deterministically() {
 fn step_limit_aborts_livelocked_run() {
     let mut sim = Simulation::new();
     let q = sim.queue::<u8>("never", None);
-    sim.spawn("poller", move |ctx| loop {
-        // Nothing ever arrives: an unbounded polling loop (livelock).
-        let _ = q.pop_timeout(&ctx, Span::from_secs(5));
+    sim.spawn("poller", move |ctx| async move {
+        loop {
+            // Nothing ever arrives: an unbounded polling loop (livelock).
+            let _ = q.pop_timeout(&ctx, Span::from_secs(5)).await;
+        }
     });
     let guide = lotus_sim::GuidedController::new(vec![], 100);
     sim.set_controller(guide as _);

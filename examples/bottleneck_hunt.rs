@@ -8,7 +8,7 @@
 use std::error::Error;
 use std::sync::Arc;
 
-use lotus::core::trace::insights::analyze;
+use lotus::core::trace::insights::{analyze, Verdict};
 use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus::uarch::{Machine, MachineConfig};
 use lotus::workloads::{ExperimentConfig, PipelineKind};
@@ -37,14 +37,13 @@ fn main() -> Result<(), Box<dyn Error>> {
 
         let insights = analyze(&trace.records());
         println!(
-            "{:<4} {:>7.1}% {:>12.1} {:>12.1} {:>12.1}  {} ({})",
+            "{:<4} {:>7.1}% {:>12.1} {:>12.1} {:>12.1}  {}",
             kind.abbrev(),
             insights.wait_fraction * 100.0,
             insights.mean_wait_ms,
             insights.mean_delay.as_millis_f64(),
             step.as_millis_f64(),
-            insights.verdict.as_str(),
-            insights.verdict.family()
+            Verdict::describe(insights.verdict)
         );
     }
     println!(

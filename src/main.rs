@@ -422,11 +422,10 @@ fn time_label(backend: BackendKind) -> &'static str {
 /// main-process wait share and the bottleneck verdict.
 fn scorecard_line(card: &Scorecard) -> String {
     format!(
-        "throughput {:.1} samples/s | main-process wait {:.1}% | verdict: {} ({})",
+        "throughput {:.1} samples/s | main-process wait {:.1}% | verdict: {}",
         card.throughput,
         card.wait_fraction * 100.0,
-        card.verdict.map_or("failed", Verdict::as_str),
-        card.verdict.map_or("failed", Verdict::family)
+        Verdict::describe(card.verdict)
     )
 }
 
@@ -592,7 +591,7 @@ fn cmd_bench(args: &Args) -> Result<(), Box<dyn Error>> {
         println!(
             "{preset}: {:.1} samples/s, verdict {} -> {}",
             outcome.scorecard.throughput,
-            outcome.scorecard.verdict.map_or("failed", Verdict::as_str),
+            outcome.scorecard.verdict.map_or("none", Verdict::as_str),
             path.display()
         );
         if let Some(baseline_path) = baseline_path {

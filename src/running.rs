@@ -408,11 +408,11 @@ pub fn bench_report(preset: &str, experiment: &ExperimentConfig, outcome: &RunOu
         ("wait_fraction".into(), Content::F64(card.wait_fraction)),
         (
             "verdict".into(),
-            Content::Str(card.verdict.map_or("failed", Verdict::as_str).into()),
+            Content::Str(card.verdict.map_or("none", Verdict::as_str).into()),
         ),
         (
             "verdict_family".into(),
-            Content::Str(card.verdict.map_or("failed", Verdict::family).into()),
+            Content::Str(card.verdict.map_or("none", Verdict::family).into()),
         ),
     ];
     // Storage-tier block, present only when the run modeled storage.

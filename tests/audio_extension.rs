@@ -114,7 +114,7 @@ fn declared_audio_pipeline_traces_and_diagnoses() {
         "wait fraction {}",
         insights.wait_fraction
     );
-    assert_eq!(insights.verdict, Verdict::PreprocessingBound);
+    assert_eq!(insights.verdict, Some(Verdict::PreprocessingBound));
     assert!(!insights.recommendations.is_empty());
 }
 

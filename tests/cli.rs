@@ -1,6 +1,6 @@
 //! Usage errors of the `lotus` binary: arguments that describe nothing
-//! to run are refused up front with a message and exit status 1, never a
-//! panic or a vacuous verdict.
+//! to run, or input files it cannot read, are refused with a message and
+//! exit status 1, never a panic, an abort or a vacuous verdict.
 
 use std::process::{Command, Output};
 
@@ -60,4 +60,17 @@ fn degenerate_model_shapes_are_usage_errors() {
     ] {
         assert_usage_error(&["audit", "--model", flag, "0"], field);
     }
+}
+
+#[test]
+fn a_deeply_nested_trace_is_an_error_not_a_stack_overflow() {
+    let dir = std::env::temp_dir().join("lotus-cli-deep-trace");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, format!("{{\"traceEvents\":{}", "[".repeat(300_000))).expect("write");
+    let path = path.to_str().expect("utf-8 temp path");
+    assert_usage_error(
+        &["check", "--trace", path],
+        "nesting deeper than 128 levels",
+    );
 }

@@ -38,7 +38,7 @@ fn cold_ic_is_storage_bound_and_warm_flips_back() {
         Some("input-bound")
     );
     let cold_insights = analyze(&cold.trace.records());
-    assert_eq!(cold_insights.verdict, Verdict::StorageBound);
+    assert_eq!(cold_insights.verdict, Some(Verdict::StorageBound));
     assert!(
         cold_insights.t0_fraction > 0.35,
         "cold t0 fraction {}",
@@ -48,7 +48,7 @@ fn cold_ic_is_storage_bound_and_warm_flips_back() {
     // A warm page cache flips the bottleneck back to the CPU phases.
     let warm_insights = analyze(&warm.trace.records());
     assert_ne!(warm.scorecard.verdict, Some(Verdict::StorageBound));
-    assert_ne!(warm_insights.verdict, Verdict::StorageBound);
+    assert_ne!(warm_insights.verdict, Some(Verdict::StorageBound));
     assert!(
         warm_insights.t0_fraction < 0.05,
         "warm t0 fraction {}",

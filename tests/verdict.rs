@@ -43,7 +43,7 @@ fn records_and_metrics_feed_the_rule_the_same_inputs() {
             ),
             "{workers} workers"
         );
-        assert_eq!(Some(insights.verdict), card.verdict, "{workers} workers");
+        assert_eq!(insights.verdict, card.verdict, "{workers} workers");
 
         // A tune trial of the same configuration is the same run.
         let trial = baseline_trial(&experiment);
@@ -84,5 +84,25 @@ fn trace_and_run_print_the_same_verdict() {
         let top = verdict_line(&[&["top", "--backend", "sim"], &shape[..]].concat());
         assert_eq!(trace, run, "{workers} workers");
         assert_eq!(top, run, "{workers} workers");
+    }
+}
+
+/// Image classification batches 128 samples with `drop_last`, so 64
+/// items make an epoch with no batch: nothing is measured, and no
+/// command names a bottleneck.
+#[test]
+fn a_run_that_consumes_no_batch_gets_no_verdict() {
+    let outcome = run_experiment(&ic(2).scaled_to(64), &RunOptions::sim()).unwrap();
+    assert_eq!(outcome.scorecard.batches, 0);
+    assert_eq!(outcome.scorecard.verdict, None);
+    assert_eq!(analyze(&outcome.trace.records()).verdict, None);
+
+    let shape = ["--pipeline", "ic", "--items", "64"];
+    for command in [&["trace"][..], &["run", "--backend", "sim"], &["top"]] {
+        assert_eq!(
+            verdict_line(&[command, &shape[..]].concat()),
+            "verdict: none (no batch consumed)",
+            "{command:?}"
+        );
     }
 }
