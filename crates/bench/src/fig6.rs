@@ -240,10 +240,22 @@ impl fmt::Display for Fig6 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
-    fn sweep() -> Fig6 {
-        run(Scale::scaled())
+    fn sweep_on(jobs: usize) -> Fig6 {
+        let exec = ExecArgs {
+            jobs,
+            use_cache: false,
+        };
+        run_on_with(Scale::scaled(), MachineConfig::cloudlab_c4130(), &exec)
+    }
+
+    /// The scaled Intel sweep, computed once on 4 jobs for every test.
+    fn sweep() -> &'static Fig6 {
+        static SWEEP: OnceLock<Fig6> = OnceLock::new();
+        SWEEP.get_or_init(|| sweep_on(4))
     }
 
     #[test]
@@ -346,23 +358,7 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
-        let serial = run_on_with(
-            Scale::scaled(),
-            MachineConfig::cloudlab_c4130(),
-            &ExecArgs {
-                jobs: 1,
-                use_cache: false,
-            },
-        );
-        let parallel = run_on_with(
-            Scale::scaled(),
-            MachineConfig::cloudlab_c4130(),
-            &ExecArgs {
-                jobs: 4,
-                use_cache: false,
-            },
-        );
-        assert_eq!(format!("{serial}"), format!("{parallel}"));
+        assert_eq!(format!("{}", sweep_on(1)), format!("{}", sweep()));
     }
 
     #[test]

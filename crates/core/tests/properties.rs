@@ -1,17 +1,27 @@
 //! Property-based tests for LotusTrace/LotusMap data structures: log-line
-//! round trips, histogram-vs-exact agreement, mapping serialization, and
-//! conservation laws of metric splitting.
+//! round trips, histogram-vs-exact agreement, mapping serialization,
+//! conservation laws of metric splitting, and every file reader fed
+//! mutated files.
 
 use std::collections::BTreeMap;
 
-use lotus_core::map::{split_metrics, split_metrics_mix_aware, MappedFunction, Mapping, OpMapping};
+use lotus_core::map::{
+    split_metrics, split_metrics_mix_aware, MappedFunction, Mapping, OpMapping, StorageAttribution,
+    TierUsage,
+};
 use lotus_core::metrics::TraceEvent;
+use lotus_core::trace::chrome::{from_chrome_trace, to_chrome_trace, ChromeTraceOptions};
 use lotus_core::trace::hist::LogHistogram;
 use lotus_core::trace::{SpanKind, TraceRecord};
+use lotus_core::tune::Scorecard;
 use lotus_data::stats::Summary;
 use lotus_sim::{Span, Time};
 use lotus_uarch::{FnStats, FunctionProfile, HwEvents};
 use proptest::prelude::*;
+use serde_json::Value;
+
+const TRACE_LOG: &str = include_str!("../../../baselines/TRACE_ic_roundrobin.log");
+const TUNE_REPORT: &str = include_str!("../../../baselines/TUNE_ic_roundrobin.json");
 
 fn arb_kind() -> impl Strategy<Value = SpanKind> {
     prop_oneof![
@@ -208,4 +218,210 @@ proptest! {
                 "attributed {} vs collected {}", attributed, total_insts);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// A committed log line with flipped bits, a cut, deep nesting or an
+    /// out-of-range number is a record or an error, never a panic.
+    #[test]
+    fn mutated_log_lines_parse_totally(
+        line in 0usize..10_000,
+        edits in prop::collection::vec(edit(), 1..4),
+    ) {
+        let lines: Vec<&str> = TRACE_LOG.lines().collect();
+        let text = mutate(lines[line % lines.len()], &edits);
+        if let Ok(record) = TraceRecord::parse_log_line(&text) {
+            let _ = record.end();
+        }
+    }
+
+    /// The same for a Chrome-trace export of committed records.
+    #[test]
+    fn mutated_chrome_traces_parse_totally(edits in prop::collection::vec(edit(), 1..4)) {
+        let records: Vec<TraceRecord> = TRACE_LOG
+            .lines()
+            .take(8)
+            .map(|line| TraceRecord::parse_log_line(line).unwrap())
+            .collect();
+        let doc = to_chrome_trace(&records, ChromeTraceOptions { coarse: false });
+        let text = mutate(&serde_json::to_string_pretty(&doc).unwrap(), &edits);
+        if let Ok(doc) = serde_json::from_str::<Value>(&text) {
+            for record in from_chrome_trace(&doc).unwrap_or_default() {
+                let _ = record.end();
+            }
+        }
+    }
+
+    /// The same for a committed tuner scorecard, the trial cache's
+    /// payload.
+    #[test]
+    fn mutated_scorecards_parse_totally(edits in prop::collection::vec(edit(), 1..4)) {
+        let report: Value = serde_json::from_str(TUNE_REPORT).unwrap();
+        let text = mutate(&serde_json::to_string_pretty(&report["baseline"]).unwrap(), &edits);
+        if let Ok(doc) = serde_json::from_str::<Value>(&text) {
+            let _ = Scorecard::from_json_value(&doc);
+        }
+    }
+
+    /// The same for a mapping artifact with its storage block.
+    #[test]
+    fn mutated_mappings_parse_totally(edits in prop::collection::vec(edit(), 1..4)) {
+        let mut mapping = Mapping::new();
+        mapping.insert(OpMapping {
+            op: "Loader".into(),
+            functions: vec![MappedFunction {
+                name: "decode_mcu".into(),
+                library: "libjpeg.so".into(),
+                captured_runs: 18,
+                total_runs: 20,
+                samples: 4_096,
+            }],
+        });
+        mapping.set_storage(storage_attribution());
+        let _ = Mapping::from_json(&mutate(&mapping.to_json(), &edits));
+    }
+
+    /// The same for a storage attribution artifact.
+    #[test]
+    fn mutated_storage_attributions_parse_totally(edits in prop::collection::vec(edit(), 1..4)) {
+        let text = mutate(&storage_attribution().to_json(), &edits);
+        let _ = StorageAttribution::from_json(&text);
+    }
+}
+
+fn storage_attribution() -> StorageAttribution {
+    StorageAttribution {
+        tiers: vec![
+            TierUsage {
+                tier: "page-cache".into(),
+                reads: 96,
+                bytes: 1 << 20,
+                t0_ns: 80_000,
+            },
+            TierUsage {
+                tier: "object-store".into(),
+                reads: 32,
+                bytes: 8 << 20,
+                t0_ns: 41_000_000,
+            },
+        ],
+        seeks: 3,
+        max_queue_depth: 4,
+    }
+}
+
+/// One edit of a serialized file. Positions are taken modulo the file's
+/// length when applied.
+#[derive(Debug, Clone)]
+enum Edit {
+    FlipBit {
+        at: usize,
+        bit: u8,
+    },
+    Truncate {
+        at: usize,
+    },
+    /// Inserts `text` (deep nesting, or a number) at a position.
+    Insert {
+        at: usize,
+        text: String,
+    },
+    /// Replaces the `nth` number of the file with `text`.
+    Number {
+        nth: usize,
+        text: String,
+    },
+}
+
+impl Edit {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        let len = bytes.len().max(1);
+        match self {
+            Edit::FlipBit { at, bit } => {
+                if let Some(b) = bytes.get_mut(at % len) {
+                    *b ^= 1 << bit;
+                }
+            }
+            Edit::Truncate { at } => bytes.truncate(at % len),
+            Edit::Insert { at, text } => {
+                let at = at % len;
+                bytes.splice(at.min(bytes.len())..at.min(bytes.len()), text.bytes());
+            }
+            Edit::Number { nth, text } => {
+                let numbers = number_spans(bytes);
+                if !numbers.is_empty() {
+                    let (start, end) = numbers[nth % numbers.len()];
+                    bytes.splice(start..end, text.bytes());
+                }
+            }
+        }
+    }
+}
+
+/// The byte ranges of `bytes`' numbers: digit runs with an optional
+/// leading minus sign.
+fn number_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i].is_ascii_digit() {
+            let start = if i > 0 && bytes[i - 1] == b'-' {
+                i - 1
+            } else {
+                i
+            };
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
+                i += 1;
+            }
+            spans.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}
+
+/// `text` after `edits`, read back as (lossy) UTF-8.
+fn mutate(text: &str, edits: &[Edit]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for e in edits {
+        e.apply(&mut bytes);
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Huge, negative and non-finite numbers, ones just past `u32` and
+/// `u64`, and a microsecond count just below `u64::MAX` nanoseconds.
+fn number() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("18446744073709551615"),
+        Just("18446744073709551616"),
+        Just("18446744073709547"),
+        Just("99999999999999999999999"),
+        Just("4294967296"),
+        Just("-5"),
+        Just("-0"),
+        Just("1e30"),
+        Just("-1e30"),
+        Just("1e400"),
+        Just("NaN"),
+        Just("inf"),
+        Just("0.5"),
+    ]
+    .prop_map(String::from)
+}
+
+fn edit() -> impl Strategy<Value = Edit> {
+    let nesting =
+        prop_oneof![Just(129usize), Just(2_000), Just(100_000)].prop_map(|depth| "[".repeat(depth));
+    prop_oneof![
+        (0usize..1 << 16, 0u8..8).prop_map(|(at, bit)| Edit::FlipBit { at, bit }),
+        (0usize..1 << 16).prop_map(|at| Edit::Truncate { at }),
+        (0usize..1 << 16, nesting).prop_map(|(at, text)| Edit::Insert { at, text }),
+        (0usize..1 << 16, number()).prop_map(|(at, text)| Edit::Insert { at, text }),
+        (0usize..1 << 16, number()).prop_map(|(nth, text)| Edit::Number { nth, text }),
+        (0usize..1 << 16, number()).prop_map(|(nth, text)| Edit::Number { nth, text }),
+    ]
 }

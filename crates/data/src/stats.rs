@@ -34,7 +34,7 @@ impl Summary {
     pub fn of(values: &[f64]) -> Summary {
         assert!(!values.is_empty(), "cannot summarize an empty sample");
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+        sorted.sort_by(f64::total_cmp);
         let count = sorted.len();
         let mean = sorted.iter().sum::<f64>() / count as f64;
         let var = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
@@ -71,7 +71,7 @@ impl Summary {
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "cannot take percentile of empty sample");
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+    sorted.sort_by(f64::total_cmp);
     percentile_sorted(&sorted, p)
 }
 

@@ -165,6 +165,7 @@ impl Tensor {
     /// Panics if the dtype is not [`DType::U8`]; use [`Tensor::try_as_u8`]
     /// where a typed error is needed instead.
     #[must_use]
+    #[allow(clippy::expect_used)]
     pub fn as_u8(&self) -> &[u8] {
         self.try_as_u8().expect("tensor is f32, expected u8")
     }
@@ -174,6 +175,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the dtype is not [`DType::U8`].
+    #[allow(clippy::expect_used)]
     pub fn as_u8_mut(&mut self) -> &mut [u8] {
         self.try_as_u8_mut().expect("tensor is f32, expected u8")
     }
@@ -203,6 +205,7 @@ impl Tensor {
     /// Panics if the dtype is not [`DType::F32`]; use [`Tensor::try_as_f32`]
     /// where a typed error is needed instead.
     #[must_use]
+    #[allow(clippy::expect_used)]
     pub fn as_f32(&self) -> &[f32] {
         self.try_as_f32().expect("tensor is u8, expected f32")
     }
@@ -212,6 +215,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the dtype is not [`DType::F32`].
+    #[allow(clippy::expect_used)]
     pub fn as_f32_mut(&mut self) -> &mut [f32] {
         self.try_as_f32_mut().expect("tensor is u8, expected f32")
     }

@@ -80,6 +80,9 @@ impl ComparisonHarness {
         ComparisonHarness { config }
     }
 
+    // The harness's configuration has no fault plan, so its simulated run
+    // cannot fail.
+    #[allow(clippy::expect_used)]
     fn run_with(&self, tracer: Arc<dyn Tracer>) -> Span {
         let machine = Machine::new(MachineConfig::cloudlab_c4130());
         let report = self

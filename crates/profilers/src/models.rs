@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use lotus_dataflow::Tracer;
 use lotus_sim::{Span, Time};
@@ -172,7 +172,7 @@ impl Tracer for SamplingProfiler {
     fn on_op(&self, _pid: u32, _batch: u64, name: &str, start: Time, dur: Span) -> Span {
         let n = self.samples_in(start, dur);
         if n > 0 {
-            let mut st = self.state.lock().expect("profiler poisoned");
+            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             *st.op_samples.entry(name.to_string()).or_insert(0) += n;
         }
         Span::ZERO // sampling costs are modelled as dilation, not per-event
@@ -189,7 +189,7 @@ impl ProfilerModel for SamplingProfiler {
     }
 
     fn finish(&self, wall_time: Span, processes: usize) -> ProfilerOutput {
-        let st = self.state.lock().expect("profiler poisoned");
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let total_samples =
             wall_time.as_nanos() / self.config.interval.as_nanos().max(1) * processes as u64;
         let log_bytes = self.config.report_bytes + total_samples * self.config.bytes_per_sample;

@@ -20,7 +20,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use lotus_core::metrics::MetricsRegistry;
@@ -94,7 +94,10 @@ impl SamplerShared {
             rss_kb: read_rss_kb(Path::new("/proc/self/status")).unwrap_or(0),
             threads: read_thread_samples(Path::new("/proc/self/task")),
         };
-        self.ticks.lock().expect("sampler poisoned").push(tick);
+        self.ticks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(tick);
         self.scrape_overhead_ns
             .fetch_add(entered.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -151,28 +154,23 @@ impl NativeSampler {
         &self.shared.feed
     }
 
-    /// Spawns the background sampling thread. Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS refuses to spawn a thread.
+    /// Spawns the background sampling thread. Idempotent. If the OS
+    /// refuses a thread, the sampler takes no background ticks.
     pub fn start(&mut self) {
         if self.handle.is_some() {
             return;
         }
         let shared = Arc::clone(&self.shared);
         let tick = self.tick;
-        self.handle = Some(
-            std::thread::Builder::new()
-                .name("lotus-sampler".to_string())
-                .spawn(move || {
-                    while !shared.stop.load(Ordering::Acquire) {
-                        shared.sample_once();
-                        std::thread::sleep(tick);
-                    }
-                })
-                .expect("failed to spawn sampler thread"),
-        );
+        self.handle = std::thread::Builder::new()
+            .name("lotus-sampler".to_string())
+            .spawn(move || {
+                while !shared.stop.load(Ordering::Acquire) {
+                    shared.sample_once();
+                    std::thread::sleep(tick);
+                }
+            })
+            .ok();
     }
 
     /// Stops and joins the background thread. Idempotent; collected
@@ -206,18 +204,18 @@ impl NativeSampler {
     }
 
     /// The ticks collected so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sampler thread panicked mid-scrape.
     #[must_use]
     pub fn ticks(&self) -> Vec<SamplerTick> {
-        self.shared.ticks.lock().expect("sampler poisoned").clone()
+        self.shared
+            .ticks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Total profiling overhead: the sampler's scrape time plus the
-    /// feed's recording time — the self-accounted cost the bench report
-    /// discloses.
+    /// feed's recording time — the self-accounted cost `lotus run
+    /// --profile` prints.
     #[must_use]
     pub fn overhead(&self) -> Span {
         Span::from_nanos(self.shared.scrape_overhead_ns.load(Ordering::Relaxed))

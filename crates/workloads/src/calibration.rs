@@ -251,6 +251,9 @@ pub struct MeasuredBlock {
 /// Panics if the simulated run fails (paper-default configurations
 /// always complete).
 #[must_use]
+// A paper-default configuration has no fault plan and a valid loader, so
+// its simulated run cannot fail.
+#[allow(clippy::expect_used)]
 pub fn measure_op_block(kind: PipelineKind, items: u64) -> MeasuredBlock {
     let machine = Machine::new(MachineConfig::cloudlab_c4130());
     let trace = Arc::new(LotusTrace::with_config(LotusTraceConfig {

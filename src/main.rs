@@ -2,6 +2,10 @@
 //! mapping, attribute counters to operations, or compare profilers — the
 //! workflows of the paper's artifact, as one binary.
 
+// Failures reach the user as error messages, not panics; a remaining
+// panic site carries a targeted `#[allow]` with its invariant.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::process::ExitCode;
@@ -21,9 +25,7 @@ use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode, SpanKind};
 use lotus::core::tune::{Scorecard, SearchSpace, Strategy};
 use lotus::dataflow::{FaultPlan, LoaderMutation, SchedulingPolicyKind};
 use lotus::profilers::ComparisonHarness;
-use lotus::running::{
-    bench_report, check_regression, run_experiment, BackendKind, RunOptions, RunOutcome,
-};
+use lotus::running::{run_experiment, BackendKind, RunOptions, RunOutcome};
 use lotus::sim::{FileLayout, Span, StorageTier};
 use lotus::tuning::{tune_experiment, TuneOptions};
 use lotus::uarch::{
@@ -80,18 +82,6 @@ USAGE:
       and --storage-out writes the attribution as JSON. --out writes a
       Chrome trace; --log writes a LotusTrace log file that
       `lotus check --trace FILE` lints.
-
-  lotus bench     [--backend sim|native] [--presets ic,ac,is] [--items N]
-                  [--batch B] [--workers W] [--no-gpu] [--profile]
-                  [--out-dir DIR] [--check-against FILE] [--tolerance F]
-      Run small-scale benchmark epochs (native by default) and write one
-      BENCH_<backend>_<preset>.json per preset: throughput, p50/p99
-      batch latency, the T1/T2/T3 phase split, and the bottleneck
-      verdict. --check-against gates a single preset against a committed
-      baseline JSON and fails on a throughput regression beyond
-      --tolerance (default 0.2 = 20%). --profile (native) adds the
-      sampling profiler's self-accounting block to the report
-      (lotus-bench-v2; v1 baselines stay comparable).
 
   lotus map       [--backend sim|native] [--vendor intel|amd] [--runs N]
                   [--no-sleep-gap] [--storage cold|warm]
@@ -267,18 +257,30 @@ fn pipeline_of(name: &str) -> Result<PipelineKind, String> {
     }
 }
 
-fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
+/// The experiment that `--pipeline`, `--batch`, `--items`, the storage
+/// flags and `--policy` describe. Without `--items`, an epoch is
+/// `batches` batches, or `is_items` volumes for IS.
+fn experiment_of(
+    args: &Args,
+    batches: u64,
+    is_items: u64,
+) -> Result<ExperimentConfig, Box<dyn Error>> {
     let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
     let mut config = ExperimentConfig::paper_default(kind);
     config.batch_size = args.get("batch", config.batch_size)?;
+    let default_items = match kind {
+        PipelineKind::ImageSegmentation => is_items,
+        _ => batches * config.batch_size as u64,
+    };
+    let config = config.scaled_to(args.get("items", default_items)?);
+    Ok(apply_storage_flags(args, config)?.with_policy(policy_of(args)?))
+}
+
+fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
+    let mut config = experiment_of(args, 8, 210)?;
     config.num_workers = args.get("workers", config.num_workers)?;
     config.num_gpus = args.get("gpus", config.num_gpus)?;
-    let default_items = match kind {
-        PipelineKind::ImageSegmentation => 210,
-        _ => 8 * config.batch_size as u64,
-    };
-    let config = apply_storage_flags(args, config.scaled_to(args.get("items", default_items)?))?
-        .with_policy(policy_of(args)?);
+    let kind = config.pipeline;
 
     let machine = Machine::new(MachineConfig::cloudlab_c4130());
     let trace = Arc::new(LotusTrace::new());
@@ -332,14 +334,14 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Parses `--backend` (default `native` for run/bench, `sim` for top).
+/// Parses `--backend` (default `native` for run, `sim` for top).
 fn backend_of(args: &Args, default: &str) -> Result<BackendKind, Box<dyn Error>> {
     let raw = args.get("backend", default.to_string())?;
     BackendKind::parse(&raw)
         .ok_or_else(|| format!("unknown backend '{raw}' (expected sim or native)").into())
 }
 
-/// Applies the run-shaping flags shared by `run`, `bench` and `top`.
+/// Applies the run-shaping flags shared by `run` and `top`.
 fn apply_run_flags(args: &Args, options: &mut RunOptions) -> Result<(), Box<dyn Error>> {
     if args.has("no-gpu") {
         options.emulate_gpu = false;
@@ -401,15 +403,6 @@ fn apply_storage_flags(
     Ok(config.with_storage(storage))
 }
 
-/// Small-scale default item count for an on-backend run: a few real
-/// batches, not the paper-scale epoch `lotus trace` simulates.
-fn run_default_items(kind: PipelineKind, batch_size: usize) -> u64 {
-    match kind {
-        PipelineKind::ImageSegmentation => 8,
-        _ => 4 * batch_size as u64,
-    }
-}
-
 /// Which clock a backend's elapsed times are on.
 fn time_label(backend: BackendKind) -> &'static str {
     match backend {
@@ -430,14 +423,12 @@ fn scorecard_line(card: &Scorecard) -> String {
 }
 
 fn cmd_run(args: &Args) -> Result<(), Box<dyn Error>> {
-    let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
-    let mut config = ExperimentConfig::paper_default(kind);
-    config.batch_size = args.get("batch", config.batch_size)?;
+    // A few real batches, not the paper-scale epoch `lotus trace`
+    // simulates.
+    let mut config = experiment_of(args, 4, 8)?;
     config.num_workers = args.get("workers", config.num_workers)?;
     config.num_gpus = args.get("gpus", config.num_gpus)?;
-    let default_items = run_default_items(kind, config.batch_size);
-    let config = apply_storage_flags(args, config.scaled_to(args.get("items", default_items)?))?
-        .with_policy(policy_of(args)?);
+    let kind = config.pipeline;
 
     let backend = backend_of(args, "native")?;
     let mut options = RunOptions::for_backend(backend);
@@ -551,60 +542,6 @@ fn t0_reads_line(outcome: &RunOutcome) -> String {
         reads.len(),
         bytes as f64 / 1e6
     )
-}
-
-fn cmd_bench(args: &Args) -> Result<(), Box<dyn Error>> {
-    let backend = backend_of(args, "native")?;
-    let presets: Vec<String> = args
-        .get("presets", "ic".to_string())?
-        .split(',')
-        .map(|s| s.trim().to_ascii_lowercase())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if presets.is_empty() {
-        return Err("--presets must name at least one pipeline".into());
-    }
-    let baseline_path = args.flags.get("check-against");
-    if baseline_path.is_some() && presets.len() != 1 {
-        return Err(
-            "--check-against gates exactly one preset; pass a single --presets value".into(),
-        );
-    }
-    let tolerance: f64 = args.get("tolerance", 0.2)?;
-    let out_dir = std::path::PathBuf::from(args.get("out-dir", ".".to_string())?);
-    std::fs::create_dir_all(&out_dir)?;
-
-    for preset in &presets {
-        let kind = pipeline_of(preset)?;
-        let mut config = ExperimentConfig::paper_default(kind);
-        config.batch_size = args.get("batch", config.batch_size)?;
-        config.num_workers = args.get("workers", config.num_workers)?;
-        let default_items = run_default_items(kind, config.batch_size);
-        let config = config.scaled_to(args.get("items", default_items)?);
-
-        let mut options = RunOptions::for_backend(backend);
-        apply_run_flags(args, &mut options)?;
-        let outcome = run_experiment(&config, &options)?;
-        let report = bench_report(preset, &config, &outcome);
-        let path = out_dir.join(format!("BENCH_{}_{preset}.json", outcome.backend));
-        std::fs::write(&path, serde_json::to_string_pretty(&report)?)?;
-        println!(
-            "{preset}: {:.1} samples/s, verdict {} -> {}",
-            outcome.scorecard.throughput,
-            outcome.scorecard.verdict.map_or("none", Verdict::as_str),
-            path.display()
-        );
-        if let Some(baseline_path) = baseline_path {
-            let raw = std::fs::read_to_string(baseline_path)?;
-            let baseline: serde_json::Value = serde_json::from_str(&raw)?;
-            check_regression(&report, &baseline, tolerance)?;
-            println!(
-                "  regression gate vs {baseline_path}: ok (tolerance {:.0}%)",
-                tolerance * 100.0
-            );
-        }
-    }
-    Ok(())
 }
 
 fn cmd_map(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -754,16 +691,8 @@ fn cmd_compare(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_top(args: &Args) -> Result<(), Box<dyn Error>> {
-    let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
-    let mut config = ExperimentConfig::paper_default(kind);
-    config.batch_size = args.get("batch", config.batch_size)?;
+    let mut config = experiment_of(args, 8, 210)?;
     config.num_workers = args.get("workers", config.num_workers)?;
-    let default_items = match kind {
-        PipelineKind::ImageSegmentation => 210,
-        _ => 8 * config.batch_size as u64,
-    };
-    let config = apply_storage_flags(args, config.scaled_to(args.get("items", default_items)?))?
-        .with_policy(policy_of(args)?);
 
     // The one measured-run harness: the same numbers and verdict as
     // `lotus run` on the same backend. On native, gauges and histograms
@@ -800,7 +729,9 @@ fn cmd_top(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 /// Builds the `FaultPlan` from the shared `--kill-worker` / `--kill-at-ms`
-/// / `--error-rate` / `--error-op` flags (used by `tune` and `run`).
+/// / `--error-rate` / `--error-op` / `--slow-rate` / `--slow-factor`
+/// flags (used by `tune` and `run`). A rate outside [0, 1] or a slowdown
+/// factor below 1 is a usage error.
 fn parse_fault_flags(args: &Args, seed: u64) -> Result<FaultPlan, Box<dyn Error>> {
     let mut faults = FaultPlan::new(seed);
     if let Some(worker) = args.flags.get("kill-worker") {
@@ -813,17 +744,29 @@ fn parse_fault_flags(args: &Args, seed: u64) -> Result<FaultPlan, Box<dyn Error>
             lotus::sim::Time::ZERO + Span::from_millis(at_ms),
         );
     }
-    let error_rate: f64 = args.get("error-rate", 0.0)?;
+    let error_rate = probability(args, "error-rate")?;
     if error_rate > 0.0 {
         let op = args.get("error-op", "Loader".to_string())?;
         faults = faults.inject_sample_errors(op, error_rate);
     }
-    let slow_rate: f64 = args.get("slow-rate", 0.0)?;
+    let slow_rate = probability(args, "slow-rate")?;
+    let factor: f64 = args.get("slow-factor", 10.0)?;
+    if !(1.0..f64::INFINITY).contains(&factor) {
+        return Err(format!("--slow-factor must be finite and at least 1, got {factor}").into());
+    }
     if slow_rate > 0.0 {
-        let factor: f64 = args.get("slow-factor", 10.0)?;
         faults = faults.slow_samples(slow_rate, factor);
     }
     Ok(faults)
+}
+
+/// Reads the probability flag `name`: 0 when absent, else within [0, 1].
+fn probability(args: &Args, name: &str) -> Result<f64, String> {
+    let p: f64 = args.get(name, 0.0)?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("--{name} must be within [0, 1], got {p}"));
+    }
+    Ok(p)
 }
 
 fn parse_usize_list(name: &str, raw: &str) -> Result<Vec<usize>, String> {
@@ -849,15 +792,8 @@ fn parse_cap_list(raw: &str) -> Result<Vec<Option<usize>>, String> {
 }
 
 fn cmd_tune(args: &Args) -> Result<(), Box<dyn Error>> {
-    let kind = pipeline_of(&args.get("pipeline", "ic".to_string())?)?;
-    let mut config = ExperimentConfig::paper_default(kind);
-    config.batch_size = args.get("batch", config.batch_size)?;
-    let default_items = match kind {
-        PipelineKind::ImageSegmentation => 16,
-        _ => 8 * config.batch_size as u64,
-    };
-    let config = apply_storage_flags(args, config.scaled_to(args.get("items", default_items)?))?
-        .with_policy(policy_of(args)?);
+    let config = experiment_of(args, 8, 16)?;
+    let kind = config.pipeline;
 
     let mut space = SearchSpace::default();
     if let Some(raw) = args.flags.get("workers") {
@@ -1399,14 +1335,6 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
         ],
     ),
     (
-        "bench",
-        cmd_bench,
-        &[
-            RUN_FLAGS,
-            "backend presets items batch workers out-dir check-against tolerance",
-        ],
-    ),
-    (
         "map",
         cmd_map,
         &[STORAGE_FLAGS, "backend vendor runs no-sleep-gap items out"],
@@ -1478,9 +1406,11 @@ fn run() -> Result<(), Box<dyn Error>> {
         return Err(format!("unknown flag --{flag} for `lotus {command}` (see lotus help)").into());
     }
     // Every command sizes its dataset from --items; an empty one has
-    // nothing to load, trace or audit.
-    if args.get("items", 1u64)? == 0 {
-        return Err("--items must be at least 1".into());
+    // nothing to load, trace or audit. A GPU group needs a GPU.
+    for flag in ["items", "gpus"] {
+        if args.get(flag, 1u64)? == 0 {
+            return Err(format!("--{flag} must be at least 1").into());
+        }
     }
     cmd(&args)
 }
