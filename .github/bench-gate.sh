@@ -15,7 +15,7 @@ set -euo pipefail
 
 # Pairs of runs, one seed per pair. The side that runs first alternates
 # from pair to pair.
-PAIRS=3
+PAIRS=5
 FIRST_SEED=263
 
 if [ "$#" -ne 1 ]; then

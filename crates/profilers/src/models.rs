@@ -116,6 +116,7 @@ impl SamplingConfig {
 pub struct SamplingProfiler {
     name: &'static str,
     config: SamplingConfig,
+    /// One counter add per update: a poisoned lock still guards valid counts.
     state: Mutex<SamplingState>,
 }
 

@@ -73,6 +73,7 @@ struct SamplerShared {
     feed: Arc<KernelSpanFeed>,
     epoch: Instant,
     stop: AtomicBool,
+    /// One push per update: a poisoned lock still guards valid ticks.
     ticks: Mutex<Vec<SamplerTick>>,
     scrape_overhead_ns: AtomicU64,
 }
