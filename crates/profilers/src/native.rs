@@ -155,23 +155,31 @@ impl NativeSampler {
         &self.shared.feed
     }
 
-    /// Spawns the background sampling thread. Idempotent. If the OS
-    /// refuses a thread, the sampler takes no background ticks.
+    /// Spawns the background sampling thread. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses to spawn a thread.
+    // A sampler without its thread would report zero ticks as if it had
+    // run; the profiled run must not go on with a silent empty profile.
+    #[allow(clippy::expect_used)]
     pub fn start(&mut self) {
         if self.handle.is_some() {
             return;
         }
         let shared = Arc::clone(&self.shared);
         let tick = self.tick;
-        self.handle = std::thread::Builder::new()
-            .name("lotus-sampler".to_string())
-            .spawn(move || {
-                while !shared.stop.load(Ordering::Acquire) {
-                    shared.sample_once();
-                    std::thread::sleep(tick);
-                }
-            })
-            .ok();
+        self.handle = Some(
+            std::thread::Builder::new()
+                .name("lotus-sampler".to_string())
+                .spawn(move || {
+                    while !shared.stop.load(Ordering::Acquire) {
+                        shared.sample_once();
+                        std::thread::sleep(tick);
+                    }
+                })
+                .expect("failed to spawn sampler thread"),
+        );
     }
 
     /// Stops and joins the background thread. Idempotent; collected
@@ -215,8 +223,8 @@ impl NativeSampler {
     }
 
     /// Total profiling overhead: the sampler's scrape time plus the
-    /// feed's recording time — the self-accounted cost `lotus run
-    /// --profile` prints.
+    /// feed's recording time — the self-accounted cost the bench report
+    /// discloses.
     #[must_use]
     pub fn overhead(&self) -> Span {
         Span::from_nanos(self.shared.scrape_overhead_ns.load(Ordering::Relaxed))

@@ -14,8 +14,8 @@
 //! profiler (`resume` / `pause` / `detach`, with `resume` a no-op after
 //! `detach`), so LotusMap's isolation harness works identically on both
 //! substrates. Every recording self-accounts its own cost into
-//! [`KernelSpanFeed::overhead`], feeding the profiler overhead line of
-//! `lotus run --profile`.
+//! [`KernelSpanFeed::overhead`], feeding the bench report's profiler
+//! overhead line.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -25,7 +25,9 @@ use lotus::core::trace::{LotusTrace, LotusTraceConfig, OpLogMode, SpanKind};
 use lotus::core::tune::{Scorecard, SearchSpace, Strategy};
 use lotus::dataflow::{FaultPlan, LoaderMutation, SchedulingPolicyKind};
 use lotus::profilers::ComparisonHarness;
-use lotus::running::{run_experiment, BackendKind, RunOptions, RunOutcome};
+use lotus::running::{
+    bench_report, check_regression, run_experiment, BackendKind, RunOptions, RunOutcome,
+};
 use lotus::sim::{FileLayout, Span, StorageTier};
 use lotus::tuning::{tune_experiment, TuneOptions};
 use lotus::uarch::{
@@ -82,6 +84,18 @@ USAGE:
       and --storage-out writes the attribution as JSON. --out writes a
       Chrome trace; --log writes a LotusTrace log file that
       `lotus check --trace FILE` lints.
+
+  lotus bench     [--backend sim|native] [--presets ic,ac,is] [--items N]
+                  [--batch B] [--workers W] [--no-gpu] [--profile]
+                  [--out-dir DIR] [--check-against FILE] [--tolerance F]
+      Run small-scale benchmark epochs (native by default) and write one
+      BENCH_<backend>_<preset>.json per preset: throughput, p50/p99
+      batch latency, the T1/T2/T3 phase split, and the bottleneck
+      verdict. --check-against gates a single preset against a committed
+      baseline JSON and fails on a throughput regression beyond
+      --tolerance (default 0.2 = 20%). --profile (native) adds the
+      sampling profiler's self-accounting block to the report
+      (lotus-bench-v2; v1 baselines stay comparable).
 
   lotus map       [--backend sim|native] [--vendor intel|amd] [--runs N]
                   [--no-sleep-gap] [--storage cold|warm]
@@ -334,14 +348,14 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Parses `--backend` (default `native` for run, `sim` for top).
+/// Parses `--backend` (default `native` for run/bench, `sim` for top).
 fn backend_of(args: &Args, default: &str) -> Result<BackendKind, Box<dyn Error>> {
     let raw = args.get("backend", default.to_string())?;
     BackendKind::parse(&raw)
         .ok_or_else(|| format!("unknown backend '{raw}' (expected sim or native)").into())
 }
 
-/// Applies the run-shaping flags shared by `run` and `top`.
+/// Applies the run-shaping flags shared by `run`, `bench` and `top`.
 fn apply_run_flags(args: &Args, options: &mut RunOptions) -> Result<(), Box<dyn Error>> {
     if args.has("no-gpu") {
         options.emulate_gpu = false;
@@ -542,6 +556,64 @@ fn t0_reads_line(outcome: &RunOutcome) -> String {
         reads.len(),
         bytes as f64 / 1e6
     )
+}
+
+fn cmd_bench(args: &Args) -> Result<(), Box<dyn Error>> {
+    let backend = backend_of(args, "native")?;
+    let presets: Vec<String> = args
+        .get("presets", "ic".to_string())?
+        .split(',')
+        .map(|s| s.trim().to_ascii_lowercase())
+        .filter(|s| !s.is_empty())
+        .collect();
+    if presets.is_empty() {
+        return Err("--presets must name at least one pipeline".into());
+    }
+    let baseline_path = args.flags.get("check-against");
+    if baseline_path.is_some() && presets.len() != 1 {
+        return Err(
+            "--check-against gates exactly one preset; pass a single --presets value".into(),
+        );
+    }
+    let tolerance: f64 = args.get("tolerance", 0.2)?;
+    let out_dir = std::path::PathBuf::from(args.get("out-dir", ".".to_string())?);
+    std::fs::create_dir_all(&out_dir)?;
+
+    for preset in &presets {
+        let kind = pipeline_of(preset)?;
+        let mut config = ExperimentConfig::paper_default(kind);
+        config.batch_size = args.get("batch", config.batch_size)?;
+        config.num_workers = args.get("workers", config.num_workers)?;
+        // The same few real batches as `lotus run`.
+        let default_items = match kind {
+            PipelineKind::ImageSegmentation => 8,
+            _ => 4 * config.batch_size as u64,
+        };
+        let config = config.scaled_to(args.get("items", default_items)?);
+
+        let mut options = RunOptions::for_backend(backend);
+        apply_run_flags(args, &mut options)?;
+        let outcome = run_experiment(&config, &options)?;
+        let report = bench_report(preset, &config, &outcome);
+        let path = out_dir.join(format!("BENCH_{}_{preset}.json", outcome.backend));
+        std::fs::write(&path, serde_json::to_string_pretty(&report)?)?;
+        println!(
+            "{preset}: {:.1} samples/s, verdict {} -> {}",
+            outcome.scorecard.throughput,
+            outcome.scorecard.verdict.map_or("none", Verdict::as_str),
+            path.display()
+        );
+        if let Some(baseline_path) = baseline_path {
+            let raw = std::fs::read_to_string(baseline_path)?;
+            let baseline: serde_json::Value = serde_json::from_str(&raw)?;
+            check_regression(&report, &baseline, tolerance)?;
+            println!(
+                "  regression gate vs {baseline_path}: ok (tolerance {:.0}%)",
+                tolerance * 100.0
+            );
+        }
+    }
+    Ok(())
 }
 
 fn cmd_map(args: &Args) -> Result<(), Box<dyn Error>> {
@@ -1332,6 +1404,14 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             RUN_FLAGS,
             FAULT_FLAGS,
             "backend pipeline items batch workers gpus policy attribution storage-out out log",
+        ],
+    ),
+    (
+        "bench",
+        cmd_bench,
+        &[
+            RUN_FLAGS,
+            "backend presets items batch workers out-dir check-against tolerance",
         ],
     ),
     (

@@ -1,5 +1,5 @@
-//! The concrete `lotus run` / `lotus top` runner: one measured epoch of
-//! a workload pipeline on a chosen [`ExecutionBackend`].
+//! The concrete `lotus run` / `lotus top` / `lotus bench` runner: one
+//! measured epoch of a workload pipeline on a chosen [`ExecutionBackend`].
 //!
 //! Both backends, and every `lotus tune` trial, go through the one
 //! zero-overhead measurement harness (a [`LotusTrace`] with no
@@ -7,12 +7,7 @@
 //! [`TrialMeasurement`]/[`Scorecard`], and are classified by the one
 //! bottleneck rule, [`Verdict::classify`]. Sim-vs-native
 //! cross-validation is therefore a one-line comparison of
-//! [`Verdict::family`].
-//!
-//! [`Verdict::classify`]: lotus_core::trace::insights::Verdict::classify
-//! [`Verdict::family`]: lotus_core::trace::insights::Verdict::family
-//!
-//! The native path materializes real pixels for the
+//! [`Verdict::family`]. The native path materializes real pixels for the
 //! image pipelines (IC, OD), decoding each record from its stored SJPG
 //! file, so its trace measures the actual file reads (\[T0\]), codec and
 //! transform kernels.
@@ -22,8 +17,9 @@ use std::sync::Arc;
 use lotus_core::map::{
     mapping_from_native, top_k_agreement, IsolationConfig, Mapping, OpAgreement, StorageAttribution,
 };
-use lotus_core::metrics::{MetricsRegistry, MetricsSink, MultiSink};
+use lotus_core::metrics::{names, MetricsRegistry, MetricsSink, MultiSink};
 use lotus_core::trace::analysis::op_class_totals;
+use lotus_core::trace::insights::Verdict;
 use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus_core::tune::{Scorecard, TrialMeasurement};
 use lotus_dataflow::{
@@ -34,6 +30,7 @@ use lotus_profilers::{NativeSampler, SamplerConfig};
 use lotus_sim::Span;
 use lotus_uarch::{Machine, MachineConfig};
 use lotus_workloads::{build_ic_mapping_for_batch, ExperimentConfig, PipelineKind};
+use serde_json::{Content, Value};
 
 use crate::tuning::baseline_trial;
 
@@ -148,6 +145,16 @@ pub struct ProfileReport {
     /// Sim-vs-native cross-validation (IC pipeline only): each op's
     /// native top-k kernels checked against the simulated mapping.
     pub agreement: Option<Vec<OpAgreement>>,
+}
+
+impl ProfileReport {
+    /// True when cross-validation ran and every compared op agreed.
+    #[must_use]
+    pub fn agrees(&self) -> bool {
+        self.agreement
+            .as_ref()
+            .is_some_and(|v| !v.is_empty() && v.iter().all(OpAgreement::agrees))
+    }
 }
 
 /// Everything one measured run produces.
@@ -350,6 +357,156 @@ impl Harness {
     }
 }
 
+/// Folds a run outcome into the `BENCH_<backend>_<preset>.json` document:
+/// throughput, p50/p99 batch latency, and the T1/T2/T3 phase split.
+#[must_use]
+pub fn bench_report(preset: &str, experiment: &ExperimentConfig, outcome: &RunOutcome) -> Value {
+    let hist = |name: &str| {
+        let (count, p50, p99, total_s) = outcome
+            .measurement
+            .snapshot
+            .histograms
+            .get(name)
+            .map_or((0, 0.0, 0.0, 0.0), |h| {
+                (h.count, h.p50_ns / 1e6, h.p99_ns / 1e6, h.sum.as_secs_f64())
+            });
+        (count, p50, p99, total_s)
+    };
+    let (_, fetch_p50, fetch_p99, t1_s) = hist(names::T1_FETCH);
+    let (_, wait_p50, wait_p99, t2_s) = hist(names::T2_WAIT);
+    let (_, _, _, t3_s) = hist(names::T3_OP);
+    let card = &outcome.scorecard;
+    let mut doc = vec![
+        ("schema".into(), Content::Str("lotus-bench-v2".into())),
+        ("preset".into(), Content::Str(preset.into())),
+        ("backend".into(), Content::Str(outcome.backend.into())),
+        ("fingerprint".into(), Content::Str(experiment.fingerprint())),
+        ("elapsed_s".into(), Content::F64(card.elapsed.as_secs_f64())),
+        ("batches".into(), Content::U64(card.batches)),
+        ("samples".into(), Content::U64(card.samples)),
+        (
+            "throughput_samples_per_s".into(),
+            Content::F64(card.throughput),
+        ),
+        (
+            "batch_latency_ms".into(),
+            Content::Map(vec![
+                ("t1_fetch_p50".into(), Content::F64(fetch_p50)),
+                ("t1_fetch_p99".into(), Content::F64(fetch_p99)),
+                ("t2_wait_p50".into(), Content::F64(wait_p50)),
+                ("t2_wait_p99".into(), Content::F64(wait_p99)),
+            ]),
+        ),
+        (
+            "phase_split_s".into(),
+            Content::Map(vec![
+                ("t1_fetch".into(), Content::F64(t1_s)),
+                ("t2_wait".into(), Content::F64(t2_s)),
+                ("t3_ops".into(), Content::F64(t3_s)),
+            ]),
+        ),
+        ("wait_fraction".into(), Content::F64(card.wait_fraction)),
+        (
+            "verdict".into(),
+            Content::Str(card.verdict.map_or("none", Verdict::as_str).into()),
+        ),
+        (
+            "verdict_family".into(),
+            Content::Str(card.verdict.map_or("none", Verdict::family).into()),
+        ),
+    ];
+    // Storage-tier block, present only when the run modeled storage.
+    // `check_regression` ignores it, like the profiler block below.
+    if let Some(s) = &outcome.storage {
+        use serde::Serialize as _;
+        let t0_s = s.t0_total().as_secs_f64();
+        let elapsed_s = card.elapsed.as_secs_f64();
+        doc.push((
+            "storage".into(),
+            Content::Map(vec![
+                ("t0_s".into(), Content::F64(t0_s)),
+                (
+                    "t0_fraction_of_elapsed".into(),
+                    Content::F64(if elapsed_s > 0.0 {
+                        t0_s / elapsed_s
+                    } else {
+                        0.0
+                    }),
+                ),
+                ("hit_ratio".into(), Content::F64(s.hit_ratio())),
+                ("attribution".into(), s.serialize_content()),
+            ]),
+        ));
+    }
+    // v2 addition: profiler self-accounting, present only on profiled
+    // runs. `check_regression` reads none of these fields, so v1
+    // baselines and v2 reports stay mutually comparable.
+    if let Some(p) = &outcome.profile {
+        doc.push((
+            "profiler".into(),
+            Content::Map(vec![
+                ("overhead_s".into(), Content::F64(p.overhead.as_secs_f64())),
+                (
+                    "overhead_fraction".into(),
+                    Content::F64(p.overhead_fraction),
+                ),
+                (
+                    "kernel_samples".into(),
+                    Content::U64(p.kernel_samples as u64),
+                ),
+                ("sampler_ticks".into(), Content::U64(p.ticks as u64)),
+                ("rss_peak_kb".into(), Content::U64(p.rss_peak_kb)),
+                (
+                    "attribution_agrees".into(),
+                    Content::Bool(p.agreement.is_none() || p.agrees()),
+                ),
+            ]),
+        ));
+    }
+    Value(Content::Map(doc))
+}
+
+/// Compares a fresh bench report against a committed baseline and fails
+/// if throughput regressed more than `tolerance` (e.g. `0.2` = 20%).
+///
+/// Only throughput is gated — latency percentiles vary too much across
+/// machines to gate on — and only downward: a faster run always passes.
+///
+/// # Errors
+///
+/// Returns a description of the regression, a preset/backend mismatch,
+/// or a malformed baseline.
+pub fn check_regression(current: &Value, baseline: &Value, tolerance: f64) -> Result<(), String> {
+    let field = |v: &Value, key: &str| -> Result<f64, String> {
+        v.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("bench JSON is missing numeric field `{key}`"))
+    };
+    let text = |v: &Value, key: &str| -> Result<String, String> {
+        v.get(key)
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("bench JSON is missing string field `{key}`"))
+    };
+    for key in ["preset", "backend"] {
+        let (c, b) = (text(current, key)?, text(baseline, key)?);
+        if c != b {
+            return Err(format!("{key} mismatch: current `{c}` vs baseline `{b}`"));
+        }
+    }
+    let current_tp = field(current, "throughput_samples_per_s")?;
+    let baseline_tp = field(baseline, "throughput_samples_per_s")?;
+    let floor = baseline_tp * (1.0 - tolerance);
+    if current_tp < floor {
+        return Err(format!(
+            "throughput regression: {current_tp:.1} samples/s is below {floor:.1} \
+             ({:.0}% of the {baseline_tp:.1} baseline)",
+            (1.0 - tolerance) * 100.0
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +526,50 @@ mod tests {
     }
 
     #[test]
+    fn bench_report_has_the_gated_fields() {
+        let experiment = small_ic();
+        let outcome = run_experiment(&experiment, &RunOptions::sim()).unwrap();
+        let report = bench_report("ic", &experiment, &outcome);
+        assert_eq!(report.get("preset").and_then(Value::as_str), Some("ic"));
+        assert_eq!(report.get("backend").and_then(Value::as_str), Some("sim"));
+        assert!(report
+            .get("throughput_samples_per_s")
+            .and_then(Value::as_f64)
+            .is_some_and(|t| t > 0.0));
+        // Round-trips through the JSON writer/parser.
+        let text = serde_json::to_string_pretty(&report).unwrap();
+        let back: Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.get("preset").and_then(Value::as_str), Some("ic"));
+    }
+
+    #[test]
+    fn regression_gate_trips_only_on_slowdowns() {
+        let experiment = small_ic();
+        let outcome = run_experiment(&experiment, &RunOptions::sim()).unwrap();
+        let report = bench_report("ic", &experiment, &outcome);
+        // Same report: within tolerance.
+        check_regression(&report, &report, 0.2).unwrap();
+
+        // A baseline 10× faster than the current run: must trip.
+        let mut inflated = report.0.clone();
+        if let Content::Map(entries) = &mut inflated {
+            for (k, v) in entries.iter_mut() {
+                if k == "throughput_samples_per_s" {
+                    if let Content::F64(t) = v {
+                        *t *= 10.0;
+                    }
+                }
+            }
+        }
+        let err = check_regression(&report, &Value(inflated), 0.2).unwrap_err();
+        assert!(err.contains("regression"), "unexpected error: {err}");
+
+        // Preset mismatch is refused.
+        let other = bench_report("ac", &experiment, &outcome);
+        assert!(check_regression(&report, &other, 0.2).is_err());
+    }
+
+    #[test]
     fn profiled_native_run_attributes_kernels_and_cross_validates() {
         let mut experiment =
             ExperimentConfig::paper_default(PipelineKind::ImageClassification).scaled_to(16);
@@ -385,10 +586,10 @@ mod tests {
             .functions_for("Loader")
             .expect("Loader attributed");
         assert!(loader.contains("decode_mcu"), "{loader:?}");
-        let agreement = profile.agreement.as_ref().expect("IC is cross-validated");
         assert!(
-            !agreement.is_empty() && agreement.iter().all(OpAgreement::agrees),
-            "sim-vs-native attribution disagreed: {agreement:?}"
+            profile.agrees(),
+            "sim-vs-native attribution disagreed: {:?}",
+            profile.agreement
         );
         // Sampler gauges landed in the snapshot the exporters read.
         assert!(
@@ -400,6 +601,48 @@ mod tests {
                 .any(|k| k.starts_with("sampler_")),
             "sampler gauges missing from the metrics snapshot"
         );
+        // The v2 bench report self-accounts the profiler.
+        let report = bench_report("ic", &experiment, &outcome);
+        assert_eq!(
+            report.get("schema").and_then(Value::as_str),
+            Some("lotus-bench-v2")
+        );
+        let prof = report.get("profiler").expect("profiler block present");
+        assert!(prof
+            .get("overhead_s")
+            .and_then(Value::as_f64)
+            .is_some_and(|s| s >= 0.0));
+    }
+
+    #[test]
+    fn unprofiled_runs_carry_no_profiler_block() {
+        let experiment = small_ic();
+        let outcome = run_experiment(&experiment, &RunOptions::sim()).unwrap();
+        assert!(outcome.profile.is_none());
+        let report = bench_report("ic", &experiment, &outcome);
+        assert!(report.get("profiler").is_none());
+    }
+
+    #[test]
+    fn regression_gate_tolerates_schema_and_profiler_field_drift() {
+        // A v2 report (with the profiler block) vs a v1 baseline
+        // (without): the gate reads only preset/backend/throughput, so
+        // both directions compare cleanly.
+        let current: Value = serde_json::from_str(
+            r#"{"schema":"lotus-bench-v2","preset":"ic","backend":"native",
+                "throughput_samples_per_s":9.5,
+                "profiler":{"overhead_s":0.01,"overhead_fraction":0.002}}"#,
+        )
+        .unwrap();
+        let baseline: Value = serde_json::from_str(
+            r#"{"schema":"lotus-bench-v1","preset":"ic","backend":"native",
+                "throughput_samples_per_s":10.0}"#,
+        )
+        .unwrap();
+        check_regression(&current, &baseline, 0.2).unwrap();
+        check_regression(&baseline, &current, 0.2).unwrap();
+        let err = check_regression(&current, &baseline, 0.01).unwrap_err();
+        assert!(err.contains("regression"), "unexpected error: {err}");
     }
 
     #[test]

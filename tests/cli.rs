@@ -31,6 +31,7 @@ fn unknown_flags_are_usage_errors_for_every_command() {
     for command in [
         "trace",
         "run",
+        "bench",
         "map",
         "attribute",
         "compare",
