@@ -9,6 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use lotus_core::exec::write_atomic;
 use lotus_core::trace::chrome::{to_chrome_trace, ChromeTraceOptions};
 use lotus_core::trace::insights::{analyze, Insights, Verdict};
 use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
@@ -81,9 +82,13 @@ pub fn run(scale: Scale) -> Fig2 {
             kind.abbrev().to_lowercase()
         ));
         let doc = to_chrome_trace(&records, ChromeTraceOptions { coarse: true });
-        std::fs::write(
+        // Atomic, because tests running in parallel rewrite and read the
+        // same file.
+        write_atomic(
             &trace_path,
-            serde_json::to_string_pretty(&doc).expect("serialize"),
+            serde_json::to_string_pretty(&doc)
+                .expect("serialize")
+                .as_bytes(),
         )
         .expect("write trace file");
         rows.push(Fig2Row {

@@ -1,10 +1,11 @@
 //! The metrics registry: named counters, virtual-time-sampled gauge
 //! series, and latency histograms.
 //!
-//! Everything is keyed by `BTreeMap`, every gauge sample is stamped with
-//! the virtual [`Time`] it was observed at, and no wall-clock or random
-//! state is involved anywhere — two identical seeded runs therefore
-//! produce **bit-identical** registries, and bit-identical exports.
+//! Snapshots key everything by `BTreeMap`, every gauge sample is stamped
+//! with the virtual [`Time`] it was observed at, and no wall-clock or
+//! random state is involved anywhere — two identical seeded runs
+//! therefore produce **bit-identical** registries, and bit-identical
+//! exports.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -113,9 +114,48 @@ impl MetricsSnapshot {
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, GaugeSeries>,
-    histograms: BTreeMap<String, LogHistogram>,
+    counters: Named<u64>,
+    gauges: Named<GaugeSeries>,
+    histograms: Named<LogHistogram>,
+}
+
+/// Values by name, in first-seen order; snapshots sort them. A run
+/// registers a few dozen names, mostly of distinct lengths, and a scan
+/// that compares lengths before bytes finds one faster than a tree.
+#[derive(Debug)]
+struct Named<V>(Vec<(Box<str>, V)>);
+
+impl<V> Default for Named<V> {
+    fn default() -> Self {
+        Named(Vec::new())
+    }
+}
+
+impl<V> Named<V> {
+    fn get(&self, name: &str) -> Option<&V> {
+        self.0.iter().find(|(n, _)| **n == *name).map(|(_, v)| v)
+    }
+
+    /// `name`'s value, created at its default the first time the name
+    /// is seen (the only time the name is copied).
+    fn get_or_default(&mut self, name: &str) -> &mut V
+    where
+        V: Default,
+    {
+        let at = match self.0.iter().position(|(n, _)| **n == *name) {
+            Some(at) => at,
+            None => {
+                self.0.push((name.into(), V::default()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[at].1
+    }
+
+    /// Every entry as `f` summarizes it, ordered by name.
+    fn sorted<T>(&self, f: impl Fn(&V) -> T) -> BTreeMap<String, T> {
+        self.0.iter().map(|(n, v)| (n.to_string(), f(v))).collect()
+    }
 }
 
 /// Thread-safe registry of counters, gauges, and latency histograms for
@@ -157,10 +197,18 @@ impl MetricsRegistry {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Locks the registry for several updates: a sink applies all of one
+    /// event's updates under this one lock.
+    #[must_use]
+    pub fn update(&self) -> MetricsUpdate<'_> {
+        MetricsUpdate {
+            inner: self.inner(),
+        }
+    }
+
     /// Adds `delta` to the named counter, creating it at zero.
     pub fn inc_counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        self.update().inc_counter(name, delta);
     }
 
     /// Current value of a counter (zero if never incremented).
@@ -172,12 +220,7 @@ impl MetricsRegistry {
 
     /// Records a gauge sample at virtual time `at`.
     pub fn set_gauge(&self, name: &str, at: Time, value: f64) {
-        let mut inner = self.inner();
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .push(at, value);
+        self.update().set_gauge(name, at, value);
     }
 
     /// A copy of the named gauge series, if it exists.
@@ -198,12 +241,7 @@ impl MetricsRegistry {
 
     /// Records one duration into the named latency histogram.
     pub fn record_latency(&self, name: &str, dur: Span) {
-        let mut inner = self.inner();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(dur);
+        self.update().record_latency(name, dur);
     }
 
     /// Millisecond summary of the named histogram (all-zero when the
@@ -223,26 +261,51 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner();
         MetricsSnapshot {
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(name, h)| {
-                    (
-                        name.clone(),
-                        HistogramSnapshot {
-                            count: h.count(),
-                            sum: h.total(),
-                            mean_ns: h.mean_ns(),
-                            p50_ns: h.percentile_ns(50.0),
-                            p90_ns: h.percentile_ns(90.0),
-                            p99_ns: h.percentile_ns(99.0),
-                        },
-                    )
-                })
-                .collect(),
+            counters: inner.counters.sorted(|&count| count),
+            gauges: inner.gauges.sorted(GaugeSeries::clone),
+            histograms: inner.histograms.sorted(|h| HistogramSnapshot {
+                count: h.count(),
+                sum: h.total(),
+                mean_ns: h.mean_ns(),
+                p50_ns: h.percentile_ns(50.0),
+                p90_ns: h.percentile_ns(90.0),
+                p99_ns: h.percentile_ns(99.0),
+            }),
         }
+    }
+}
+
+/// The registry, locked for a batch of updates
+/// ([`MetricsRegistry::update`]). Names are looked up as `&str`; a name
+/// is copied only the first time it is seen.
+#[derive(Debug)]
+pub struct MetricsUpdate<'a> {
+    inner: MutexGuard<'a, RegistryInner>,
+}
+
+impl MetricsUpdate<'_> {
+    /// Adds `delta` to the named counter, creating it at zero, and
+    /// returns its new value.
+    pub fn inc_counter(&mut self, name: &str, delta: u64) -> u64 {
+        let count = self.inner.counters.get_or_default(name);
+        *count += delta;
+        *count
+    }
+
+    /// Records a gauge sample at virtual time `at`.
+    pub fn set_gauge(&mut self, name: &str, at: Time, value: f64) {
+        self.inner.gauges.get_or_default(name).push(at, value);
+    }
+
+    /// The named gauge's most recent value, if any sample was recorded.
+    #[must_use]
+    pub fn gauge_last(&self, name: &str) -> Option<f64> {
+        self.inner.gauges.get(name).and_then(GaugeSeries::last)
+    }
+
+    /// Records one duration into the named latency histogram.
+    pub fn record_latency(&mut self, name: &str, dur: Span) {
+        self.inner.histograms.get_or_default(name).record(dur);
     }
 }
 

@@ -13,6 +13,8 @@
 //! profiler-overhead comparisons can attribute cost sink by sink, and a
 //! run with **no** sinks charges exactly zero (NullTracer parity).
 
+use std::borrow::Cow;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,31 +82,40 @@ pub mod names {
     /// Gauge: the adaptive policy's current per-worker prefetch target.
     pub const PREFETCH_TARGET: &str = "prefetch_target";
 
+    /// Prefix of the per-worker busy counters.
+    pub(crate) const WORKER_BUSY: &str = "worker_busy_ns.";
+    /// Prefix of the per-tier read counters.
+    pub(crate) const STORAGE_READS: &str = "storage_reads_total.";
+    /// Prefix of the per-tier byte counters.
+    pub(crate) const STORAGE_BYTES: &str = "storage_bytes_total.";
+    /// Prefix of the per-device queue-depth gauges.
+    pub(crate) const STORAGE_QUEUE_DEPTH: &str = "storage_queue_depth.";
+
     /// Counter name for a worker's cumulative busy (fetch) nanoseconds.
     #[must_use]
     pub fn worker_busy(pid: u32) -> String {
-        format!("worker_busy_ns.{pid}")
+        format!("{WORKER_BUSY}{pid}")
     }
 
     /// Counter name for reads served by a storage tier
     /// (`storage_reads_total.page-cache`, …).
     #[must_use]
     pub fn storage_reads(tier: &str) -> String {
-        format!("storage_reads_total.{tier}")
+        format!("{STORAGE_READS}{tier}")
     }
 
     /// Counter name for bytes served by a storage tier
     /// (`storage_bytes_total.object-store`, …).
     #[must_use]
     pub fn storage_bytes(tier: &str) -> String {
-        format!("storage_bytes_total.{tier}")
+        format!("{STORAGE_BYTES}{tier}")
     }
 
     /// Gauge name for a backing device's observed queue depth
     /// (`storage_queue_depth.local-disk`, …).
     #[must_use]
     pub fn storage_queue_depth(tier: &str) -> String {
-        format!("storage_queue_depth.{tier}")
+        format!("{STORAGE_QUEUE_DEPTH}{tier}")
     }
 }
 
@@ -150,7 +161,11 @@ impl TraceSink for MetricsSink {
     }
 
     fn on_event(&self, event: &TraceEvent<'_>) -> Span {
-        let r = &self.registry;
+        // Dispatches feed the model checker's ledger, not a metric.
+        if let TraceEvent::Dispatched { .. } = event {
+            return Span::ZERO;
+        }
+        let mut r = self.registry.update();
         match *event {
             TraceEvent::Op { dur, .. } => {
                 r.inc_counter(names::OPS, 1);
@@ -159,22 +174,26 @@ impl TraceSink for MetricsSink {
             TraceEvent::StorageRead {
                 start, ref read, ..
             } => {
-                let tier = read.tier.as_str();
-                r.inc_counter(&names::storage_reads(tier), 1);
-                r.inc_counter(&names::storage_bytes(tier), read.bytes);
+                let (tier, mut key) = (read.tier.as_str(), [0; KEY_BYTES]);
+                r.inc_counter(&stack_key(&mut key, names::STORAGE_READS, tier), 1);
+                r.inc_counter(&stack_key(&mut key, names::STORAGE_BYTES, tier), read.bytes);
                 if read.seek {
                     r.inc_counter(names::STORAGE_SEEKS, 1);
                 }
                 r.record_latency(names::T0_STORAGE, read.span);
                 r.set_gauge(
-                    &names::storage_queue_depth(tier),
+                    &stack_key(&mut key, names::STORAGE_QUEUE_DEPTH, tier),
                     start + read.span,
                     f64::from(read.queue_depth),
                 );
             }
             TraceEvent::BatchPreprocessed { pid, dur, .. } => {
                 r.inc_counter(names::BATCHES_PRODUCED, 1);
-                r.inc_counter(&names::worker_busy(pid), dur.as_nanos());
+                let mut key = [0; KEY_BYTES];
+                r.inc_counter(
+                    &stack_key(&mut key, names::WORKER_BUSY, pid),
+                    dur.as_nanos(),
+                );
                 r.record_latency(names::T1_FETCH, dur);
             }
             TraceEvent::BatchWait {
@@ -186,7 +205,7 @@ impl TraceSink for MetricsSink {
             } => {
                 r.record_latency(names::T2_WAIT, dur);
                 r.record_latency(names::QUEUE_DELAY, queue_delay);
-                r.inc_counter(names::MAIN_WAIT_NS, dur.as_nanos());
+                let waited = r.inc_counter(names::MAIN_WAIT_NS, dur.as_nanos());
                 if out_of_order {
                     r.inc_counter(names::OOO_CACHE_HITS, 1);
                 }
@@ -195,7 +214,6 @@ impl TraceSink for MetricsSink {
                 // zero; always publish a finite fraction in [0, 1] so the
                 // dashboard never renders NaN.
                 let fraction = if now > Time::ZERO {
-                    let waited = r.counter(names::MAIN_WAIT_NS);
                     (waited as f64 / now.as_nanos() as f64).clamp(0.0, 1.0)
                 } else {
                     0.0
@@ -208,25 +226,27 @@ impl TraceSink for MetricsSink {
                 batch_len,
                 ..
             } => {
-                r.inc_counter(names::BATCHES_CONSUMED, 1);
+                let consumed = r.inc_counter(names::BATCHES_CONSUMED, 1);
                 r.inc_counter(names::SAMPLES_CONSUMED, batch_len as u64);
-                r.set_gauge(
-                    names::BATCHES_CONSUMED_SERIES,
-                    start + dur,
-                    r.counter(names::BATCHES_CONSUMED) as f64,
-                );
+                r.set_gauge(names::BATCHES_CONSUMED_SERIES, start + dur, consumed as f64);
             }
-            TraceEvent::FaultInjected { .. } => r.inc_counter(names::FAULTS_INJECTED, 1),
+            TraceEvent::FaultInjected { .. } => {
+                r.inc_counter(names::FAULTS_INJECTED, 1);
+            }
             TraceEvent::WorkerDied { at, .. } => {
                 r.inc_counter(names::WORKER_DEATHS, 1);
                 // The gauge was seeded with the crew size; each death
                 // steps it down from its last level.
-                let live = r.gauge(names::LIVE_WORKERS).and_then(|g| g.last());
+                let live = r.gauge_last(names::LIVE_WORKERS);
                 let left = (live.unwrap_or(0.0) - 1.0).max(0.0);
                 r.set_gauge(names::LIVE_WORKERS, at, left);
             }
-            TraceEvent::BatchRedispatched { .. } => r.inc_counter(names::REDISPATCHES, 1),
-            TraceEvent::BatchStolen { .. } => r.inc_counter(names::STEALS, 1),
+            TraceEvent::BatchRedispatched { .. } => {
+                r.inc_counter(names::REDISPATCHES, 1);
+            }
+            TraceEvent::BatchStolen { .. } => {
+                r.inc_counter(names::STEALS, 1);
+            }
             TraceEvent::LaneAssigned { ref lane, .. } => {
                 if lane == "slow" {
                     r.inc_counter(names::LANE_SLOW, 1);
@@ -247,10 +267,33 @@ impl TraceSink for MetricsSink {
                 r.set_gauge(name, at, value);
                 return Span::ZERO;
             }
-            // Dispatches feed the model checker's ledger, not a metric.
-            TraceEvent::Dispatched { .. } => return Span::ZERO,
+            TraceEvent::Dispatched { .. } => return Span::ZERO, // (returned above)
         }
         self.per_event_overhead
+    }
+}
+
+/// Room for a per-worker or per-tier metric name: the longest prefix,
+/// `storage_queue_depth.`, and a tier name or a pid's 10 digits.
+const KEY_BYTES: usize = 64;
+
+/// The metric name `{prefix}{part}`, written into `buf` without
+/// allocating; a name too long for `buf` is allocated instead.
+fn stack_key<'b>(
+    buf: &'b mut [u8; KEY_BYTES],
+    prefix: &str,
+    part: impl std::fmt::Display,
+) -> Cow<'b, str> {
+    let written = {
+        let mut rest = &mut buf[..];
+        write!(rest, "{prefix}{part}")
+            .is_ok()
+            .then(|| KEY_BYTES - rest.len())
+    };
+    let buf: &'b [u8; KEY_BYTES] = buf;
+    match written.map(|len| std::str::from_utf8(&buf[..len])) {
+        Some(Ok(key)) => Cow::Borrowed(key),
+        _ => Cow::Owned(format!("{prefix}{part}")),
     }
 }
 
@@ -780,6 +823,106 @@ mod tests {
         assert!(last.is_finite());
         assert!((0.0..=1.0).contains(&last));
         assert_eq!(last, 1.0);
+    }
+
+    #[test]
+    fn two_threads_share_the_harness_sinks_exactly() {
+        // Two workers emit a known stream into one harness stack at once:
+        // per batch, six ops, a fetch, two gauge samples, a dispatch, a
+        // wait and a consume (the wait and consume on the worker's own
+        // thread, so each thread's batches are self-contained).
+        const BATCHES: u64 = 500;
+        const OPS: [&str; 6] = [
+            "Loader",
+            "RandomResizedCrop",
+            "RandomHorizontalFlip",
+            "ToTensor",
+            "Normalize",
+            "C(4)",
+        ];
+        let trace = Arc::new(LotusTrace::new());
+        let registry = Arc::new(MetricsRegistry::new());
+        let metrics = Arc::new(MetricsSink::new(Arc::clone(&registry), 2));
+        let multi = MultiSink::new()
+            .with(Arc::clone(&trace) as Arc<dyn TraceSink>)
+            .with(metrics as Arc<dyn TraceSink>);
+        let pids = [4243u32, 4244];
+        std::thread::scope(|scope| {
+            for (w, pid) in pids.into_iter().enumerate() {
+                let multi = &multi;
+                scope.spawn(move || {
+                    let queue = format!("queue_depth.index_queue_{w}");
+                    for b in 0..BATCHES {
+                        let id = 2 * b + w as u64;
+                        let at = Time::from_nanos(1_000_000 * id);
+                        let _ = multi.on_batch_dispatched(id, pid, &[id], false, at);
+                        let _ = multi.on_gauge(&queue, 1.0, at);
+                        for (k, op) in OPS.into_iter().enumerate() {
+                            let dur = Span::from_nanos(1_000 + 10 * b + k as u64);
+                            let _ = multi.on_op(pid, id, op, at, dur);
+                        }
+                        let _ = multi.on_batch_preprocessed(
+                            pid,
+                            id,
+                            at,
+                            Span::from_micros(u64::from(pid)),
+                        );
+                        let _ = multi.on_gauge(&queue, 0.0, at);
+                        let wait = Span::from_nanos(id + 1);
+                        let _ = multi.on_batch_wait(4242, id, at, wait, b % 3 == 0, Span::ZERO);
+                        let _ = multi.on_batch_consumed(4242, id, at, Span::from_micros(2), 4);
+                    }
+                });
+            }
+        });
+
+        let records = trace.records();
+        assert_eq!(
+            records.len() as u64,
+            2 * BATCHES * 9,
+            "six ops, fetch, wait, consume"
+        );
+        assert_eq!(
+            trace.log_storage_bytes(),
+            trace.to_log_string().len() as u64
+        );
+        let written: u64 = records.iter().map(TraceRecord::log_bytes).sum();
+        assert_eq!(trace.log_storage_bytes(), written);
+        for pid in pids {
+            // Each thread's records keep its emission order.
+            let ops: Vec<String> = records
+                .iter()
+                .filter(|r| r.pid == pid)
+                .filter_map(|r| match &r.kind {
+                    SpanKind::Op(name) => Some(name.clone()),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(ops.len() as u64, 6 * BATCHES);
+            assert!(ops.chunks(6).all(|batch| batch == OPS));
+            assert_eq!(
+                registry.counter(&names::worker_busy(pid)),
+                BATCHES * Span::from_micros(u64::from(pid)).as_nanos()
+            );
+        }
+
+        assert_eq!(registry.counter(names::OPS), 2 * BATCHES * 6);
+        assert_eq!(registry.counter(names::BATCHES_PRODUCED), 2 * BATCHES);
+        assert_eq!(registry.counter(names::BATCHES_CONSUMED), 2 * BATCHES);
+        assert_eq!(registry.counter(names::SAMPLES_CONSUMED), 2 * BATCHES * 4);
+        assert_eq!(
+            registry.counter(names::OOO_CACHE_HITS),
+            2 * BATCHES.div_ceil(3)
+        );
+        let waited: u64 = (0..2 * BATCHES).map(|id| id + 1).sum();
+        assert_eq!(registry.counter(names::MAIN_WAIT_NS), waited);
+        let histograms = registry.snapshot().histograms;
+        assert_eq!(histograms[names::T3_OP].count, 2 * BATCHES * 6);
+        assert_eq!(histograms[names::T1_FETCH].count, 2 * BATCHES);
+        assert_eq!(histograms[names::T2_WAIT].count, 2 * BATCHES);
+        assert_eq!(histograms[names::QUEUE_DELAY].count, 2 * BATCHES);
+        let consumed = registry.gauge(names::BATCHES_CONSUMED_SERIES).unwrap();
+        assert_eq!(consumed.max(), (2 * BATCHES) as f64);
     }
 
     #[test]

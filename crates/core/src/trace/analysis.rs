@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use lotus_data::stats::{fraction_below, Summary};
 use lotus_sim::{Span, Time};
 
-use super::record::{SpanKind, TraceRecord};
+use super::record::{SpanKind, Tag, TraceRecord};
 
 /// Per-operation elapsed-time statistics (one row of Table II).
 #[derive(Debug, Clone, PartialEq)]
@@ -367,6 +367,25 @@ impl OpClassTotals {
         }
         self.storage.as_nanos() as f64 / total as f64
     }
+
+    /// Adds one record's span to its class; kinds other than storage
+    /// reads and ops add nothing.
+    pub(crate) fn add(&mut self, tag: Tag, name: &str, duration: Span) {
+        match tag {
+            Tag::StorageRead => self.storage += duration,
+            Tag::Op if name == "Loader" => self.load += duration,
+            Tag::Op if name.starts_with("C(") && name.ends_with(')') => self.collate += duration,
+            Tag::Op => self.transform += duration,
+            _ => {}
+        }
+    }
+
+    /// The totals with storage waits taken out of the `Loader` spans they
+    /// happen in, so the classes are disjoint and their shares sum to 1.
+    pub(crate) fn disjoint(mut self) -> OpClassTotals {
+        self.load = self.load.saturating_sub(self.storage);
+        self
+    }
 }
 
 /// Buckets per-item elapsed time into the pipeline stages: `StorageRead`
@@ -377,24 +396,9 @@ impl OpClassTotals {
 pub fn op_class_totals(records: &[TraceRecord]) -> OpClassTotals {
     let mut totals = OpClassTotals::default();
     for r in records {
-        match &r.kind {
-            SpanKind::StorageRead(_) => totals.storage += r.duration,
-            SpanKind::Op(name) => {
-                if name == "Loader" {
-                    totals.load += r.duration;
-                } else if name.starts_with("C(") && name.ends_with(')') {
-                    totals.collate += r.duration;
-                } else {
-                    totals.transform += r.duration;
-                }
-            }
-            _ => {}
-        }
+        totals.add(r.kind.tag(), r.kind.name(), r.duration);
     }
-    // Storage waits happen inside the Loader span; make the classes
-    // disjoint so shares sum to 1.
-    totals.load = totals.load.saturating_sub(totals.storage);
-    totals
+    totals.disjoint()
 }
 
 /// Total \[T0\] elapsed time per serving tier, keyed by the tier's stable

@@ -6,9 +6,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use lotus_dataflow::{TraceEvent, TraceSink};
 use lotus_sim::Span;
 
-use super::analysis::OpStats;
+use super::analysis::{OpClassTotals, OpStats};
 use super::hist::LogHistogram;
-use super::record::TraceRecord;
+use super::record::{Line, Tag, TraceRecord};
 
 /// How per-operation (\[T3\]) events are collected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +52,11 @@ impl Default for LotusTraceConfig {
 /// [`lotus_dataflow::TrainingJob`] and read the records back for analysis
 /// ([`crate::trace::analysis`]) or visualization
 /// ([`crate::trace::chrome`]).
+///
+/// Logging an event allocates nothing once its name has been seen: the
+/// log keeps each record as a `Copy` line naming its op, tier, lane or
+/// fault op by an interned id. [`TraceRecord`]s are built, and a record's
+/// log bytes counted from its digits without formatting it, when read.
 #[derive(Debug, Default)]
 pub struct LotusTrace {
     config: LotusTraceConfig,
@@ -61,23 +66,54 @@ pub struct LotusTrace {
 /// Everything the tracer has logged, under one lock.
 #[derive(Debug, Default)]
 struct Log {
-    /// Retained records, in emission order.
-    records: Vec<TraceRecord>,
-    /// [`OpLogMode::Aggregate`] per-op histograms, in first-seen order.
-    op_histograms: Vec<(String, LogHistogram)>,
-    /// Log bytes of every record written or folded.
-    bytes: u64,
+    /// Retained records, in emission order, each naming its op, tier,
+    /// lane or fault op by its index in `names` (0 for nameless kinds).
+    records: Vec<Line<usize>>,
+    /// Every name a record or histogram carries, once, in first-seen
+    /// order.
+    names: Vec<Box<str>>,
+    /// [`OpLogMode::Aggregate`] histograms, in first-seen order: one per
+    /// op name, and one per tier for storage reads (`T0(tier)`).
+    op_histograms: Vec<(Tag, usize, LogHistogram)>,
+    /// Log bytes of the records folded into `op_histograms`; a retained
+    /// record's bytes are counted from its fields when read.
+    folded_bytes: u64,
 }
 
 impl Log {
-    /// Folds one op duration into the op's histogram.
-    fn fold(&mut self, name: &str, dur: Span) {
-        if let Some((_, hist)) = self.op_histograms.iter_mut().find(|(n, _)| n == name) {
+    /// The id of `name`, added to the table the first time it is seen. A
+    /// run logs a handful of distinct names, so a scan is cheapest.
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(id) = self.names.iter().position(|n| **n == *name) {
+            return id;
+        }
+        self.names.push(name.into());
+        self.names.len() - 1
+    }
+
+    /// The name with id `id` (empty before any name is interned; a
+    /// nameless kind's record ignores whatever its id 0 resolves to).
+    fn name(&self, id: usize) -> &str {
+        self.names.get(id).map_or("", |name| name)
+    }
+
+    /// A stored record with its name resolved.
+    fn line(&self, record: &Line<usize>) -> Line<&str> {
+        record.with_name(self.name(record.name))
+    }
+
+    /// Folds one op or storage-read duration into its histogram.
+    fn fold(&mut self, tag: Tag, name: usize, dur: Span) {
+        let hist = self
+            .op_histograms
+            .iter_mut()
+            .find(|(t, n, _)| (*t, *n) == (tag, name));
+        if let Some((_, _, hist)) = hist {
             hist.record(dur);
         } else {
             let mut hist = LogHistogram::new();
             hist.record(dur);
-            self.op_histograms.push((name.to_string(), hist));
+            self.op_histograms.push((tag, name, hist));
         }
     }
 }
@@ -98,8 +134,9 @@ impl LotusTrace {
         }
     }
 
-    /// The log. Every update under the lock is one append or fold plus
-    /// its byte count, so a panic elsewhere cannot leave it half-written.
+    /// The log. Every update under the lock is one append, or one fold
+    /// plus its byte count, so a panic elsewhere cannot leave it
+    /// half-written.
     fn log(&self) -> MutexGuard<'_, Log> {
         self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -107,7 +144,11 @@ impl LotusTrace {
     /// A copy of all records collected so far.
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.log().records.clone()
+        let log = self.log();
+        log.records
+            .iter()
+            .map(|r| log.line(r).to_record())
+            .collect()
     }
 
     /// Number of records collected.
@@ -126,39 +167,59 @@ impl LotusTrace {
     /// [`OpLogMode::Full`], histogram-backed in [`OpLogMode::Aggregate`].
     #[must_use]
     pub fn op_stats(&self) -> Vec<OpStats> {
-        let log = self.log();
         match self.config.op_mode {
             OpLogMode::Off => Vec::new(),
-            OpLogMode::Full => super::analysis::per_op_stats(&log.records),
-            OpLogMode::Aggregate => log
-                .op_histograms
-                .iter()
-                .map(|(name, h)| OpStats {
-                    name: name.clone(),
-                    count: h.count(),
-                    summary: h.summary_ms(),
-                    frac_below_10ms: h.fraction_below(Span::from_millis(10)),
-                    frac_below_100us: h.fraction_below(Span::from_micros(100)),
-                    total_cpu: h.total(),
-                })
-                .collect(),
+            OpLogMode::Full => super::analysis::per_op_stats(&self.records()),
+            OpLogMode::Aggregate => {
+                let log = self.log();
+                log.op_histograms
+                    .iter()
+                    .map(|&(tag, name, ref h)| OpStats {
+                        name: match tag {
+                            Tag::StorageRead => format!("T0({})", log.name(name)),
+                            _ => log.name(name).to_string(),
+                        },
+                        count: h.count(),
+                        summary: h.summary_ms(),
+                        frac_below_10ms: h.fraction_below(Span::from_millis(10)),
+                        frac_below_100us: h.fraction_below(Span::from_micros(100)),
+                        total_cpu: h.total(),
+                    })
+                    .collect()
+            }
         }
+    }
+
+    /// Per-item time by pipeline stage over the retained records, as
+    /// [`op_class_totals`](super::analysis::op_class_totals) folds them,
+    /// without copying a record.
+    #[must_use]
+    pub fn op_class_totals(&self) -> OpClassTotals {
+        let log = self.log();
+        let mut totals = OpClassTotals::default();
+        for r in &log.records {
+            totals.add(r.tag, log.name(r.name), r.duration);
+        }
+        totals.disjoint()
     }
 
     /// Total log storage consumed, in bytes (Table III's storage column).
     #[must_use]
     pub fn log_storage_bytes(&self) -> u64 {
-        self.log().bytes
+        let log = self.log();
+        let written: u64 = log.records.iter().map(|r| log.line(r).bytes()).sum();
+        written + log.folded_bytes
     }
 
     /// Serializes the whole log in the line format.
     #[must_use]
     pub fn to_log_string(&self) -> String {
-        self.log()
-            .records
-            .iter()
-            .map(TraceRecord::to_log_line)
-            .collect()
+        let log = self.log();
+        let mut out = String::new();
+        for r in &log.records {
+            log.line(r).write_to(&mut out);
+        }
+        out
     }
 }
 
@@ -183,19 +244,22 @@ impl TraceSink for LotusTrace {
         if mode == OpLogMode::Off {
             return Span::ZERO;
         }
-        let Some(record) = TraceRecord::from_event(event) else {
+        let Some(line) = Line::from_event(event) else {
             return Span::ZERO;
         };
-        // A folded record is accounted as if it were written to the file.
-        let bytes = record.log_bytes();
         let mut log = self.log();
-        log.bytes += bytes;
-        match (mode, event) {
-            (OpLogMode::Aggregate, TraceEvent::Op { name, .. }) => log.fold(name, record.duration),
-            (OpLogMode::Aggregate, TraceEvent::StorageRead { read, .. }) => {
-                log.fold(&format!("T0({})", read.tier), record.duration);
-            }
-            _ => log.records.push(record),
+        let name = if line.tag.has_name() {
+            log.intern(line.name)
+        } else {
+            0
+        };
+        if mode == OpLogMode::Aggregate {
+            // A folded record is accounted as if it were written to the
+            // file.
+            log.folded_bytes += line.bytes();
+            log.fold(line.tag, name, line.duration);
+        } else {
+            log.records.push(line.with_name(name));
         }
         self.config.per_log_overhead
     }
@@ -204,6 +268,7 @@ impl TraceSink for LotusTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::analysis::op_class_totals;
     use crate::trace::SpanKind;
     use lotus_dataflow::Tracer;
     use lotus_sim::{ReadOutcome, Time};
@@ -306,6 +371,39 @@ mod tests {
         });
         assert_eq!(off.on_storage_read(4243, 2, Time::ZERO, &read), Span::ZERO);
         assert!(off.is_empty());
+    }
+
+    #[test]
+    fn op_class_totals_fold_the_stored_records() {
+        let trace = LotusTrace::new();
+        let read = ReadOutcome {
+            tier: lotus_sim::StorageTier::LocalDisk,
+            span: Span::from_micros(5),
+            bytes: 4_096,
+            seek: false,
+            queue_depth: 1,
+        };
+        let _ = trace.on_storage_read(4243, 0, Time::ZERO, &read);
+        for (name, us) in [
+            ("Loader", 50),
+            ("RandomResizedCrop", 20),
+            ("C(8)", 9),
+            ("Normalize", 4),
+            ("Loader", 30),
+        ] {
+            let _ = trace.on_op(4243, 0, name, Time::ZERO, Span::from_micros(us));
+        }
+        let _ = trace.on_batch_preprocessed(4243, 0, Time::ZERO, Span::from_millis(1));
+        let totals = trace.op_class_totals();
+        assert_eq!(totals, op_class_totals(&trace.records()));
+        assert_eq!(totals.storage, Span::from_micros(5));
+        assert_eq!(
+            totals.load,
+            Span::from_micros(75),
+            "storage nests in Loader"
+        );
+        assert_eq!(totals.transform, Span::from_micros(24));
+        assert_eq!(totals.collate, Span::from_micros(9));
     }
 
     #[test]

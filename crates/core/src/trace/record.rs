@@ -1,5 +1,7 @@
 //! LotusTrace log records.
 
+use std::fmt::Write as _;
+
 use lotus_dataflow::{TraceEvent, MAIN_OS_PID};
 use lotus_sim::{Span, Time};
 
@@ -48,19 +50,9 @@ impl SpanKind {
     /// The span label used in log lines and visualizations.
     #[must_use]
     pub fn label(&self, batch_id: u64) -> String {
-        match self {
-            SpanKind::StorageRead(tier) => format!("SStorageRead_{batch_id}_{tier}"),
-            SpanKind::BatchPreprocessed => format!("SBatchPreprocessed_{batch_id}"),
-            SpanKind::BatchWait => format!("SBatchWait_{batch_id}"),
-            SpanKind::BatchConsumed => format!("SBatchConsumed_{batch_id}"),
-            SpanKind::Op(name) => format!("S{name}"),
-            SpanKind::FaultInjected(op) => format!("SFaultInjected_{batch_id}_{op}"),
-            SpanKind::WorkerDied => "SWorkerDied".to_string(),
-            SpanKind::BatchRedispatched => format!("SBatchRedispatched_{batch_id}"),
-            SpanKind::BatchStolen => format!("SBatchStolen_{batch_id}"),
-            SpanKind::LaneAssigned(lane) => format!("SLaneAssigned_{batch_id}_{lane}"),
-            SpanKind::PrefetchResized => format!("SPrefetchResized_{batch_id}"),
-        }
+        let mut label = String::new();
+        write_label(&mut label, self.tag(), batch_id, self.name());
+        label
     }
 
     /// True for the zero-duration fault/lifecycle/scheduling marks
@@ -76,6 +68,35 @@ impl SpanKind {
                 | SpanKind::LaneAssigned(_)
                 | SpanKind::PrefetchResized
         )
+    }
+
+    /// The kind's variant, without its name.
+    pub(crate) fn tag(&self) -> Tag {
+        match self {
+            SpanKind::StorageRead(_) => Tag::StorageRead,
+            SpanKind::BatchPreprocessed => Tag::BatchPreprocessed,
+            SpanKind::BatchWait => Tag::BatchWait,
+            SpanKind::BatchConsumed => Tag::BatchConsumed,
+            SpanKind::Op(_) => Tag::Op,
+            SpanKind::FaultInjected(_) => Tag::FaultInjected,
+            SpanKind::WorkerDied => Tag::WorkerDied,
+            SpanKind::BatchRedispatched => Tag::BatchRedispatched,
+            SpanKind::BatchStolen => Tag::BatchStolen,
+            SpanKind::LaneAssigned(_) => Tag::LaneAssigned,
+            SpanKind::PrefetchResized => Tag::PrefetchResized,
+        }
+    }
+
+    /// The tier, op, fault-op or lane name the kind carries; empty for
+    /// the nameless kinds.
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            SpanKind::StorageRead(name)
+            | SpanKind::Op(name)
+            | SpanKind::FaultInjected(name)
+            | SpanKind::LaneAssigned(name) => name,
+            _ => "",
+        }
     }
 }
 
@@ -115,116 +136,36 @@ impl TraceRecord {
     /// (the label notation is `SPrefetchResized_{target}`).
     #[must_use]
     pub fn from_event(event: &TraceEvent<'_>) -> Option<TraceRecord> {
-        let span = |kind, pid, batch_id, start, duration| TraceRecord {
-            kind,
-            pid,
-            batch_id,
-            start,
-            duration,
-            out_of_order: false,
-            queue_delay: Span::ZERO,
-        };
-        let instant = |kind, pid, batch_id, at| span(kind, pid, batch_id, at, Span::ZERO);
-        Some(match *event {
-            TraceEvent::Op {
-                pid,
-                batch_id,
-                ref name,
-                start,
-                dur,
-            } => span(SpanKind::Op(name.to_string()), pid, batch_id, start, dur),
-            TraceEvent::StorageRead {
-                pid,
-                batch_id,
-                start,
-                read,
-            } => span(
-                SpanKind::StorageRead(read.tier.as_str().to_string()),
-                pid,
-                batch_id,
-                start,
-                read.span,
-            ),
-            TraceEvent::BatchPreprocessed {
-                pid,
-                batch_id,
-                start,
-                dur,
-            } => span(SpanKind::BatchPreprocessed, pid, batch_id, start, dur),
-            TraceEvent::BatchWait {
-                pid,
-                batch_id,
-                start,
-                dur,
-                out_of_order,
-                queue_delay,
-            } => TraceRecord {
-                out_of_order,
-                queue_delay,
-                ..span(SpanKind::BatchWait, pid, batch_id, start, dur)
-            },
-            TraceEvent::BatchConsumed {
-                pid,
-                batch_id,
-                start,
-                dur,
-                ..
-            } => span(SpanKind::BatchConsumed, pid, batch_id, start, dur),
-            TraceEvent::FaultInjected {
-                pid,
-                batch_id,
-                ref op,
-                at,
-            } => instant(SpanKind::FaultInjected(op.to_string()), pid, batch_id, at),
-            TraceEvent::WorkerDied { pid, at } => instant(SpanKind::WorkerDied, pid, 0, at),
-            TraceEvent::BatchRedispatched {
-                batch_id,
-                to_pid,
-                at,
-                ..
-            } => instant(SpanKind::BatchRedispatched, to_pid, batch_id, at),
-            TraceEvent::BatchStolen {
-                batch_id,
-                to_pid,
-                at,
-                ..
-            } => instant(SpanKind::BatchStolen, to_pid, batch_id, at),
-            TraceEvent::LaneAssigned {
-                batch_id,
-                ref lane,
-                to_pid,
-                at,
-            } => instant(
-                SpanKind::LaneAssigned(lane.to_string()),
-                to_pid,
-                batch_id,
-                at,
-            ),
-            TraceEvent::PrefetchResized { target, at } => {
-                instant(SpanKind::PrefetchResized, MAIN_OS_PID, target as u64, at)
-            }
-            TraceEvent::Dispatched { .. } | TraceEvent::Gauge { .. } => return None,
-        })
+        Line::from_event(event).map(Line::to_record)
+    }
+
+    /// The record's fields, borrowing its kind's name.
+    fn line(&self) -> Line<&str> {
+        Line {
+            tag: self.kind.tag(),
+            name: self.kind.name(),
+            pid: self.pid,
+            batch_id: self.batch_id,
+            start: self.start,
+            duration: self.duration,
+            out_of_order: self.out_of_order,
+            queue_delay: self.queue_delay,
+        }
     }
 
     /// Serializes to the CSV-ish log-line format.
     #[must_use]
     pub fn to_log_line(&self) -> String {
-        format!(
-            "{},{},{},{},{},{}\n",
-            self.kind.label(self.batch_id),
-            self.pid,
-            self.start.as_nanos(),
-            self.duration.as_nanos(),
-            u8::from(self.out_of_order),
-            self.queue_delay.as_nanos(),
-        )
+        let mut line = String::new();
+        self.line().write_to(&mut line);
+        line
     }
 
-    /// Size of the serialized record in bytes (log-storage accounting).
+    /// Size of the serialized record in bytes (log-storage accounting),
+    /// computed without serializing it.
     #[must_use]
     pub fn log_bytes(&self) -> u64 {
-        self.to_log_line().len() as u64
+        self.line().bytes()
     }
 
     /// End of the span.
@@ -270,52 +211,308 @@ impl TraceRecord {
 /// Parses a span label back into its kind and batch id (shared by the log
 /// and Chrome-trace importers).
 pub(crate) fn parse_label(label: &str) -> Result<(SpanKind, u64), String> {
-    for (prefix, ctor) in [
-        ("SBatchPreprocessed_", SpanKind::BatchPreprocessed),
-        ("SBatchWait_", SpanKind::BatchWait),
-        ("SBatchConsumed_", SpanKind::BatchConsumed),
-        ("SBatchRedispatched_", SpanKind::BatchRedispatched),
-        ("SBatchStolen_", SpanKind::BatchStolen),
-        ("SPrefetchResized_", SpanKind::PrefetchResized),
+    for tag in [
+        Tag::BatchPreprocessed,
+        Tag::BatchWait,
+        Tag::BatchConsumed,
+        Tag::BatchRedispatched,
+        Tag::BatchStolen,
+        Tag::PrefetchResized,
+        Tag::FaultInjected,
+        Tag::LaneAssigned,
+        Tag::StorageRead,
     ] {
-        if let Some(idx) = label.strip_prefix(prefix) {
-            let id = idx.parse().map_err(|e| format!("bad batch id: {e}"))?;
-            return Ok((ctor, id));
-        }
-    }
-    if let Some(rest) = label.strip_prefix("SFaultInjected_") {
-        let (idx, op) = rest
-            .split_once('_')
-            .ok_or_else(|| format!("fault label '{label}' missing op"))?;
+        let Some(rest) = label.strip_prefix(tag.prefix()) else {
+            continue;
+        };
+        let (idx, name) = if tag.has_name() {
+            rest.split_once('_')
+                .ok_or_else(|| format!("label '{label}' missing its name"))?
+        } else {
+            (rest, "")
+        };
         let id = idx.parse().map_err(|e| format!("bad batch id: {e}"))?;
-        return Ok((SpanKind::FaultInjected(op.to_string()), id));
+        return Ok((tag.kind(name), id));
     }
-    if let Some(rest) = label.strip_prefix("SLaneAssigned_") {
-        let (idx, lane) = rest
-            .split_once('_')
-            .ok_or_else(|| format!("lane label '{label}' missing lane"))?;
-        let id = idx.parse().map_err(|e| format!("bad batch id: {e}"))?;
-        return Ok((SpanKind::LaneAssigned(lane.to_string()), id));
-    }
-    if let Some(rest) = label.strip_prefix("SStorageRead_") {
-        let (idx, tier) = rest
-            .split_once('_')
-            .ok_or_else(|| format!("storage-read label '{label}' missing tier"))?;
-        let id = idx.parse().map_err(|e| format!("bad batch id: {e}"))?;
-        return Ok((SpanKind::StorageRead(tier.to_string()), id));
-    }
-    if label == "SWorkerDied" {
+    if label == Tag::WorkerDied.prefix() {
         return Ok((SpanKind::WorkerDied, 0));
     }
-    match label.strip_prefix('S') {
+    match label.strip_prefix(Tag::Op.prefix()) {
         Some(name) if !name.is_empty() => Ok((SpanKind::Op(name.to_string()), 0)),
         _ => Err(format!("unrecognized span label '{label}'")),
+    }
+}
+
+/// A [`SpanKind`]'s variant without its name: what the log stores for a
+/// record's kind, beside the name's interned id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tag {
+    StorageRead,
+    BatchPreprocessed,
+    BatchWait,
+    BatchConsumed,
+    Op,
+    FaultInjected,
+    WorkerDied,
+    BatchRedispatched,
+    BatchStolen,
+    LaneAssigned,
+    PrefetchResized,
+}
+
+impl Tag {
+    /// The label's fixed text, before the batch id: all of a worker
+    /// death's label, and the `S` before an op's name.
+    const fn prefix(self) -> &'static str {
+        match self {
+            Tag::StorageRead => "SStorageRead_",
+            Tag::BatchPreprocessed => "SBatchPreprocessed_",
+            Tag::BatchWait => "SBatchWait_",
+            Tag::BatchConsumed => "SBatchConsumed_",
+            Tag::Op => "S",
+            Tag::FaultInjected => "SFaultInjected_",
+            Tag::WorkerDied => "SWorkerDied",
+            Tag::BatchRedispatched => "SBatchRedispatched_",
+            Tag::BatchStolen => "SBatchStolen_",
+            Tag::LaneAssigned => "SLaneAssigned_",
+            Tag::PrefetchResized => "SPrefetchResized_",
+        }
+    }
+
+    /// Whether the label carries the batch id: every kind but ops and
+    /// worker deaths.
+    const fn has_batch(self) -> bool {
+        !matches!(self, Tag::Op | Tag::WorkerDied)
+    }
+
+    /// Whether the kind carries a name. The name ends the label, after a
+    /// `_` when a batch id precedes it.
+    pub(crate) const fn has_name(self) -> bool {
+        matches!(
+            self,
+            Tag::StorageRead | Tag::Op | Tag::FaultInjected | Tag::LaneAssigned
+        )
+    }
+
+    /// The kind with `name` as its payload; nameless kinds ignore it.
+    pub(crate) fn kind(self, name: &str) -> SpanKind {
+        match self {
+            Tag::StorageRead => SpanKind::StorageRead(name.to_string()),
+            Tag::BatchPreprocessed => SpanKind::BatchPreprocessed,
+            Tag::BatchWait => SpanKind::BatchWait,
+            Tag::BatchConsumed => SpanKind::BatchConsumed,
+            Tag::Op => SpanKind::Op(name.to_string()),
+            Tag::FaultInjected => SpanKind::FaultInjected(name.to_string()),
+            Tag::WorkerDied => SpanKind::WorkerDied,
+            Tag::BatchRedispatched => SpanKind::BatchRedispatched,
+            Tag::BatchStolen => SpanKind::BatchStolen,
+            Tag::LaneAssigned => SpanKind::LaneAssigned(name.to_string()),
+            Tag::PrefetchResized => SpanKind::PrefetchResized,
+        }
+    }
+
+    /// Bytes of the label [`write_label`] writes.
+    fn label_len(self, batch_id: u64, name: &str) -> usize {
+        let batch = if self.has_batch() {
+            digits(batch_id)
+        } else {
+            0
+        };
+        let name = if self.has_name() {
+            usize::from(self.has_batch()) + name.len()
+        } else {
+            0
+        };
+        self.prefix().len() + batch + name
+    }
+}
+
+/// Appends the label of a `tag` span of batch `batch_id` carrying `name`.
+fn write_label(out: &mut String, tag: Tag, batch_id: u64, name: &str) {
+    out.push_str(tag.prefix());
+    if tag.has_batch() {
+        let _ = write!(out, "{batch_id}");
+    }
+    if tag.has_name() {
+        if tag.has_batch() {
+            out.push('_');
+        }
+        out.push_str(name);
+    }
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// One log line's fields, with the kind's name as `N`: borrowed while an
+/// event is logged, and an interned id in the stored log, so a stored
+/// line is `Copy` and owns no heap memory.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Line<N> {
+    pub(crate) tag: Tag,
+    pub(crate) name: N,
+    pub(crate) pid: u32,
+    pub(crate) batch_id: u64,
+    pub(crate) start: Time,
+    pub(crate) duration: Span,
+    pub(crate) out_of_order: bool,
+    pub(crate) queue_delay: Span,
+}
+
+impl<N> Line<N> {
+    /// The same line carrying `name` instead.
+    pub(crate) fn with_name<M>(self, name: M) -> Line<M> {
+        Line {
+            tag: self.tag,
+            name,
+            pid: self.pid,
+            batch_id: self.batch_id,
+            start: self.start,
+            duration: self.duration,
+            out_of_order: self.out_of_order,
+            queue_delay: self.queue_delay,
+        }
+    }
+}
+
+impl<'a> Line<&'a str> {
+    /// [`TraceRecord::from_event`], borrowing the event's name: the log
+    /// takes this form of each event and allocates nothing for it.
+    pub(crate) fn from_event(event: &'a TraceEvent<'_>) -> Option<Line<&'a str>> {
+        let span = |tag, name: &'a str, pid, batch_id, start, duration| Line {
+            tag,
+            name,
+            pid,
+            batch_id,
+            start,
+            duration,
+            out_of_order: false,
+            queue_delay: Span::ZERO,
+        };
+        let instant = |tag, name, pid, batch_id, at| span(tag, name, pid, batch_id, at, Span::ZERO);
+        Some(match *event {
+            TraceEvent::Op {
+                pid,
+                batch_id,
+                ref name,
+                start,
+                dur,
+            } => span(Tag::Op, name, pid, batch_id, start, dur),
+            TraceEvent::StorageRead {
+                pid,
+                batch_id,
+                start,
+                read,
+            } => span(
+                Tag::StorageRead,
+                read.tier.as_str(),
+                pid,
+                batch_id,
+                start,
+                read.span,
+            ),
+            TraceEvent::BatchPreprocessed {
+                pid,
+                batch_id,
+                start,
+                dur,
+            } => span(Tag::BatchPreprocessed, "", pid, batch_id, start, dur),
+            TraceEvent::BatchWait {
+                pid,
+                batch_id,
+                start,
+                dur,
+                out_of_order,
+                queue_delay,
+            } => Line {
+                out_of_order,
+                queue_delay,
+                ..span(Tag::BatchWait, "", pid, batch_id, start, dur)
+            },
+            TraceEvent::BatchConsumed {
+                pid,
+                batch_id,
+                start,
+                dur,
+                ..
+            } => span(Tag::BatchConsumed, "", pid, batch_id, start, dur),
+            TraceEvent::FaultInjected {
+                pid,
+                batch_id,
+                ref op,
+                at,
+            } => instant(Tag::FaultInjected, op, pid, batch_id, at),
+            TraceEvent::WorkerDied { pid, at } => instant(Tag::WorkerDied, "", pid, 0, at),
+            TraceEvent::BatchRedispatched {
+                batch_id,
+                to_pid,
+                at,
+                ..
+            } => instant(Tag::BatchRedispatched, "", to_pid, batch_id, at),
+            TraceEvent::BatchStolen {
+                batch_id,
+                to_pid,
+                at,
+                ..
+            } => instant(Tag::BatchStolen, "", to_pid, batch_id, at),
+            TraceEvent::LaneAssigned {
+                batch_id,
+                ref lane,
+                to_pid,
+                at,
+            } => instant(Tag::LaneAssigned, lane, to_pid, batch_id, at),
+            TraceEvent::PrefetchResized { target, at } => {
+                instant(Tag::PrefetchResized, "", MAIN_OS_PID, target as u64, at)
+            }
+            TraceEvent::Dispatched { .. } | TraceEvent::Gauge { .. } => return None,
+        })
+    }
+
+    /// Bytes of the serialized line, counted from the label's fixed text
+    /// and each number's digits without formatting anything: the five
+    /// commas, the one-digit out-of-order flag and the newline are 7.
+    pub(crate) fn bytes(&self) -> u64 {
+        let numbers = digits(u64::from(self.pid))
+            + digits(self.start.as_nanos())
+            + digits(self.duration.as_nanos())
+            + digits(self.queue_delay.as_nanos());
+        (self.tag.label_len(self.batch_id, self.name) + numbers + 7) as u64
+    }
+
+    /// Appends the serialized line (the CSV-ish log-line format).
+    pub(crate) fn write_to(&self, out: &mut String) {
+        write_label(out, self.tag, self.batch_id, self.name);
+        let _ = writeln!(
+            out,
+            ",{},{},{},{},{}",
+            self.pid,
+            self.start.as_nanos(),
+            self.duration.as_nanos(),
+            u8::from(self.out_of_order),
+            self.queue_delay.as_nanos(),
+        );
+    }
+
+    /// The owned record.
+    pub(crate) fn to_record(self) -> TraceRecord {
+        TraceRecord {
+            kind: self.tag.kind(self.name),
+            pid: self.pid,
+            batch_id: self.batch_id,
+            start: self.start,
+            duration: self.duration,
+            out_of_order: self.out_of_order,
+            queue_delay: self.queue_delay,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn record(kind: SpanKind) -> TraceRecord {
         TraceRecord {
@@ -428,9 +625,110 @@ mod tests {
         assert!(TraceRecord::parse_log_line(&at_the_edge).is_ok());
     }
 
+    /// One kind of every variant, each named kind with a name of `name`.
+    fn every_kind(name: &str) -> Vec<SpanKind> {
+        [
+            Tag::StorageRead,
+            Tag::BatchPreprocessed,
+            Tag::BatchWait,
+            Tag::BatchConsumed,
+            Tag::Op,
+            Tag::FaultInjected,
+            Tag::WorkerDied,
+            Tag::BatchRedispatched,
+            Tag::BatchStolen,
+            Tag::LaneAssigned,
+            Tag::PrefetchResized,
+        ]
+        .into_iter()
+        .map(|tag| tag.kind(name))
+        .collect()
+    }
+
+    /// 0, both sides of every 9→10 digit boundary, and `max`.
+    fn digit_edges(max: u64) -> Vec<u64> {
+        let mut edges = vec![0, max];
+        for k in 1..=max.ilog10() {
+            let power = 10u64.pow(k);
+            edges.extend([power - 1, power]);
+        }
+        edges
+    }
+
     #[test]
     fn log_bytes_counts_serialized_length() {
-        let r = record(SpanKind::BatchWait);
-        assert_eq!(r.log_bytes(), r.to_log_line().len() as u64);
+        for kind in every_kind("page-cache") {
+            let r = record(kind.clone());
+            assert_eq!(r.log_bytes(), r.to_log_line().len() as u64, "{kind:?}");
+            for edge in digit_edges(u64::MAX) {
+                for r in [
+                    TraceRecord {
+                        batch_id: edge,
+                        ..r.clone()
+                    },
+                    TraceRecord {
+                        start: Time::from_nanos(edge),
+                        ..r.clone()
+                    },
+                    TraceRecord {
+                        duration: Span::from_nanos(edge),
+                        ..r.clone()
+                    },
+                    TraceRecord {
+                        queue_delay: Span::from_nanos(edge),
+                        ..r.clone()
+                    },
+                    TraceRecord {
+                        out_of_order: true,
+                        ..r.clone()
+                    },
+                ] {
+                    assert_eq!(r.log_bytes(), r.to_log_line().len() as u64, "{r:?}");
+                }
+            }
+            for edge in digit_edges(u64::from(u32::MAX)) {
+                let pid = u32::try_from(edge).unwrap();
+                let r = TraceRecord { pid, ..r.clone() };
+                assert_eq!(r.log_bytes(), r.to_log_line().len() as u64, "{r:?}");
+            }
+        }
+        assert_eq!(digit_edges(999).len(), 6, "0, 999, 9, 10, 99, 100");
+    }
+
+    /// A number drawn from 0, a digit boundary, the maximum or anywhere.
+    fn number() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            (1u32..=19, any::<bool>()).prop_map(|(k, above)| 10u64.pow(k) - u64::from(!above)),
+            Just(u64::MAX),
+            any::<u64>(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn computed_log_bytes_equal_the_formatted_length(
+            variant in 0usize..11,
+            name in "[ -~\u{e9}\u{4e2d}]{0,24}",
+            pid in number(),
+            batch_id in number(),
+            start in number(),
+            duration in number(),
+            out_of_order in any::<bool>(),
+            queue_delay in number(),
+        ) {
+            let r = TraceRecord {
+                kind: every_kind(&name).swap_remove(variant),
+                pid: (pid % (u64::from(u32::MAX) + 1)) as u32,
+                batch_id,
+                start: Time::from_nanos(start),
+                duration: Span::from_nanos(duration),
+                out_of_order,
+                queue_delay: Span::from_nanos(queue_delay),
+            };
+            prop_assert_eq!(r.log_bytes(), r.to_log_line().len() as u64);
+        }
     }
 }

@@ -445,6 +445,9 @@ pub(crate) async fn main_loop(
         sub,
         tracer,
         audit,
+        index_gauges: (0..loader.num_workers)
+            .map(|w| QueueId::Index(w).gauge())
+            .collect(),
     };
     // Initial prefetch: `prefetch_factor` index batches per worker.
     for _ in 0..loader.prefetch_factor * loader.num_workers {
@@ -512,6 +515,8 @@ struct MainProcess<'a, S> {
     sub: S,
     tracer: &'a dyn Tracer,
     audit: Option<&'a AuditFeed>,
+    /// Each worker's index-queue depth gauge name, built once per run.
+    index_gauges: Vec<Cow<'static, str>>,
 }
 
 impl<S: Substrate> MainProcess<'_, S> {
@@ -531,9 +536,12 @@ impl<S: Substrate> MainProcess<'_, S> {
 
     /// Samples `queue`'s depth gauge.
     async fn depth_gauge(&self, queue: QueueId) {
-        let name = queue.gauge();
-        let depth = self.sub.sample_depth(queue, &name).await as f64;
-        self.trace(|t, at| t.on_gauge(&name, depth, at)).await;
+        let name = match queue {
+            QueueId::Index(w) => &self.index_gauges[w],
+            QueueId::Data => DATA_QUEUE_DEPTH_GAUGE,
+        };
+        let depth = self.sub.sample_depth(queue, name).await as f64;
+        self.trace(|t, at| t.on_gauge(name, depth, at)).await;
     }
 
     /// Dispatches the next batch, then samples the receiving worker's

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use lotus_sim::Span;
@@ -81,6 +81,12 @@ impl KernelSpanFeed {
         }
     }
 
+    /// The held samples. Every update under the lock is one push or
+    /// drain, so a panic elsewhere cannot leave them half-written.
+    fn samples(&self) -> MutexGuard<'_, Vec<KernelSample>> {
+        self.samples.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Resumes collection (ITT `itt.resume()`); no-op once detached.
     pub fn resume(&self) {
         if !self.detached.load(Ordering::Relaxed) {
@@ -121,28 +127,21 @@ impl KernelSpanFeed {
             .name()
             .unwrap_or("unnamed")
             .to_string();
-        self.samples
-            .lock()
-            .expect("feed poisoned")
-            .push(KernelSample {
-                kernel,
-                op: op.map(str::to_string),
-                thread,
-                start_ns,
-                elapsed_ns,
-            });
+        self.samples().push(KernelSample {
+            kernel,
+            op: op.map(str::to_string),
+            thread,
+            start_ns,
+            elapsed_ns,
+        });
         self.overhead_ns
             .fetch_add(entered.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Number of samples currently held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a holder of the sample lock panicked.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.lock().expect("feed poisoned").len()
+        self.samples().len()
     }
 
     /// True when no samples are held.
@@ -153,13 +152,9 @@ impl KernelSpanFeed {
 
     /// Drains and returns every held sample (isolation harnesses drain
     /// per run; whole-run profiling drains once at the end).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a holder of the sample lock panicked.
     #[must_use]
     pub fn take_samples(&self) -> Vec<KernelSample> {
-        std::mem::take(&mut *self.samples.lock().expect("feed poisoned"))
+        std::mem::take(&mut *self.samples())
     }
 
     /// Total measured cost of the feed's own recording path.
@@ -173,16 +168,12 @@ impl KernelSpanFeed {
     /// most time first — the native analogue of
     /// [`HwProfiler::report`](crate::HwProfiler::report), grouped by op.
     /// Samples with no op context fold under `"(none)"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a holder of the sample lock panicked.
     #[must_use]
     pub fn per_op_function_totals(
         &self,
         machine: &Machine,
     ) -> BTreeMap<String, Vec<FunctionProfile>> {
-        let samples = self.samples.lock().expect("feed poisoned");
+        let samples = self.samples();
         let mut per_op: BTreeMap<(String, KernelId), FnStats> = BTreeMap::new();
         for s in samples.iter() {
             let op = s.op.clone().unwrap_or_else(|| "(none)".to_string());

@@ -160,6 +160,9 @@ impl KernelRegistry {
         spec.cost
             .validate()
             .unwrap_or_else(|e| panic!("invalid cost model for kernel '{}': {e}", spec.name));
+        // Kernels are the program's static inventory (a few dozen), so an
+        // id always fits in a u32.
+        #[allow(clippy::expect_used)]
         let id = KernelId(u32::try_from(self.specs.len()).expect("too many kernels"));
         self.by_name.insert(spec.name.clone(), id);
         self.specs.push(spec);

@@ -1,7 +1,7 @@
 //! The simulated machine: CPU parameters and shared-resource load tracking.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use lotus_sim::Span;
 
@@ -151,13 +151,20 @@ impl Machine {
         &self.config
     }
 
+    /// The kernel registry. Registration validates a spec before it
+    /// inserts anything, so a panic cannot leave the registry
+    /// half-written and a poisoned lock is recovered.
+    fn registry(&self) -> RwLockReadGuard<'_, KernelRegistry> {
+        self.registry.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a native kernel (name, library, cost coefficients) and
     /// returns its id. Registering the same name twice returns the existing
     /// id (so independent transform instances can share kernels).
     pub fn register_kernel(&self, spec: KernelSpec) -> KernelId {
         self.registry
             .write()
-            .expect("registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .register(spec)
     }
 
@@ -177,26 +184,30 @@ impl Machine {
     /// Panics if the id does not belong to this machine.
     #[must_use]
     pub fn kernel_spec(&self, id: KernelId) -> KernelSpec {
-        self.registry
-            .read()
-            .expect("registry poisoned")
-            .spec(id)
-            .clone()
+        self.registry().spec(id).clone()
+    }
+
+    /// Looks up a kernel's cost coefficients by id, copying nothing else
+    /// (the cost model's per-call lookup).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this machine.
+    #[must_use]
+    pub fn kernel_cost(&self, id: KernelId) -> CostCoeffs {
+        self.registry().spec(id).cost
     }
 
     /// Looks up a kernel id by function name, if registered.
     #[must_use]
     pub fn kernel_by_name(&self, name: &str) -> Option<KernelId> {
-        self.registry
-            .read()
-            .expect("registry poisoned")
-            .by_name(name)
+        self.registry().by_name(name)
     }
 
     /// Number of registered kernels.
     #[must_use]
     pub fn kernel_count(&self) -> usize {
-        self.registry.read().expect("registry poisoned").len()
+        self.registry().len()
     }
 
     /// Marks one more thread as actively computing.

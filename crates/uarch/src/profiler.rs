@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lotus_sim::{Span, Time};
 
@@ -143,6 +143,13 @@ impl HwProfiler {
         }
     }
 
+    /// The per-function totals. A panic while they are held leaves at
+    /// worst one invocation's samples partly counted, so a poisoned lock
+    /// is recovered rather than propagated.
+    fn state(&self) -> MutexGuard<'_, ProfilerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The session configuration.
     #[must_use]
     pub fn config(&self) -> &ProfilerConfig {
@@ -184,7 +191,7 @@ impl HwProfiler {
         }
         match self.config.mode {
             CollectionMode::Counting => {
-                let mut st = self.state.lock().expect("profiler poisoned");
+                let mut st = self.state();
                 let entry = st.per_fn.entry(kernel).or_default();
                 entry.cpu_time += cost.elapsed;
                 entry.events += cost.events;
@@ -212,7 +219,7 @@ impl HwProfiler {
         let duration = cost.elapsed.as_nanos().max(1) as f64;
         let per_sample = cost.events * (interval as f64 / duration);
         let skid = self.config.skid.as_nanos();
-        let mut st = self.state.lock().expect("profiler poisoned");
+        let mut st = self.state();
         let mut ts = first;
         while ts < end {
             // Skid: the sampled instruction pointer lags the sampling
@@ -243,14 +250,14 @@ impl HwProfiler {
     /// Total number of samples taken (sampling mode).
     #[must_use]
     pub fn total_samples(&self) -> u64 {
-        self.state.lock().expect("profiler poisoned").total_samples
+        self.state().total_samples
     }
 
     /// Produces the per-function report, most CPU time first, resolving
     /// kernel names through `machine`'s registry.
     #[must_use]
     pub fn report(&self, machine: &Machine) -> Vec<FunctionProfile> {
-        let st = self.state.lock().expect("profiler poisoned");
+        let st = self.state();
         let mut rows: Vec<FunctionProfile> = st
             .per_fn
             .iter()
@@ -274,7 +281,7 @@ impl HwProfiler {
 
     /// Clears accumulated data (collection state is unchanged).
     pub fn reset(&self) {
-        let mut st = self.state.lock().expect("profiler poisoned");
+        let mut st = self.state();
         st.per_fn.clear();
         st.total_samples = 0;
     }

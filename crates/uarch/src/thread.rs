@@ -149,8 +149,8 @@ impl CpuThread {
     /// Like [`CpuThread::exec`] but with an explicit load value (used by
     /// tests and the isolation harness, which runs alone on the machine).
     pub fn exec_at_load(&mut self, kernel: KernelId, work: f64, load: f64) -> KernelCost {
-        let spec = self.machine.kernel_spec(kernel);
-        let cost = evaluate(self.machine.config(), &spec.cost, work, load);
+        let coeffs = self.machine.kernel_cost(kernel);
+        let cost = evaluate(self.machine.config(), &coeffs, work, load);
         if let Some(profiler) = &self.profiler {
             self.recent.make_contiguous();
             profiler.record(self.recent.as_slices().0, kernel, self.cursor, &cost);

@@ -18,7 +18,6 @@ use lotus_core::map::{
     mapping_from_native, top_k_agreement, IsolationConfig, Mapping, OpAgreement, StorageAttribution,
 };
 use lotus_core::metrics::{names, MetricsRegistry, MetricsSink, MultiSink};
-use lotus_core::trace::analysis::op_class_totals;
 use lotus_core::trace::insights::Verdict;
 use lotus_core::trace::{LotusTrace, LotusTraceConfig, OpLogMode};
 use lotus_core::tune::{Scorecard, TrialMeasurement};
@@ -352,7 +351,7 @@ impl Harness {
             batches: report.batches,
             samples: report.samples,
             snapshot: self.registry.snapshot(),
-            op_classes: op_class_totals(&self.trace.records()),
+            op_classes: self.trace.op_class_totals(),
         }
     }
 }
